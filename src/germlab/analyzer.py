@@ -23,11 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
+from operator import attrgetter
 
-from .germs import (GermCorank1, GermError, MararMondReport, build_Dk,
-                    class_size, expected_dims, marar_mond_check, partitions)
-from .ideals import affine_is_smooth, contains_one, germ_is_empty
+from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
+                    build_Dk, class_size, marar_mond_check)
+from .ideals import affine_is_smooth, contains_one
 from .milnor import milnor_icis
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
@@ -97,56 +99,49 @@ class GrpReport:
         return None if r is None or r.empty else r.mu
 
 
-def _analyze_row(germ: GermCorank1, k: int, rng: random.Random) -> GrpRow:
-    d_k, _, _ = expected_dims(germ.n, germ.p, k, (1,) * k)
-    full = build_Dk(germ, k)
-    if germ_is_empty(full.ideal):
+def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
+    """Invariants of D^k(f) from the finiteness sweep's statuses at one k.
+
+    The identity partition comes first: its d^sigma is d_k, and an EMPTY one
+    makes the whole row empty.
+    """
+    k, d_k = statuses[0].k, statuses[0].expected_dim
+    if statuses[0].kind == EMPTY_SPACE:
         return GrpRow(k, d_k, True, None, None, [])
     classes: list[ClassEntry] = []
-    mu_main: int | None = None
     acc = Fraction(0)
-    for part in partitions(k):
-        space = build_Dk(germ, k, part)
-        d_sigma = space.expected_dim
+    for st in statuses:
+        part, d_sigma = st.partition, st.expected_dim
         size = class_size(part)
-        if germ_is_empty(space.ideal):
-            classes.append(ClassEntry(part, space.sigma_sharp, d_sigma, "empty"))
+        if st.kind == EMPTY_SPACE:
+            classes.append(ClassEntry(part, st.sigma_sharp, d_sigma, "empty"))
             continue
         if d_sigma < 0:
-            classes.append(ClassEntry(part, space.sigma_sharp, d_sigma, "beta0", beta0=1))
+            classes.append(ClassEntry(part, st.sigma_sharp, d_sigma, "beta0", beta0=1))
             acc -= size * (-1 if d_sigma % 2 else 1)
             continue
-        rep = milnor_icis(space.ideal, d_sigma, rng=rng)
-        entry = ClassEntry(part, space.sigma_sharp, d_sigma, "mu", mu=rep.milnor)
+        # a smooth space has no reduced ideal and mu = 0
+        mu = 0 if st.reduced is None else milnor_icis(st.reduced, d_sigma, rng=rng).milnor
+        entry = ClassEntry(part, st.sigma_sharp, d_sigma, "mu", mu=mu)
         if d_sigma == 0:
-            entry.count = rep.milnor + 1  # colength of the zero-dimensional space
+            entry.count = mu + 1  # colength of the zero-dimensional space
         classes.append(entry)
-        acc += size * rep.milnor
-        if part == (1,) * k:
-            mu_main = rep.milnor
+        acc += size * mu
     mu_alt = acc / factorial(k)
     if mu_alt.denominator != 1:
         raise ArithmeticError(f"alternating Milnor number is not an integer at k={k}: {mu_alt}")
-    return GrpRow(k, d_k, False, mu_main, int(mu_alt), classes)
+    return GrpRow(k, d_k, False, classes[0].mu, int(mu_alt), classes)
 
 
 def analyze(germ: GermCorank1, max_k: int | None = None, seed: int = 0,
             name: str | None = None) -> GrpReport:
     """Full invariant report with rule ledger; raises NotAFiniteError early."""
-    if germ.ring.params:
-        raise GermError("substitute parameters before analysis")
     mm = marar_mond_check(germ, max_k)
     if not mm.finite:
         raise NotAFiniteError(mm)
     rng = random.Random(seed)
-    rows: list[GrpRow] = []
-    k = 2
-    stop = mm.first_empty_k if mm.first_empty_k is not None else (max_k or 2)
-    while k <= stop:
-        rows.append(_analyze_row(germ, k, rng))
-        if rows[-1].empty:
-            break
-        k += 1
+    rows = [_analyze_row(list(statuses), rng)
+            for _, statuses in groupby(mm.statuses, key=attrgetter("k"))]
 
     violations: list[RuleViolation] = []
     singular_positive = [r.k for r in rows if not r.empty and r.d_k > 0 and (r.mu or 0) >= 1]
@@ -166,8 +161,6 @@ def analyze(germ: GermCorank1, max_k: int | None = None, seed: int = 0,
         for r in rows:
             if r.d_k < r.k - 2 and not r.empty:
                 violations.append(RuleViolation("R4", r.k, None, "nonempty"))
-    # structural assertion: R4 can only fire alongside a recorded singular space
-    assert not any(v.rule == "R4" for v in violations) or singular_positive
 
     image: dict[int, int] = {}
     for r in rows:
@@ -340,8 +333,13 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
 
 def mu_alt(germ: GermCorank1, k: int, seed: int = 0) -> int:
     """Alternating Milnor number of D^k(f); 0 for an empty space."""
-    row = _analyze_row(germ, k, random.Random(seed))
-    return 0 if row.empty else row.mu_alt
+    mm = marar_mond_check(germ, k)
+    if not mm.finite:
+        raise NotAFiniteError(mm)
+    statuses = [st for st in mm.statuses if st.k == k]
+    if not statuses or statuses[0].kind == EMPTY_SPACE:  # D^k, or an earlier D^j, is empty
+        return 0
+    return _analyze_row(statuses, random.Random(seed)).mu_alt
 
 
 def image_betti(germ: GermCorank1, max_k: int | None = None) -> dict[int, int]:

@@ -10,8 +10,11 @@
 Exit codes: 0 = CANDIDATE / CONFIRMED / all catalog rows match / verified;
 1 = FAILS / REFUTED / catalog mismatch / inequality violated;
 2 = INCONCLUSIVE; 3 = analysis error (non-finite germ, non-isolated data);
-64 = usage, parse or validation error.  GERMLAB_MAX_K caps the multiplicity
-sweep (default: run until the first empty multiple point space).
+64 = usage, parse or validation error; 70 = internal error (an exception
+outside these families, e.g. a non-integral alternating Milnor number; its
+traceback follows the message on stderr).
+GERMLAB_MAX_K caps the multiplicity sweep (default: run until the first
+empty multiple point space).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .analyzer import (CANDIDATE, CONFIRMED, NotAFiniteError, REFUTED,
@@ -37,6 +41,7 @@ from .smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
 
 EX_ERROR = 3
 EX_USAGE = 64
+EX_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
 def _fractions(pairs: list[str]) -> dict[str, Fraction]:
@@ -445,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
             return EX_ERROR
         print(f"germlab: error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except Exception as exc:
+        print(f"germlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

@@ -197,6 +197,8 @@ class SpaceStatus:
     kind: str
     dim: int | None = None
     reason: str = ""
+    # the space after linear elimination; None when empty or smooth
+    reduced: Ideal | None = None
 
 
 @dataclass
@@ -209,71 +211,69 @@ class MararMondReport:
         return [s for s in self.statuses if s.kind == VIOLATION]
 
 
-def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> tuple[str, int | None, str]:
-    """Classify one D^k(f)^sigma germ: EMPTY / ICIS / ORIGIN / VIOLATION."""
+def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
+    """Classify one D^k(f)^sigma germ: EMPTY / ICIS / ORIGIN / VIOLATION.
+
+    A nonempty, non-smooth space keeps the ideal left after linear
+    elimination, so the invariant step does not eliminate it again.
+    """
     from .ideals import singular_locus_ideal
 
-    if germ_is_empty(ideal):
-        return EMPTY, None, ""
-    elim = eliminate_linear(list(ideal.gens))
+    expected_dim = space.expected_dim
+
+    def status(kind, dim=None, reason="", reduced=None):
+        return SpaceStatus(space.k, space.partition, space.sigma_sharp, expected_dim,
+                           kind, dim, reason, reduced)
+
+    if germ_is_empty(space.ideal):
+        return status(EMPTY)
+    # substituting solutions without constant term keeps the germ nonempty
+    elim = eliminate_linear(list(space.ideal.gens))
     gens = [g for g in elim.gens if not g.is_zero()]
-    ring = elim.ring
     if not gens:
-        dim = ring.nvars
+        dim = elim.ring.nvars
         if expected_dim < 0:
-            return (ORIGIN, 0, "") if dim == 0 else (VIOLATION, dim, "positive-dimensional")
+            return status(ORIGIN, 0) if dim == 0 else status(VIOLATION, dim, "positive-dimensional")
         if dim == expected_dim:
-            return ICIS, dim, "smooth"
-        return VIOLATION, dim, f"smooth of dimension {dim}"
+            return status(ICIS, dim, "smooth")
+        return status(VIOLATION, dim, f"smooth of dimension {dim}")
     J = Ideal.of(gens, local=True)
-    if germ_is_empty(J):
-        return EMPTY, None, ""
     if expected_dim <= 0:
         # finite colength certifies dimension 0 without a full basis
-        c = colength(J)
-        if c == INF:
+        if colength(J) == INF:
             dim = local_dimension(J)
             want = "at most the origin" if expected_dim < 0 else "dimension 0"
-            return VIOLATION, dim, f"dimension {dim}, should be {want}"
-        return (ORIGIN if expected_dim < 0 else ICIS), 0, ""
+            return status(VIOLATION, dim, f"dimension {dim}, should be {want}", J)
+        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J)
     dim = local_dimension(J)
     if dim != expected_dim:
-        return VIOLATION, dim, f"dimension {dim} instead of {expected_dim}"
+        return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}", J)
     if colength(singular_locus_ideal(J)) == INF:
-        return VIOLATION, dim, "non-isolated singular locus"
-    return ICIS, dim, ""
+        return status(VIOLATION, dim, "non-isolated singular locus", J)
+    return status(ICIS, dim, "", J)
 
 
 def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondReport:
     """Status table over k and partitions; finite iff no violation.
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
-    in k); `max_k` caps the sweep.
+    in k); `max_k` caps the sweep.  Each D^k(f)^sigma is built once; the
+    identity partition comes first and decides emptiness.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
     statuses: list[SpaceStatus] = []
     finite = True
-    first_empty = None
-    k = 2
     cap = max_k if max_k is not None else 12
-    while k <= cap:
-        full = build_Dk(germ, k)
-        if germ_is_empty(full.ideal):
-            statuses.append(SpaceStatus(k, full.partition, full.sigma_sharp,
-                                        full.expected_dim, EMPTY))
-            first_empty = k
-            break
+    for k in range(2, cap + 1):
         for part in partitions(k):
-            space = build_Dk(germ, k, part)
-            kind, dim, reason = _isolated_after_reduction(space.ideal, space.expected_dim)
-            statuses.append(SpaceStatus(k, part, space.sigma_sharp,
-                                        space.expected_dim, kind, dim, reason))
-            if kind == VIOLATION:
+            st = _isolated_after_reduction(build_Dk(germ, k, part))
+            statuses.append(st)
+            if st.kind == VIOLATION:
                 finite = False
-        k += 1
-    else:
-        if max_k is None:
-            raise GermError("no empty multiple point space up to the safety cap; "
-                            "is the germ finite?")
-    return MararMondReport(statuses, finite, first_empty)
+            if st.kind == EMPTY and part == (1,) * k:
+                return MararMondReport(statuses, finite, k)
+    if max_k is None:
+        raise GermError("no empty multiple point space up to the safety cap; "
+                        "is the germ finite?")
+    return MararMondReport(statuses, finite, None)

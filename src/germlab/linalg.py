@@ -135,20 +135,6 @@ def kernel_q(mat: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve_q(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """One solution of mat * x = rhs, or None."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    rows, pivots = rref_q(aug)
-    x = [Fraction(0)] * n
-    for r, pc in zip(rows, pivots):
-        if pc == n:
-            return None  # inconsistent
-        x[pc] = r[n]
-    return x
-
-
 def rank_mod(mat: list[list[int]], p: int) -> int:
     A = [[x % p for x in row] for row in mat]
     m = len(A)

@@ -147,8 +147,6 @@ def milnor_icis(I: Ideal, expected_dim: int, route: str = "auto",
         ring = I.ring
     else:
         gens, ring = _reduce(list(I.gens))
-    if gens and any(g.constant_term() != 0 for g in gens):
-        raise EmptyGermError("empty germ")  # unit surfaced by substitution
     if not gens:
         if ring.nvars != expected_dim:
             raise NonIcisError(f"smooth of dimension {ring.nvars}, expected {expected_dim}")

@@ -374,15 +374,15 @@ def divided_difference(f: Polynomial, var: str, fresh: tuple[str, str],
 
 @dataclass
 class Elimination:
-    """Result of iterated graph-style elimination of linear variables."""
+    """Result of iterated graph-style elimination of linear variables.
+
+    `subs` is triangular: each solution is recorded as it was solved, so it
+    may involve variables eliminated after it, never ones eliminated before.
+    """
 
     gens: list[Polynomial]
     subs: dict[str, Polynomial]
     ring: PolyRing  # ring on the surviving variables
-
-    @property
-    def eliminated(self) -> tuple[str, ...]:
-        return tuple(self.subs)
 
 
 def _linear_candidates(g: Polynomial, protected: frozenset[str]) -> list[str]:
@@ -413,8 +413,9 @@ def eliminate_linear(gens: Iterable[Polynomial],
     A variable is eliminable from a generator g when it appears in g exactly
     once, to the first power and with a coefficient in Q*, so that solving is
     an exact polynomial coordinate change.  Protected variables are never
-    eliminated.  Generators that become zero are dropped; the substitution
-    map is fully back-substituted.
+    eliminated.  Generators that become zero are dropped.  The substitution
+    map is left triangular (see `Elimination`): the relations v - subs[v]
+    together with the output generators still cut out the input ideal.
     """
     gens = [g for g in gens]
     if not gens:
@@ -448,7 +449,6 @@ def eliminate_linear(gens: Iterable[Polynomial],
         repl = {name: sol}
         live = [h.subs(repl) for h in live]
         live = [h for h in live if not h.is_zero()]
-        subs = {v: s.subs(repl) for v, s in subs.items()}
         subs[name] = sol
     out_ring = ring.drop_vars(subs.keys())
     out = [g.cast(out_ring) for g in live]

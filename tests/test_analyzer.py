@@ -170,3 +170,41 @@ def test_mu_alt_examples_from_tables():
         assert rep.row(2).mu_alt == k
     rep = analyze(make(["z^2", "z*(x^2 + y^2 + z^4)"]))
     assert rep.row(2).mu_alt == 2
+
+
+def test_analyze_builds_each_space_once(monkeypatch):
+    import germlab.germs as germs
+    from collections import Counter
+
+    from germlab.catalog import nonsimple_entry
+
+    built = Counter()
+    real_build = germs.build_Dk
+
+    def counting_build(germ, k, partition=None, local=True):
+        built[(germ.name, k, partition or (1,) * k)] += 1
+        return real_build(germ, k, partition, local)
+
+    monkeypatch.setattr(germs, "build_Dk", counting_build)
+    row3 = nonsimple_entry("III")
+    for germ in (Q2, row3.germ):
+        rep = analyze(germ)
+        assert len(rep.rows) >= 3  # k = 2, 3 and the first empty k
+    assert built and max(built.values()) == 1
+    assert {k for _, k, _ in built} >= {2, 3, 4}
+
+
+def test_mu_alt_matches_analyze_on_shipped_germs():
+    from pathlib import Path
+
+    from germlab.analyzer import mu_alt
+    from germlab.germfile import load_germ_file
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "germs").glob("*.germ"))
+    assert paths
+    for path in paths:
+        germ = load_germ_file(str(path)).base_germ()
+        rep = analyze(germ)
+        for row in rep.rows:
+            assert mu_alt(germ, row.k) == (0 if row.empty else row.mu_alt), (path.name, row.k)
+        assert rep.rows[-1].empty

@@ -127,6 +127,18 @@ def test_cli_not_finite_exit(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_internal_error_exit(capsys, monkeypatch):
+    import germlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("alternating Milnor number is not an integer")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    assert run_cli("analyze", str(GERMS / "q2.germ")) == cli.EX_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert err.startswith("germlab: internal error:") and "not an integer" in err
+
+
 def test_cli_simplicial(capsys):
     assert run_cli("simplicial", str(COMPLEXES / "triangles.json"), "alt") == 0
     out = capsys.readouterr().out

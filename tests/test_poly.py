@@ -163,17 +163,23 @@ def test_eliminate_preserves_ideal_membership():
 
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = (R.sym(n) for n in R.vars)
-    gens = [z1 + z2, z1 ** 2 + z1 * z2 + z2 ** 2 + x ** 2 + y ** 2]
-    res = eliminate_linear(gens)
-    # original generators die in the output ideal + substitution relations
-    lifted = [g.cast(R) for g in res.gens]
-    lifted += [R.sym(v) - s.cast(R) for v, s in res.subs.items()]
-    I = Ideal.of(lifted, local=False)
-    for g in gens:
-        assert reduces_to_zero(g, I)
-    J = Ideal.of(gens + [R.sym(v) - s.cast(R) for v, s in res.subs.items()], local=False)
-    for g in lifted:
-        assert reduces_to_zero(g, J)
+    cases = [
+        [z1 + z2, z1 ** 2 + z1 * z2 + z2 ** 2 + x ** 2 + y ** 2],
+        # z2 is solved first in terms of x, which is eliminated after it
+        [z1 + z2 + x ** 2, x + y * z1, z1 ** 3 + y ** 2 + z2 * y],
+    ]
+    for gens in cases:
+        res = eliminate_linear(gens)
+        # original generators die in the output ideal + substitution relations
+        lifted = [g.cast(R) for g in res.gens]
+        lifted += [R.sym(v) - s.cast(R) for v, s in res.subs.items()]
+        I = Ideal.of(lifted, local=False)
+        for g in gens:
+            assert reduces_to_zero(g, I)
+        J = Ideal.of(gens + [R.sym(v) - s.cast(R) for v, s in res.subs.items()], local=False)
+        for g in lifted:
+            assert reduces_to_zero(g, J)
+    assert list(res.subs) == ["z2", "x"] and res.subs["z2"].involves("x")
 
 
 def test_ring_axioms_on_random_polynomials():
