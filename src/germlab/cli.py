@@ -12,7 +12,8 @@ Exit codes: 0 = CANDIDATE / CONFIRMED / all catalog rows match / verified;
 2 = INCONCLUSIVE; 3 = analysis error (non-finite germ, non-isolated data);
 64 = usage, parse or validation error; 70 = internal error (an exception
 outside these families, e.g. a non-integral alternating Milnor number; its
-traceback follows the message on stderr).
+traceback follows the message on stderr); 141 = stdout closed by its reader
+(nothing further is printed).
 GERMLAB_MAX_K caps the multiplicity sweep (default: run until the first
 empty multiple point space).
 """
@@ -42,15 +43,23 @@ from .smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
 EX_ERROR = 3
 EX_USAGE = 64
 EX_INTERNAL = 70  # sysexits EX_SOFTWARE
+EX_PIPE = 141     # 128 + SIGPIPE, as a shell reports a pipe closed by its reader
+
+
+class UsageError(Exception):
+    """A command-line argument or environment value that cannot be read."""
 
 
 def _fractions(pairs: list[str]) -> dict[str, Fraction]:
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise GermFileError(f"--param needs name=value, got {item!r}")
+            raise UsageError(f"--param needs name=value, got {item!r}")
         name, val = item.split("=", 1)
-        out[name.strip()] = Fraction(val.strip())
+        try:
+            out[name.strip()] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--param {name.strip()}: not a rational number: {val!r}") from None
     return out
 
 
@@ -58,7 +67,31 @@ def _max_k(args) -> int | None:
     if getattr(args, "max_k", None) is not None:
         return args.max_k
     env = os.environ.get("GERMLAB_MAX_K")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise UsageError(f"GERMLAB_MAX_K must be an integer, got {env!r}") from None
+
+
+def _row_entry(label: str):
+    """Catalog entry of a --row label: I..VIII, P4^1, P3^k, Sj,k or a family and index."""
+    if label in {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}:
+        return nonsimple_entry(label)
+    if label == "P4^1":
+        return simple_entry("P41")
+    try:
+        if label.startswith("P3^"):
+            fam, indices = "P3", {"k": int(label[3:])}
+        elif label.startswith("S"):
+            j, k = (int(s) for s in label[1:].split(","))
+            fam, indices = "S", {"j": j, "k": k}
+        else:
+            fam = "".join(ch for ch in label if not ch.isdigit())
+            nums = [int(s) for s in label.replace(fam, "").split(",") if s]
+            indices = {"k": nums[0] if nums else None}
+    except ValueError:
+        raise UsageError(f"--row: cannot read label {label!r}") from None
+    return simple_entry(fam, **indices)
 
 
 # -- report serialization -------------------------------------------------
@@ -236,23 +269,7 @@ def cmd_table(args) -> int:
     if args.which in ("nonsimple", "all"):
         entries += default_nonsimple_entries()
     if args.row:
-        wanted = {r.upper() for r in args.row}
-        picked = []
-        for label in wanted:
-            if label in {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}:
-                picked.append(nonsimple_entry(label))
-            elif label == "P4^1":
-                picked.append(simple_entry("P41"))
-            elif label.startswith("P3^"):
-                picked.append(simple_entry("P3", k=int(label[3:])))
-            elif label.startswith("S"):
-                j, k = (int(s) for s in label[1:].split(","))
-                picked.append(simple_entry("S", j=j, k=k))
-            else:
-                fam = "".join(ch for ch in label if not ch.isdigit())
-                nums = [int(s) for s in label.replace(fam, "").split(",") if s]
-                picked.append(simple_entry(fam, k=nums[0] if nums else None))
-        entries = picked
+        entries = [_row_entry(label) for label in {r.upper() for r in args.row}]
     payloads = [(e, _max_k(args), args.seed) for e in entries]
     if args.jobs > 1 and len(entries) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -441,10 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, GermFileError, PolyError, GermError, CatalogError,
-            ActionError, WitnessPreconditionError, FileNotFoundError,
-            ValueError) as exc:
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # The reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's own flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
+    except (UsageError, ParseError, GermFileError, PolyError, GermError,
+            CatalogError, ActionError, WitnessPreconditionError, NotAFiniteError,
+            NonIcisError, NonIsolatedError, FileNotFoundError) as exc:
         if isinstance(exc, (NotAFiniteError, NonIcisError, NonIsolatedError)):
             print(f"germlab: analysis error: {exc}", file=sys.stderr)
             return EX_ERROR

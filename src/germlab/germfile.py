@@ -105,7 +105,11 @@ def parse_germ_file(text: str) -> GermFile:
 
 def load_germ_file(path: str) -> GermFile:
     with open(path) as fh:
-        return parse_germ_file(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GermFileError(f"{path}: not a text file: {exc}") from None
+    return parse_germ_file(text)
 
 
 def format_germ_file(gf: GermFile) -> str:

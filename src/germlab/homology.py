@@ -1,11 +1,16 @@
 """Simplicial homology and alternating homology of symmetric complexes.
 
-Integer homology comes from Smith normal form of the boundary maps; field
-coefficients from ranks.  The alternating chain complex has one generator
-per group orbit of simplexes whose stabilizer contains no odd element of
-Sigma_k (a stabilizer element fixes its simplex pointwise on a good complex,
-so an odd one forces the coefficient to vanish); orbits with even stabilizers
-survive and contribute a single signed generator.
+Each integer boundary matrix is eliminated once, to its Smith normal form
+(unit pivots first, see `linalg`), and every number comes from its
+elementary divisors: the rank of d_q over Q is their count, over F_p (p
+prime) the count of those p does not divide, and the torsion of H_{q-1} is
+those above 1.
+
+The alternating chain complex has one generator per group orbit of
+simplexes whose stabilizer contains no odd element of Sigma_k (a stabilizer
+element fixes its simplex pointwise on a good complex, so an odd one forces
+the coefficient to vanish); orbits with even stabilizers survive and
+contribute a single signed generator.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import kernel_q, rank_mod, rank_q, rref_q, smith_normal_form
-from .simplicial import ActionError, GComplex, perm_sign
+from .linalg import kernel_q, rref_q, smith_normal_form
+from .simplicial import ActionError, GComplex, perm_sign, smallest_prime_factor
 
 
 @dataclass
@@ -54,29 +59,37 @@ def boundary_matrices(X: GComplex) -> tuple[dict[int, list[tuple[int, ...]]], di
     return simp, mats
 
 
+def _field_prime(field: str) -> int | None:
+    """None for "Q", p for "F<p>" with p prime; anything else is an ActionError."""
+    if field == "Q":
+        return None
+    if field[:1] == "F" and field[1:].isdecimal():
+        p = int(field[1:])
+        if p >= 2 and smallest_prime_factor(p) == p:
+            return p
+    raise ActionError(f"coefficients must be Z, Q or F<p> with p prime, got {field!r}")
+
+
+def _rank(divisors: list[int], p: int | None) -> int:
+    """Rank over Q (p None) or F_p of a matrix with these elementary divisors."""
+    if p is None:
+        return len(divisors)
+    return sum(1 for d in divisors if d % p)
+
+
 def homology(X: GComplex, coeff="Z") -> HomologyResult:
-    """H_*(X) with Z, Q or F_p coefficients (unreduced)."""
+    """H_*(X) with Z, Q or F_p coefficients (unreduced); p must be prime."""
+    p = None if coeff == "Z" else _field_prime(coeff)
     simp, mats = boundary_matrices(X)
+    divs = {q: smith_normal_form(M) for q, M in mats.items()}
     topdim = max(simp) if simp else -1
     betti: list[int] = []
     torsion: list[list[int]] = []
     for q in range(topdim + 1):
-        nq = len(simp.get(q, []))
-        dq = mats.get(q, [])
-        dq1 = mats.get(q + 1, [])
-        if coeff == "Z" or coeff == "Q":
-            rk_dq = rank_q([[Fraction(x) for x in r] for r in dq]) if dq else 0
-            rk_dq1 = rank_q([[Fraction(x) for x in r] for r in dq1]) if dq1 else 0
-        else:
-            p = int(coeff[1:])
-            rk_dq = rank_mod(dq, p) if dq else 0
-            rk_dq1 = rank_mod(dq1, p) if dq1 else 0
-        betti.append(nq - rk_dq - rk_dq1)
-        if coeff == "Z":
-            divisors = smith_normal_form(dq1) if dq1 else []
-            torsion.append(sorted(d for d in divisors if d > 1))
+        down, up = divs.get(q, []), divs.get(q + 1, [])
+        betti.append(len(simp.get(q, [])) - _rank(down, p) - _rank(up, p))
+        torsion.append([d for d in up if d > 1])
     if coeff == "Z":
-        # torsion of H_q comes from d_{q+1}; F_p/Q ranks differ accordingly
         return HomologyResult("Z", betti, torsion)
     return HomologyResult(coeff, betti)
 
@@ -166,30 +179,25 @@ def alternating_homology(X: GComplex, fields: tuple[str, ...] = ()) -> AltHomolo
     """AH_*(X; Z) with torsion, plus ranks over requested fields ("Q", "F2", ...)."""
     if not X.is_good():
         raise ActionError("action is not simplicially good; subdivide first")
-    alt = alternating_chain_complex(X)
+    return _alternating_homology(alternating_chain_complex(X), fields)
+
+
+def _alternating_homology(alt: AltChainComplex, fields: tuple[str, ...]) -> AltHomologyResult:
+    """`alternating_homology` of an alternating chain complex already built."""
+    primes = {f: _field_prime(f) for f in fields}
+    divs = {q: smith_normal_form(M) for q, M in alt.boundaries.items()}
     top = max(alt.reps, default=-1)
     ranks = []
     torsion = []
     field_ranks = {f: [] for f in fields}
     for q in range(top + 1):
         nq = len(alt.reps.get(q, []))
-        dq = alt.boundaries.get(q, [])
-        dq1 = alt.boundaries.get(q + 1, [])
-        rk_dq = rank_q([[Fraction(x) for x in r] for r in dq]) if dq else 0
-        rk_dq1 = rank_q([[Fraction(x) for x in r] for r in dq1]) if dq1 else 0
-        ranks.append(nq - rk_dq - rk_dq1)
-        divisors = smith_normal_form(dq1) if dq1 else []
-        torsion.append(sorted(d for d in divisors if d > 1))
-        for f in fields:
-            if f == "Q":
-                field_ranks[f].append(ranks[-1])
-            else:
-                p = int(f[1:])
-                a = rank_mod(dq, p) if dq else 0
-                b = rank_mod(dq1, p) if dq1 else 0
-                field_ranks[f].append(nq - a - b)
-    simp = X.simplices()
-    chi_top = sum((-1) ** q * len(lst) for q, lst in simp.items())
+        down, up = divs.get(q, []), divs.get(q + 1, [])
+        ranks.append(nq - len(down) - len(up))
+        torsion.append([d for d in up if d > 1])
+        for f, p in primes.items():
+            field_ranks[f].append(nq - _rank(down, p) - _rank(up, p))
+    chi_top = sum((-1) ** q * len(lst) for q, lst in alt.X.simplices().items())
     chi_alt = sum((-1) ** q * r for q, r in enumerate(ranks))
     return AltHomologyResult(ranks, torsion, field_ranks, chi_top, chi_alt)
 

@@ -1,17 +1,91 @@
 """Exact linear algebra: integer Smith normal form, rank/kernel over Q and F_p.
 
-Matrices are dense lists of rows.  Sizes here are chain-complex sized
-(hundreds), so simple pivoting is plenty.
+Matrices are dense lists of rows.  The Smith normal form is the homology
+workhorse: one elimination per boundary matrix gives its elementary
+divisors d_1 | d_2 | ..., and every number homology needs is read off them
+(rank over Q = their count, rank over F_p = the count of those p does not
+divide, torsion = those above 1).  Boundary matrices are sparse with ±1
+entries, so the elimination takes unit pivots first on a sparse copy, in
+order of lowest Markowitz cost (Dumas, Saunders and Villard 2001); each
+is a divisor 1 and changes no other divisor.  Only the core left without a
+unit entry, usually empty, goes through the dense gcd loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Elementary divisors (nonzero diagonal of the SNF), arbitrary precision."""
-    A = [row[:] for row in mat]
+    """Elementary divisors (nonzero diagonal of the SNF) as a chain d_1 | d_2 | ...
+
+    Arbitrary precision; zero rows and columns are allowed, as are 0 x n
+    and n x 0 shapes.
+    """
+    units, core = _unit_pivot_core(mat)
+    return [1] * units + _dense_divisors(core)
+
+
+def _unit_pivot_core(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Eliminate ±1 pivots sparsely; return their number and the dense core left.
+
+    With the pivot a_ij = ±1, column operations clear row i, after which
+    row i and column j split off as a 1 x 1 block.  The cost of a pivot is
+    its Markowitz count (r_i - 1)(c_j - 1); costs in the heap are refreshed
+    lazily when a popped entry turns out dearer than its key.  The core has
+    no unit entry left.
+    """
+    cols: dict[int, dict[int, int]] = {}  # column -> {row: nonzero entry}
+    rows: dict[int, set[int]] = {}        # row -> columns with a nonzero entry
+    for i, row in enumerate(mat):
+        for j, a in enumerate(row):
+            if a:
+                cols.setdefault(j, {})[i] = a
+                rows.setdefault(i, set()).add(j)
+    heap = [((len(rows[i]) - 1) * (len(col) - 1), i, j)
+            for j, col in cols.items() for i, a in col.items() if a in (1, -1)]
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        col = cols.get(j)
+        if col is None or col.get(i) not in (1, -1):
+            continue
+        now = (len(rows[i]) - 1) * (len(col) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        units += 1
+        del cols[j]
+        v = col.pop(i)
+        for r in col:
+            rows[r].discard(j)
+        pivot_row = rows.pop(i)
+        pivot_row.discard(j)
+        for k in pivot_row:
+            ck = cols[k]
+            f = ck.pop(i) * v  # v = ±1 is its own inverse
+            for r, a in col.items():
+                b = ck.get(r, 0) - f * a
+                if b:
+                    if r not in ck:
+                        rows[r].add(k)
+                    ck[r] = b
+                    if b in (1, -1):
+                        heappush(heap, ((len(rows[r]) - 1) * (len(ck) - 1), r, k))
+                else:
+                    del ck[r]
+                    rows[r].discard(k)
+            if not ck:
+                del cols[k]
+    core_cols = sorted(cols)
+    core_rows = sorted(r for r, js in rows.items() if js)
+    return units, [[cols[j].get(r, 0) for j in core_cols] for r in core_rows]
+
+
+def _dense_divisors(A: list[list[int]]) -> list[int]:
+    """Elementary divisors of a dense matrix, which this reduces in place."""
     m = len(A)
     n = len(A[0]) if m else 0
     divisors = []

@@ -306,7 +306,10 @@ def validate_or_subdivide(X: GComplex, max_rounds: int = 2) -> GComplex:
 
 def _frac(x) -> Fraction:
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ActionError(f"coordinate {x!r} is not a rational number") from None
     if isinstance(x, int):
         return Fraction(x)
     raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")
@@ -332,7 +335,11 @@ def from_json_dict(data: dict) -> GComplex:
 
 def load_json(path: str) -> GComplex:
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ActionError(f"{path}: not a JSON file: {exc}") from None
+    return from_json_dict(data)
 
 
 def to_json_dict(X: GComplex) -> dict:

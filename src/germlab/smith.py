@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import alternating_chain_complex, alternating_homology, homology
+from .homology import (_alternating_homology, alternating_chain_complex,
+                       alternating_homology, homology)
 from .linalg import column_space_basis_mod, mat_mul_mod, rank_mod
 from .simplicial import ActionError, GComplex, smallest_prime_factor
 
@@ -154,6 +155,8 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
         raise ActionError("action is not simplicially good; subdivide first")
     alt = alternating_chain_complex(X)
     fixed = X.g_fixed_subcomplex()
+    if not fixed.is_good():
+        raise ActionError("action is not simplicially good; subdivide first")
     alt_fixed = alternating_chain_complex(fixed)
     top = max(alt.reps, default=-1)
     degrees = list(range(top + 1))
@@ -201,8 +204,9 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
 
     a = image_complex_homology(rho_bases)
     a_bar = image_complex_homology(rho_bar_bases)
-    ah = alternating_homology(X, fields=(f"F{p}",)).field_ranks[f"F{p}"]
-    ah_fixed_full = alternating_homology(fixed, fields=(f"F{p}",)).field_ranks[f"F{p}"]
+    field = f"F{p}"
+    ah = _alternating_homology(alt, (field,)).field_ranks[field]
+    ah_fixed_full = _alternating_homology(alt_fixed, (field,)).field_ranks[field]
     ah = ah + [0] * (len(degrees) - len(ah))
     ah_fixed = ah_fixed_full + [0] * (len(degrees) - len(ah_fixed_full))
     ah_fixed = ah_fixed[: len(degrees)]

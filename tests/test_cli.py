@@ -139,6 +139,55 @@ def test_cli_internal_error_exit(capsys, monkeypatch):
     assert err.startswith("germlab: internal error:") and "not an integer" in err
 
 
+def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
+    q2 = str(GERMS / "q2.germ")
+    assert run_cli("analyze", q2, "--param", "s=abc") == 64
+    assert run_cli("analyze", q2, "--param", "s=1/0") == 64
+    assert run_cli("table", "simple", "--row", "P3^x") == 64
+    assert run_cli("table", "simple", "--row", "S1") == 64
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli("simplicial", str(bad), "homology") == 64
+    bad.write_text('{"vertices": [["1/0"]], "facets": [[0]]}')
+    assert run_cli("simplicial", str(bad), "homology") == 64
+    binary = tmp_path / "binary.germ"
+    binary.write_bytes(b"\xff\xfe\x00germ")
+    assert run_cli("analyze", str(binary)) == 64
+    for coeff in ("f4", "f1", "fx"):
+        assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology",
+                       "--coeff", coeff) == 64
+    monkeypatch.setenv("GERMLAB_MAX_K", "x")
+    assert run_cli("analyze", q2) == 64
+    err = capsys.readouterr().err
+    assert "GERMLAB_MAX_K" in err and "internal error" not in err
+
+
+def test_cli_engine_value_errors_are_internal(capsys, monkeypatch):
+    import germlab.cli as cli
+    import germlab.homology
+    from germlab.milnor import EmptyGermError
+
+    for exc in (EmptyGermError("empty germ"), ValueError("engine bug")):
+        def broken(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        assert run_cli("analyze", str(GERMS / "q2.germ")) == 70
+        monkeypatch.setattr(germlab.homology, "smith_normal_form", broken)
+        assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology") == 70
+        assert capsys.readouterr().err.startswith("germlab: internal error:")
+
+
+def test_cli_closed_stdout_exits_141():
+    proc = subprocess.Popen([sys.executable, "-m", "germlab.cli", "table", "simple"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
 def test_cli_simplicial(capsys):
     assert run_cli("simplicial", str(COMPLEXES / "triangles.json"), "alt") == 0
     out = capsys.readouterr().out

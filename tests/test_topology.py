@@ -1,9 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from germlab.homology import (alternating_homology, chi_alt_fixed_point_formula,
                               homology, induced_homology_action_ranks)
-from germlab.simplicial import (GComplex, from_json_dict, to_json_dict,
-                                validate_or_subdivide)
+from germlab.simplicial import (ActionError, GComplex, from_json_dict, load_json,
+                                to_json_dict, validate_or_subdivide)
 from germlab.smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
 
 RP2_FACETS = tuple(tuple(sorted((a - 1, b - 1, c - 1))) for a, b, c in [
@@ -33,6 +36,34 @@ def test_homology_rp2():
     assert H2.betti == [1, 1, 1]
     HQ = homology(X, "Q")
     assert HQ.betti == [1, 0, 0]
+
+
+def test_field_coefficients_must_be_prime():
+    X = GComplex(6, RP2_FACETS)
+    for coeff in ("F4", "F1", "F0", "Fx", "F", "R"):
+        with pytest.raises(ActionError):
+            homology(X, coeff)
+    with pytest.raises(ActionError):
+        alternating_homology(X, fields=("F6",))
+
+
+def _twice_subdivided(name: str) -> GComplex:
+    X = load_json(str(Path(__file__).resolve().parent.parent / "complexes" / name))
+    return X.barycentric_subdivision().barycentric_subdivision()
+
+
+def test_twice_subdivided_complexes():
+    # 1081 and 868 cells, beyond the sizes the benchmark stream draws
+    Y = _twice_subdivided("rp2.json")
+    assert sum(len(s) for s in Y.simplices().values()) == 1081
+    HZ = homology(Y, "Z")
+    assert HZ.betti == [1, 0, 0]
+    assert HZ.torsion == [[], [2], []]
+    assert homology(Y, "F2").betti == [1, 1, 1]
+    assert alternating_homology(Y, fields=("F2",)).field_ranks["F2"] == [1, 1, 1]
+    Y = _twice_subdivided("sphere-swap.json")
+    assert sum(len(s) for s in Y.simplices().values()) == 868
+    assert alternating_homology(Y).ranks == [1, 0, 1]
 
 
 def test_sphere_homology():
