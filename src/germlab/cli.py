@@ -10,10 +10,11 @@
 Exit codes: 0 = CANDIDATE / CONFIRMED / all catalog rows match / verified;
 1 = FAILS / REFUTED / catalog mismatch / inequality violated;
 2 = INCONCLUSIVE; 3 = analysis error (non-finite germ, non-isolated data);
-64 = usage, parse or validation error; 70 = internal error (an exception
-outside these families, e.g. a non-integral alternating Milnor number; its
-traceback follows the message on stderr); 141 = stdout closed by its reader
-(nothing further is printed).
+64 = usage, parse or validation error (a missing or malformed command-line
+argument included); 70 = internal error (an exception outside these
+families, e.g. a non-integral alternating Milnor number; its traceback
+follows the message on stderr); 141 = stdout closed by its reader (nothing
+further is printed).
 GERMLAB_MAX_K caps the multiplicity sweep (default: run until the first
 empty multiple point space).
 """
@@ -411,9 +412,17 @@ def cmd_simplicial(args) -> int:
     return rc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit EX_USAGE: its own status 2 means INCONCLUSIVE here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="germlab",
-                                 description="exact invariants of corank-one map germs")
+    ap = _ArgumentParser(prog="germlab",
+                         description="exact invariants of corank-one map germs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="invariant table and verdict for a germ file")

@@ -87,7 +87,10 @@ def parse_germ_file(text: str) -> GermFile:
                 g = _RAT.match(item)
                 if not g:
                     raise GermFileError(f"bad parameter declaration {item!r}")
-                params[g.group(1)] = Fraction(g.group(2))
+                try:
+                    params[g.group(1)] = Fraction(g.group(2))
+                except ZeroDivisionError:
+                    raise GermFileError(f"parameter {g.group(1)!r}: zero denominator") from None
         elif clause.startswith("components:"):
             components = tuple(s.strip() for s in clause[len("components:"):].split(",") if s.strip())
         elif clause.startswith("perturbation:"):

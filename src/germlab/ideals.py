@@ -7,6 +7,7 @@ Colength, Krull dimension and emptiness are read off the leading ideal.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -66,15 +67,18 @@ def _permute(terms: dict, perm, inverse=False) -> dict:
     return {tuple(e[i] for i in perm): c for e, c in terms.items()}
 
 
-_basis_cache: dict = {}
+_BASIS_CACHE_SIZE = 4096
+_basis_cache: OrderedDict = OrderedDict()
 
 
 def standard_basis(I: Ideal, order: MonomialOrder | None = None,
-                   trunc: int = 0) -> list[dict]:
-    """Kernel-level standard basis (list of primitive integer term dicts).
+                   trunc: int = 0) -> tuple[dict, ...]:
+    """Kernel-level standard basis (tuple of primitive integer term dicts).
 
     trunc = D computes modulo m^D (local ideals only): the output is a
-    standard basis of I + m^D, cheap when tails are large.
+    standard basis of I + m^D, cheap when tails are large.  Bases are
+    memoized in a least-recently-used table of _BASIS_CACHE_SIZE entries;
+    the tuple is shared with later callers, so do not modify its dicts.
     """
     if order is None:
         order = MonomialOrder(local=I.local)
@@ -84,14 +88,15 @@ def standard_basis(I: Ideal, order: MonomialOrder | None = None,
     key = (I.ring, tuple(I.gens), I.local, perm, trunc)
     got = _basis_cache.get(key)
     if got is not None:
+        _basis_cache.move_to_end(key)
         return got
     gens = [_permute(_int_terms(g), perm) for g in I.gens]
     gens = [g for g in gens if g]
     basis = _kernel.std_basis(gens, I.local, trunc) if gens else []
-    basis = [_permute(g, perm, inverse=True) for g in basis]
-    if len(_basis_cache) > 4096:
-        _basis_cache.clear()
+    basis = tuple(_permute(g, perm, inverse=True) for g in basis)
     _basis_cache[key] = basis
+    if len(_basis_cache) > _BASIS_CACHE_SIZE:
+        _basis_cache.popitem(last=False)
     return basis
 
 

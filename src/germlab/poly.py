@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -231,36 +233,67 @@ class Polynomial:
 
         `ring` is the target ring; defaults to this one.  Symbols of the
         source ring missing from the target must be assigned.
+
+        Works on the term dict directly: an unassigned symbol keeps its
+        exponent at its index in the target ring, a scalar value v folds
+        into the coefficient as c * v^k, and only polynomial values are
+        expanded.  Terms are grouped by their exponents in the polynomial-
+        valued symbols, so each group costs one product of cached powers.
         """
         target = ring if ring is not None else self.ring
-        values: list[Polynomial] = []
-        for name in self.ring.syms:
-            if name in assignment:
-                v = assignment[name]
-                if not isinstance(v, Polynomial):
-                    v = target.const(v)
-                elif v.ring != target:
-                    v = v.cast(target)
-                values.append(v)
+        keep: list[tuple[int, int]] = []     # (source index, target index)
+        scalars: list[tuple[int, Fraction]] = []
+        polys: list[tuple[int, Polynomial]] = []
+        for i, name in enumerate(self.ring.syms):
+            if name not in assignment:
+                keep.append((i, target.index(name)))
+                continue
+            v = assignment[name]
+            if isinstance(v, Polynomial):
+                polys.append((i, v if v.ring == target else v.cast(target)))
             else:
-                values.append(target.sym(name))
-        out = target.zero()
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            got = pow_cache.get((i, k))
-            if got is None:
-                got = values[i] ** k
-                pow_cache[(i, k)] = got
-            return got
-
+                scalars.append((i, Fraction(v)))
+        n = target.nsyms
+        groups: dict[tuple, dict[tuple, Fraction]] = {}
         for e, c in self.terms.items():
-            term = target.const(c)
-            for i, k in enumerate(e):
+            for i, v in scalars:
+                if e[i]:
+                    c *= v ** e[i]
+            if not c:
+                continue
+            moved = [0] * n
+            for i, j in keep:
+                moved[j] = e[i]
+            moved = tuple(moved)
+            group = groups.setdefault(tuple(e[i] for i, _ in polys), {})
+            s = group.get(moved)
+            group[moved] = c if s is None else s + c
+        powers = [[v] for _, v in polys]  # powers[slot][k - 1] = value ** k
+
+        def power(slot: int, k: int) -> Polynomial:
+            cached = powers[slot]
+            while len(cached) < k:
+                cached.append(cached[-1] * cached[0])
+            return cached[k - 1]
+
+        out: dict[tuple, Fraction] = {}
+        for key, group in groups.items():
+            factor = None
+            for slot, k in enumerate(key):
                 if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+                    factor = power(slot, k) if factor is None else factor * power(slot, k)
+            if factor is None:
+                for e, c in group.items():
+                    s = out.get(e)
+                    out[e] = c if s is None else s + c
+                continue
+            for f, d in factor.terms.items():
+                for e, c in group.items():
+                    e = tuple(map(add, e, f))
+                    c *= d
+                    s = out.get(e)
+                    out[e] = c if s is None else s + c
+        return Polynomial(target, {e: c for e, c in out.items() if c}, _clean=True)
 
     def subs_params(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
         """Substitute every parameter by a rational; result is parameter-free."""
@@ -303,32 +336,25 @@ class Polynomial:
 # -- symmetric helpers and divided differences ----------------------------
 
 
+@lru_cache(maxsize=1024)
+def _monomials(nsyms: int, idx: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of all monomials of the given degree in the symbols idx."""
+    out = []
+    for combo in combinations_with_replacement(idx, degree):
+        e = [0] * nsyms
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return tuple(out)
+
+
 def h_complete(ring: PolyRing, degree: int, names: Iterable[str]) -> Polynomial:
     """Complete homogeneous symmetric polynomial of the given degree."""
     if degree < 0:
         return ring.zero()
-    if degree == 0:
-        return ring.const(1)
-    idx = [ring.index(n) for n in names]
-    terms = {}
-    for combo in combinations_with_replacement(idx, degree):
-        e = [0] * ring.nsyms
-        for i in combo:
-            e[i] += 1
-        terms[tuple(e)] = Fraction(1)
-    return Polynomial(ring, terms)
-
-
-def _split_on_var(f: Polynomial, var: str) -> dict[int, dict[tuple, Fraction]]:
-    """Group terms of f by the exponent of `var`; keys of inner dicts have var zeroed."""
-    i = f.ring.index(var)
-    out: dict[int, dict[tuple, Fraction]] = {}
-    for e, c in f.terms.items():
-        k = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        out.setdefault(k, {})[tuple(e2)] = c
-    return out
+    idx = tuple(ring.index(n) for n in names)
+    one = Fraction(1)
+    return Polynomial(ring, dict.fromkeys(_monomials(ring.nsyms, idx, degree), one), _clean=True)
 
 
 def divided_differences(f: Polynomial, var: str, fresh: list[str],
@@ -338,7 +364,10 @@ def divided_differences(f: Polynomial, var: str, fresh: list[str],
     Returns [F_1, ..., F_{k-1}] where k = len(fresh) and F_j is the j-th
     divided difference, a symmetric polynomial in fresh[0..j].  Uses the
     identity that the j-th divided difference of var^m is the complete
-    homogeneous polynomial of degree m-j in the fresh variables.
+    homogeneous polynomial of degree m-j in the fresh variables: a term
+    c * x^a * var^m of f puts c on x^a * mu in F_j for every monomial mu of
+    degree m-j in fresh[0..j].  Distinct (a, m, mu) give distinct monomials,
+    so each F_j is written straight into its term dict.
     """
     k = len(fresh)
     if k < 2:
@@ -346,17 +375,26 @@ def divided_differences(f: Polynomial, var: str, fresh: list[str],
     for name in fresh:
         if name in f.ring.syms and f.involves(name):
             raise PolyError(f"fresh variable {name!r} already occurs in the polynomial")
-    by_deg = _split_on_var(f, var)
-    coeff_polys = {
-        m: Polynomial(f.ring, part).cast(ring) for m, part in by_deg.items()
-    }
+    zi = f.ring.index(var)
+    zs = tuple(ring.index(name) for name in fresh)
+    where = {i: ring.syms.index(name) for i, name in enumerate(f.ring.syms) if name in ring.syms}
+    split = []  # (x^a as a target exponent, m, c) for each term c * x^a * var^m
+    for e, c in f.terms.items():
+        base = [0] * ring.nsyms
+        for i, a in enumerate(e):
+            if a and i != zi:
+                if i not in where:
+                    raise PolyError(f"symbol {f.ring.syms[i]!r} absent from target ring")
+                base[where[i]] = a
+        split.append((tuple(base), e[zi], c))
     out = []
     for j in range(1, k):
-        acc = ring.zero()
-        for m, cp in coeff_polys.items():
+        terms = {}
+        for base, m, c in split:
             if m >= j:
-                acc = acc + cp * h_complete(ring, m - j, fresh[: j + 1])
-        out.append(acc)
+                for mu in _monomials(ring.nsyms, zs[: j + 1], m - j):
+                    terms[tuple(map(add, base, mu))] = c
+        out.append(Polynomial(ring, terms, _clean=True))
     return out
 
 

@@ -37,6 +37,9 @@ def test_germfile_errors():
         parse_germ_file("germ X { n=3 p=4; components: z^2; }")  # no vars
     with pytest.raises(Exception):
         parse_germ_file("germ X { n=3 p=4; vars x y z; components: z^2, w^3; }")
+    with pytest.raises(GermFileError, match="zero denominator"):
+        parse_germ_file("germ X { n=3 p=4; vars x y z; params s=1/0;"
+                        " components: x*z + y*z^2, z^3 + y^2*z - s*z; }")
 
 
 def test_catalog_roundtrip_through_germfile():
@@ -153,6 +156,10 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     binary = tmp_path / "binary.germ"
     binary.write_bytes(b"\xff\xfe\x00germ")
     assert run_cli("analyze", str(binary)) == 64
+    zero_den = tmp_path / "zero.germ"
+    zero_den.write_text((GERMS / "q2.germ").read_text().replace("s=1", "s=1/0"))
+    assert "s=1/0" in zero_den.read_text()
+    assert run_cli("analyze", str(zero_den)) == 64
     for coeff in ("f4", "f1", "fx"):
         assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology",
                        "--coeff", coeff) == 64
@@ -160,6 +167,21 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     assert run_cli("analyze", q2) == 64
     err = capsys.readouterr().err
     assert "GERMLAB_MAX_K" in err and "internal error" not in err
+
+
+def test_cli_argparse_errors_exit_64(capsys):
+    # argparse's own status 2 would read as INCONCLUSIVE
+    rp2 = str(COMPLEXES / "rp2.json")
+    for argv in (("simplicial", rp2, "homology", "--coeff"), ("bogus",), ("analyze",),
+                 ("table", "some"), ("analyze", str(GERMS / "q2.germ"), "--max-k", "x")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 64, argv
+        assert "usage: germlab" in capsys.readouterr().err
+    proc = subprocess.run([sys.executable, "-m", "germlab.cli", "simplicial", rp2,
+                           "homology", "--coeff"], capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert "expected one argument" in proc.stderr
 
 
 def test_cli_engine_value_errors_are_internal(capsys, monkeypatch):

@@ -189,3 +189,51 @@ def test_colength_generator_permutation_invariance():
         p = gens[:]
         rng.shuffle(p)
         assert colength(Ideal.of(p)) == base
+
+
+def test_standard_basis_memo_evicts_least_recently_used(monkeypatch):
+    from collections import OrderedDict
+
+    import germlab.ideals as ideals
+
+    monkeypatch.setattr(ideals, "_basis_cache", OrderedDict())
+    monkeypatch.setattr(ideals, "_BASIS_CACHE_SIZE", 2)
+    computed = []
+    kernel_std_basis = ideals._kernel.std_basis
+
+    def counting(gens, local, trunc=0):
+        computed.append(len(computed))
+        return kernel_std_basis(gens, local, trunc)
+
+    monkeypatch.setattr(ideals._kernel, "std_basis", counting)
+    R = PolyRing(("x", "y"))
+    x, y = syms(R)
+    A, B, C = (Ideal.of([g], local=True) for g in (x ** 2 + y ** 3, x * y, y ** 2 - x ** 3))
+    for I in (A, B, A, C):  # the hit on A makes B the oldest entry
+        ideals.standard_basis(I)
+    assert len(computed) == 3
+    ideals.standard_basis(A)
+    ideals.standard_basis(C)
+    assert len(computed) == 3  # A and C stayed
+    ideals.standard_basis(B)
+    assert len(computed) == 4  # B was evicted; now A goes, C stays
+    ideals.standard_basis(C)
+    assert len(computed) == 4
+    ideals.standard_basis(A)
+    assert len(computed) == 5
+    assert len(ideals._basis_cache) == 2
+
+
+def test_standard_basis_memo_cannot_be_grown_by_callers():
+    from germlab.ideals import standard_basis
+
+    R = PolyRing(("x", "y"))
+    x, y = syms(R)
+    I = Ideal.of([x ** 2 - y ** 3, x * y], local=True)
+    basis = standard_basis(I)
+    size = len(basis)
+    with pytest.raises(AttributeError):
+        basis.append({(0, 0): 1})  # a unit would make I the whole local ring
+    assert len(standard_basis(I)) == size
+    assert (0, 0) not in leading_exponents(I)
+    assert colength(I) == 5  # 1, x, y, y^2, y^3

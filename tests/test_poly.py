@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from germlab.poly import (PolyError, PolyRing, divided_difference,
+from germlab.germfile import load_germ_file
+from germlab.germs import GermCorank1, GermError
+from germlab.parse import parse_polynomial
+from germlab.poly import (PolyError, PolyRing, Polynomial, divided_difference,
                           divided_differences, eliminate_linear, h_complete)
 
 
@@ -36,9 +40,92 @@ def random_poly(ring, rng, maxdeg=4, nterms=5):
     for _ in range(rng.randint(1, nterms)):
         e = tuple(rng.randint(0, maxdeg) for _ in range(ring.nsyms))
         terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    from germlab.poly import Polynomial
-
     return Polynomial(ring, terms)
+
+
+def naive_subs(f, assignment, target):
+    """Reference expander: each term is a product with one factor per symbol power."""
+    out = target.zero()
+    for e, c in f.terms.items():
+        term = target.const(c)
+        for name, k in zip(f.ring.syms, e):
+            if name not in assignment:
+                value = target.sym(name)
+            elif isinstance(assignment[name], Polynomial):
+                value = assignment[name].cast(target)
+            else:
+                value = target.const(assignment[name])
+            for _ in range(k):
+                term = term * value
+        out = out + term
+    return out
+
+
+def test_subs_matches_naive_expander():
+    rng = random.Random(20261018)
+    x, y, z, s = (R3.sym(n) for n in "xyzs")
+    small = PolyRing(("x", "y"), ("s",))
+    bare = PolyRing(("y", "x"))
+    wide = PolyRing(("z1", "x", "y", "z2"), ("t", "s"))
+    cases = [
+        # scalar values, parameters included
+        (R3, lambda: {"z": Fraction(-2, 3)}),
+        (R3, lambda: {"s": 5, "x": 0}),
+        # polynomial values, simultaneous (z occurs in the image of x)
+        (R3, lambda: {"z": x * y - 1}),
+        (R3, lambda: {"x": y + s, "z": z ** 2 - x}),
+        (R3, lambda: {"s": x + 1, "y": random_poly(R3, rng, maxdeg=2, nterms=3)}),
+        # mixed scalar and polynomial values
+        (R3, lambda: {"z": x * y - 1, "s": Fraction(2, 3)}),
+        (R3, lambda: {"x": 0, "y": random_poly(R3, rng, maxdeg=2, nterms=3), "s": -1}),
+        # smaller target rings: z (and s) must be assigned
+        (small, lambda: {"z": small.sym("x") - small.sym("s")}),
+        (small, lambda: {"z": Fraction(1, 2)}),
+        (bare, lambda: {"z": bare.sym("x") * bare.sym("y"), "s": Fraction(-3, 4)}),
+        # a larger, reordered target: unassigned symbols move to their new index
+        (wide, lambda: {"z": wide.sym("z1") + wide.sym("z2") * wide.sym("t")}),
+    ]
+    for target, assignment in cases:
+        for _ in range(40):
+            f = random_poly(R3, rng)
+            a = assignment()
+            assert f.subs(a, ring=target) == naive_subs(f, a, target), (f, a)
+    # one symbol, as eliminate_linear assigns it: sum of c_k * sol^k
+    sol = x - y * s + 2
+    for _ in range(40):
+        f = random_poly(R3, rng, maxdeg=6, nterms=8)
+        assert f.subs({"z": sol}) == naive_subs(f, {"z": sol}, R3)
+    # a source symbol missing from the target must be assigned
+    with pytest.raises(PolyError):
+        (x * y).subs({"s": 1}, ring=small)
+    with pytest.raises(PolyError):
+        (x * z).subs({"x": x}, ring=bare)
+
+
+def test_divided_differences_match_h_complete_and_recursion():
+    # F_j = sum_m coeff_m * h_{m-j}(z_1..z_{j+1}), and the divided-difference
+    # recursion (z_1 - z_{j+1}) F_j = F_{j-1}(z_1..z_j) - F_{j-1}(z_2..z_{j+1})
+    rng = random.Random(4242)
+    src = PolyRing(("x", "y", "z"), ("s", "t"))
+    fresh = ["z1", "z2", "z3", "z4"]
+    tgt = PolyRing(("x", "y", *fresh), ("s", "t"))
+    zs = [tgt.sym(n) for n in fresh]
+    for _ in range(120):
+        f = random_poly(src, rng, maxdeg=5, nterms=6)
+        outs = divided_differences(f, "z", fresh, tgt)
+        for j, F in enumerate(outs, start=1):
+            expect = tgt.zero()
+            for e, c in f.terms.items():
+                coeff = tgt.monomial({"x": e[0], "y": e[1], "s": e[3], "t": e[4]}, c)
+                expect = expect + coeff * h_complete(tgt, e[2] - j, fresh[: j + 1])
+            assert F == expect
+        prev = [f.subs({"z": zs[0]}, ring=tgt)] + outs
+        for j in range(1, len(fresh)):
+            shifted = prev[j - 1].subs({fresh[i]: zs[i + 1] for i in range(j)})
+            assert (zs[0] - zs[j]) * prev[j] == prev[j - 1] - shifted
+    with pytest.raises(PolyError):  # y is used but absent from the target
+        divided_differences(src.sym("y") * src.sym("z") ** 2, "z", fresh[:2],
+                            PolyRing(("x", "z1", "z2"), ("s", "t")))
 
 
 def test_divided_difference_identity_bulk():
@@ -219,3 +306,33 @@ def test_parse_roundtrip_smoke():
     q = parse_polynomial("(z - y)*(z + y)", PolyRing(("y", "z")))
     r = PolyRing(("y", "z"))
     assert q == r.sym("z") ** 2 - r.sym("y") ** 2
+
+
+def test_germ_origin_checks():
+    R = PolyRing(("x", "y", "z"), ("s",))
+
+    def germ(*exprs):
+        return GermCorank1(3, 4, R, tuple(parse_polynomial(e, R) for e in exprs))
+
+    for bad in (("z^2 + 1", "z^3"), ("z^2", "z^3 - 1/2 + x"), ("z^2 + x", "s^2 + 3")):
+        with pytest.raises(GermError):
+            germ(*bad)
+    germ("z^2 + s*x", "z^3 + s*z")  # parameters are evaluated at 0
+
+    def immersive_by_evaluation(g):
+        zero = {v: 0 for v in g.ring.syms}
+        return any(not naive_subs(h.deriv(g.zvar), zero, g.ring).is_zero()
+                   for h in g.components)
+
+    assert germ("z + z^2", "z^3").is_immersive()
+    assert not germ("s*z + z^2", "z^3").is_immersive()
+    germs_dir = Path(__file__).resolve().parent.parent / "germs"
+    shipped = []
+    for path in sorted(germs_dir.glob("*.germ")):
+        gf = load_germ_file(str(path))
+        shipped += [gf.symbolic_germ(), gf.base_germ()]
+        if gf.perturbation is not None:
+            shipped.append(gf.symbolic_germ(perturbed=True))
+    assert len(shipped) >= 8
+    for g in shipped:
+        assert g.is_immersive() == immersive_by_evaluation(g)
