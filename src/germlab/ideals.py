@@ -76,7 +76,10 @@ def standard_basis(I: Ideal, order: MonomialOrder | None = None,
     """Kernel-level standard basis (tuple of primitive integer term dicts).
 
     trunc = D computes modulo m^D (local ideals only): the output is a
-    standard basis of I + m^D, cheap when tails are large.  Bases are
+    standard basis of I + m^D, cheap when tails are large.  Once the kernel
+    knows the highest corner of a local ideal it may work modulo a lower
+    power (trunc = 0 included); the result is still a standard basis of the
+    ideal asked for, memoized under the caller's trunc.  Bases are
     memoized in a least-recently-used table of _BASIS_CACHE_SIZE entries;
     the tuple is shared with later callers, so do not modify its dicts.
     """
@@ -142,40 +145,6 @@ def _minimal_exponents(leads: list[tuple]) -> list[tuple]:
     return out
 
 
-def _walk_staircase(leads: list[tuple], nvars: int, maxdeg):
-    """Enumerate standard monomials (DFS over the downward-closed staircase).
-
-    Yields (count, top_degree); stops early at degree > maxdeg by reporting
-    top_degree = maxdeg + 1 (uncertified / infinite marker for the caller).
-    """
-    leads = _minimal_exponents(leads)
-
-    def divisible(m):
-        return any(all(x <= y for x, y in zip(e, m)) for e in leads)
-
-    zero = (0,) * nvars
-    if divisible(zero):
-        return 0, 0
-    if nvars == 0:
-        return 1, 0
-    count = 0
-    top = 0
-    stack = [(zero, 0)]
-    while stack:
-        m, start = stack.pop()
-        d = sum(m)
-        if maxdeg is not None and d > maxdeg:
-            return count, maxdeg + 1
-        count += 1
-        if d > top:
-            top = d
-        for i in range(start, nvars):
-            child = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if not divisible(child):
-                stack.append((child, i))
-    return count, top
-
-
 def germ_is_empty(I: Ideal) -> bool:
     """True iff the germ at the origin is empty.
 
@@ -195,32 +164,32 @@ def colength(I: Ideal, order: MonomialOrder | None = None):
 
     Local colengths are computed modulo m^D for growing D; the answer is
     certified exact once every monomial of degree D-1 lies in the leading
-    ideal.  The untruncated basis is the (possibly expensive) last resort.
+    ideal.  The kernel may compute the basis modulo a lower power once it
+    has found the highest corner; the certificate is the same.  The
+    untruncated basis is the (possibly expensive) last resort.
     """
     nvars = I.ring.nvars
     if I.local:
         if germ_is_empty(I):
             return 0
         for D in _TRUNC_LADDER:
-            leads = []
-            for g in standard_basis(I, order, trunc=D):
-                leads.append(_kernel.lead_exp(g, True))
+            leads = [_kernel.lead_exp(g, True) for g in standard_basis(I, order, trunc=D)]
             if any(sum(e) == 0 for e in leads):
                 return 0
-            count, top = _walk_staircase(leads, nvars, D - 1)
-            if top <= D - 2:
-                return count
+            # without a pure power on every axis some x_i^(D-1) is standard
+            if len(_kernel.pure_axes(leads)) == nvars:
+                stair = _kernel.staircase(leads, nvars, D - 1)
+                if max(map(sum, stair)) <= D - 2:
+                    return len(stair)
     leads = leading_exponents(I, order)
     if not leads:
         return INF if nvars else 1
     if any(sum(e) == 0 for e in leads):
         return 0
     # finite iff every axis carries a pure power
-    for i in range(nvars):
-        if not any(sum(e) == e[i] and e[i] > 0 for e in leads):
-            return INF
-    count, _ = _walk_staircase(leads, nvars, None)
-    return count
+    if len(_kernel.pure_axes(leads)) < nvars:
+        return INF
+    return len(_kernel.staircase(leads, nvars))
 
 
 def contains_one(I: Ideal) -> bool:

@@ -27,12 +27,3 @@ class MonomialOrder:
 LOCAL = MonomialOrder(local=True)
 GLOBAL = MonomialOrder(local=False)
 
-
-def key_global(e: tuple) -> tuple:
-    """Sort key: max() over keys is the degrevlex-leading exponent."""
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def key_local(e: tuple) -> tuple:
-    """Sort key for negdegrevlex: lower total degree wins, revlex tie-break."""
-    return (-sum(e), tuple(-x for x in reversed(e)))

@@ -234,6 +234,15 @@ def test_cli_table_rows(capsys):
     assert "A1" in out and "Q2" in out and "S1,2" in out
 
 
+def test_cli_table_all_matches_the_catalog(capsys):
+    # every row of both tables, row II included, recomputed and compared
+    assert run_cli("table", "all", "--json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 30
+    assert all(row["match"] is True for row in rows)
+    assert any(row["label"].startswith("II[") for row in rows)
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "germlab.cli", "analyze",
                            str(GERMS / "q2.germ")], capture_output=True, text=True)

@@ -1,0 +1,107 @@
+"""The reduction kernel: highest-corner truncation and the staircase walker."""
+
+import random
+from itertools import product
+
+from germlab import _kernel
+
+
+def _leads(basis):
+    return sorted(_kernel.lead_exp(g, True) for g in basis)
+
+
+def _corner(basis, nvars):
+    return max(map(sum, _kernel.staircase(_leads(basis), nvars)))
+
+
+def test_staircase_matches_brute_force():
+    rng = random.Random(3)
+    for _ in range(60):
+        nv = rng.choice([1, 2, 3])
+        leads = [tuple(rng.randint(1, 6) if i == j else 0 for i in range(nv))
+                 for j in range(nv)]
+        leads += [tuple(rng.randint(0, 4) for _ in range(nv)) for _ in range(rng.randint(0, 4))]
+        leads = [e for e in leads if any(e)]
+        box = product(range(7), repeat=nv)
+        want = {m for m in box if not any(all(a <= b for a, b in zip(e, m)) for e in leads)}
+        got = _kernel.staircase(leads, nv)
+        assert len(got) == len(want) and set(got) == want
+        for maxdeg in (0, 2, 5):
+            capped = _kernel.staircase(leads, nv, maxdeg)
+            assert sorted(capped) == sorted(m for m in want if sum(m) <= maxdeg)
+    assert _kernel.staircase([(0, 0), (1, 0)], 2) == []
+    assert _kernel.staircase([], 0) == [()]
+
+
+def test_corner_cuts_tails_far_below_truncation():
+    # (x^2, y^3) plus tails far above the corner: top = 3, so the run ends
+    # modulo m^5 although the caller asked for m^32
+    gens = [{(2, 0): 1, (5, 3): 4, (0, 9): -2, (7, 7): 1},
+            {(0, 3): 1, (4, 4): -3, (11, 0): 5, (2, 20): 7}]
+    for trunc in (32, 16, 0):
+        basis = _kernel.std_basis([dict(g) for g in gens], True, trunc)
+        assert _leads(basis) == [(0, 3), (2, 0)]
+        assert _corner(basis, 2) == 3
+        assert all(sum(e) < 3 + 2 for g in basis for e in g)
+        assert len(_kernel.staircase(_leads(basis), 2)) == 6
+
+
+def test_corner_found_during_the_run():
+    # the pure power of z first appears as the lead of a reduced s-polynomial
+    gens = [{(2, 0, 0): 1, (0, 3, 1): -1, (0, 0, 6): 2},
+            {(1, 1, 0): 1, (0, 0, 5): 1},
+            {(0, 2, 0): 1, (1, 0, 3): 3}]
+    basis = _kernel.std_basis([dict(g) for g in gens], True)
+    assert _leads(basis) == [(0, 0, 10), (0, 1, 5), (0, 2, 0), (1, 0, 5), (1, 1, 0), (2, 0, 0)]
+    top = _corner(basis, 3)
+    assert top == 9
+    assert all(sum(e) < top + 2 for g in basis for e in g)
+
+
+def test_corner_drops_when_a_later_lead_shrinks_the_staircase():
+    # leads x^2, xy, y^5 give the corner y^4 (work modulo m^6); the
+    # s-polynomial of the first two adds the lead y^4, the corner drops to 3
+    # and the run ends modulo m^5, without the degree-5 tails
+    gens = [{(2, 0): 1, (0, 3): -1, (1, 4): 2, (0, 6): 1},
+            {(1, 1): 1, (0, 5): 3, (2, 3): -1},
+            {(0, 5): 1, (1, 6): 4, (0, 7): 1}]
+    for trunc in (0, 8, 32):
+        basis = _kernel.std_basis([dict(g) for g in gens], True, trunc)
+        assert basis == [{(1, 1): 1}, {(2, 0): 1, (0, 3): -1}, {(0, 4): 1}]
+
+
+def test_no_corner_without_a_pure_power_on_every_axis():
+    # a curve germ: no power of z is a lead, so nothing is cut and the basis
+    # keeps every tail
+    gens = [{(2, 0, 0): 1, (0, 3, 0): -1, (1, 0, 4): 1},
+            {(1, 1, 0): 1, (0, 3, 2): 1}]
+    want = [{(1, 1, 0): 1, (0, 3, 2): 1},
+            {(2, 0, 0): 1, (0, 3, 0): -1, (1, 0, 4): 1},
+            {(1, 3, 2): 1, (0, 4, 0): 1, (1, 1, 4): -1}]
+    for trunc in (0, 8, 16):
+        assert _kernel.std_basis([dict(g) for g in gens], True, trunc) == want
+
+
+def test_truncated_and_untruncated_bases_share_the_staircase():
+    rng = random.Random(19)
+    for _ in range(40):
+        nv = rng.choice([2, 3])
+        gens = []
+        for i in range(nv):
+            a = rng.randint(1, 6)
+            g = {tuple(a if j == i else 0 for j in range(nv)): 1}
+            for _ in range(rng.randint(1, 4)):
+                e = tuple(rng.randint(0, 5) for _ in range(nv))
+                if sum(e) > a:  # initial forms x_i^a: zero-dimensional
+                    g[e] = rng.choice([-3, -1, 2, 5])
+            gens.append(g)
+        full = _kernel.std_basis([dict(g) for g in gens], True)
+        stair = sorted(_kernel.staircase(_leads(full), nv))
+        top = max(map(sum, stair))
+        assert all(sum(e) < top + 2 for g in full for e in g)
+        # modulo m^D the standard monomials are those of I below degree D
+        for D in sorted({2, top, top + 1, top + 2, top + 3, 8, 16, 32}):
+            if D >= 2:
+                cut = _kernel.std_basis([dict(g) for g in gens], True, D)
+                assert sorted(_kernel.staircase(_leads(cut), nv, D - 1)) == \
+                    [m for m in stair if sum(m) < D]

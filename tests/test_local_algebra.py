@@ -9,7 +9,7 @@ from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             local_dimension)
 from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
 from germlab.orders import MonomialOrder
-from germlab.poly import PolyRing
+from germlab.poly import Polynomial, PolyRing
 
 
 def syms(ring):
@@ -237,3 +237,137 @@ def test_standard_basis_memo_cannot_be_grown_by_callers():
     assert len(standard_basis(I)) == size
     assert (0, 0) not in leading_exponents(I)
     assert colength(I) == 5  # 1, x, y, y^2, y^3
+
+
+def _macaulay_colength(gens, nvars, D):
+    """dim_Q Q[x]/(I + m^D) by linear algebra alone, no standard basis.
+
+    The multiples x^a * g of the generators, cut modulo m^D, span the image
+    of I in Q[x]/m^D, whose dimension is the number of monomials of degree
+    < D; the quotient's dimension is that number minus their rank.  Columns
+    run from the highest degree down, which keeps the elimination sparse.
+    """
+    from germlab.linalg import rank_q
+
+    cols = sorted((e for e in product(range(D), repeat=nvars) if sum(e) < D),
+                  key=lambda e: (-sum(e), e))
+    index = {e: i for i, e in enumerate(cols)}
+    rows = []
+    for g in gens:
+        terms = g.var_exponents()
+        for a in cols:
+            row = {}
+            for e, c in terms.items():
+                m = tuple(x + y for x, y in zip(a, e))
+                if sum(m) < D:
+                    row[index[m]] = c
+            if row:
+                rows.append(row)
+    rows.sort(key=min)
+    dense = [[Fraction(0)] * len(cols) for _ in rows]
+    for out, row in zip(dense, rows):
+        for i, c in row.items():
+            out[i] = c
+    return len(cols) - (rank_q(dense) if dense else 0)
+
+
+def _macaulay_oracle(gens, nvars, start, stop):
+    """(colength, corner) from dim Q[x]/(I + m^D), D = start, start + 1, ...
+
+    The dimension at D + 1 exceeds the one at D by the number of standard
+    monomials of degree D.  Once two consecutive values agree, m^D lies in
+    I + m^(D+1), so in I by Nakayama, and the value is the colength; the
+    corner (highest standard degree) is exact when the first values differ.
+    (INF, None) when the values still grow at `stop`.
+    """
+    prev = _macaulay_colength(gens, nvars, start)
+    for D in range(start + 1, stop + 1):
+        cur = _macaulay_colength(gens, nvars, D)
+        if cur == prev:
+            return cur, (D - 2 if D > start + 1 else None)
+        prev = cur
+    return INF, None
+
+
+def _random_tail(rng, ring, low, high):
+    """A few random monomials of total degree in [low, high], small coefficients."""
+    nv = ring.nvars
+    tail = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(low, high)
+        e = [0] * nv
+        for _ in range(d):
+            e[rng.randrange(nv)] += 1
+        tail = tail + Polynomial(ring, {tuple(e): rng.choice([-5, -2, -1, 1, 3, 4])})
+    return tail
+
+
+def _scrambled(rng, ring, gens):
+    """Same ideal, messier generators: g_i += q * g_j, plus one combination."""
+    gens = list(gens)
+    for _ in range(2):
+        i, j = rng.sample(range(len(gens)), 2)
+        q = ring.const(rng.choice([-2, 1, 3])) + _random_tail(rng, ring, 1, 2)
+        gens[i] = gens[i] + q * gens[j]
+    mix = ring.zero()
+    for g in gens:
+        mix = mix + _random_tail(rng, ring, 0, 2) * g
+    if not mix.is_zero():
+        gens.append(mix)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_colength_matches_macaulay_rank_oracle():
+    # Initial forms x_i^(a_i) form a regular sequence, so the corner is
+    # sum(a_i - 1) and the colength prod(a_i), whatever the higher tails;
+    # the shapes put corners far below, at (D - 2) and just above (D - 1)
+    # each rung D of the truncation ladder 8, 16, 32; above the last rung
+    # colength falls back to the untruncated basis.
+    shapes = [(2, 2), (2, 3), (1, 3), (2, 2, 2), (2, 2, 3), (3, 5), (2, 3, 4),
+              (4, 5), (2, 3, 5), (7, 9), (8, 9), (1, 31), (1, 32)]
+    rng = random.Random(2024)
+    corners = set()
+    for shape in shapes:
+        nv = len(shape)
+        R = PolyRing(("x", "y", "z")[:nv])
+        base = [R.sym(v) ** a + _random_tail(rng, R, a + 1, a + 4)
+                for v, a in zip(R.vars, shape)]
+        gens = _scrambled(rng, R, base)
+        top = sum(a - 1 for a in shape)
+        # the oracle reads the unscrambled generators of the same ideal
+        want, corner = _macaulay_oracle(base, nv, top, top + 2)
+        assert corner == top, shape
+        assert colength(Ideal.of(gens)) == want, shape
+        corners.add(top)
+    assert {6, 7, 14, 15, 30, 31} <= corners and min(corners) <= 4
+
+    # staircases that are not complete intersections: the oracle alone knows
+    for a, (c, d), b in [(3, (1, 2), 4), (5, (2, 2), 6), (6, (3, 1), 3)]:
+        R = PolyRing(("x", "y"))
+        x, y = syms(R)
+        base = [x ** a + _random_tail(rng, R, a + 1, a + 3),
+                x ** c * y ** d + _random_tail(rng, R, c + d + 1, c + d + 3),
+                y ** b + _random_tail(rng, R, b + 1, b + 3)]
+        gens = _scrambled(rng, R, base)
+        want, _ = _macaulay_oracle(base, 2, 1, a + b + 2)
+        assert want != INF
+        assert colength(Ideal.of(gens)) == want, (a, c, d, b)
+
+
+def test_colength_infinite_matches_growing_macaulay_dimension():
+    rng = random.Random(7)
+    R2 = PolyRing(("x", "y"))
+    x, y = syms(R2)
+    f = x ** 2 - y ** 3 + _random_tail(rng, R2, 4, 5)
+    R3 = PolyRing(("x", "y", "z"))
+    X, Y, Z = syms(R3)
+    samples = [
+        (R2, [f * (x + _random_tail(rng, R2, 2, 3)), f * (y ** 2 + _random_tail(rng, R2, 3, 4))]),
+        (R2, [x * y ** 2 + _random_tail(rng, R2, 4, 6)]),
+        (R3, [X ** 2 + _random_tail(rng, R3, 3, 5), Y ** 3 + _random_tail(rng, R3, 4, 6)]),
+    ]
+    for ring, gens in samples:
+        # the quotient modulo m^D keeps growing: no m^D lies in I
+        assert _macaulay_oracle(gens, ring.nvars, 1, 9) == (INF, None)
+        assert colength(Ideal.of(gens)) == INF

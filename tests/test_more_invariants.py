@@ -7,8 +7,7 @@ from germlab import _kernel
 from germlab.catalog import simple_entry
 from germlab.cli import main
 from germlab.germs import build_Dk
-from germlab.ideals import Ideal, _int_terms, germ_is_empty, standard_basis
-from germlab.parse import parse_polynomial
+from germlab.ideals import Ideal, germ_is_empty, standard_basis
 from germlab.poly import PolyRing
 from germlab.simplicial import GComplex
 from germlab.smith import smith_special_ranks
@@ -101,30 +100,3 @@ def test_smith_special_trivial_g_degenerate():
     assert all(d == 0 for d in rep.dim_rho_bar)
     assert rep.dim_fixed == rep.dim_alt
     assert rep.ses_exact
-
-
-def test_kernel_backends_agree_on_bases():
-    # both backends must produce identical minimal leading ideals
-    import germlab._purekernel as pyk
-
-    try:
-        import germlab._speedups as ck
-    except ImportError:
-        import pytest
-
-        pytest.skip("compiled kernel not built")
-    R = PolyRing(("x", "y", "z1", "z2"))
-    gens = [
-        parse_polynomial("z1 + z2", R),
-        parse_polynomial("z1^2 + z1*z2 + z2^2 + x^2 + y^3", R),
-        parse_polynomial("x*y - z1^3", R),
-    ]
-    ints = [_int_terms(g) for g in gens]
-    for local in (True, False):
-        a = pyk.std_basis([dict(t) for t in ints], local)
-        b = ck.std_basis([dict(t) for t in ints], local)
-        leads_a = sorted(pyk.lead_exp(g, local) for g in a)
-        leads_b = sorted(ck.lead_exp(g, local) for g in b)
-        assert leads_a == leads_b
-        assert sorted(map(sorted, (g.items() for g in a))) == \
-            sorted(map(sorted, (g.items() for g in b)))
