@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import factorial
 from operator import attrgetter
@@ -231,6 +232,19 @@ def _chi_complex(ce: ClassEntry) -> int:
     return 1 + (-1 if ce.d_sigma % 2 else 1) * ce.mu
 
 
+BASE_REPORTS = 32  # base analyses kept by witness_check
+
+
+@lru_cache(maxsize=BASE_REPORTS)
+def _base_report(germ: GermCorank1, max_k: int | None, seed: int) -> GrpReport:
+    """analyze() of a witness's base germ, shared by every witness of it.
+
+    The report is mutable and never leaves witness_check.  A germ that
+    analyze() refuses raises on every call: exceptions are not cached.
+    """
+    return analyze(germ, max_k=max_k, seed=seed)
+
+
 def witness_check(germ: GermCorank1, perturbation: GermCorank1,
                   assignment: dict[str, Fraction], max_k: int | None = None,
                   seed: int = 0, name: str | None = None) -> WitnessReport:
@@ -240,6 +254,11 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     germ data demands it).  Real side: spaces are classified where decidable
     and compared through chi per class, alternating Betti numbers per k, the
     odd-dimension pattern and the component-count expectation.
+
+    The base germ's analysis is kept in a bounded LRU keyed by
+    (germ, max_k, seed), so a sweep over the parameters of one germ analyzes
+    it once; the CANDIDATE precondition is checked on every call, and the
+    returned report holds only scalars and tuples copied out of it.
     """
     base = perturbation.at_params({q: Fraction(0) for q in perturbation.ring.params})
     if tuple(base.components) != tuple(g.cast(base.ring) for g in germ.components):
@@ -248,7 +267,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     missing = [q for q in perturbation.ring.params if q not in assignment]
     if missing:
         raise WitnessPreconditionError(f"unassigned parameters: {missing}")
-    report = analyze(germ, max_k=max_k, seed=seed)
+    report = _base_report(germ, max_k, seed)
     if report.verdict != CANDIDATE:
         raise WitnessPreconditionError(
             "witness verification requires a CANDIDATE germ; analyze() said "
@@ -332,7 +351,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
 
 
 def mu_alt(germ: GermCorank1, k: int, seed: int = 0) -> int:
-    """Alternating Milnor number of D^k(f); 0 for an empty space."""
+    """Alternating Milnor number of D^k(f), k >= 2; 0 for an empty space."""
     mm = marar_mond_check(germ, k)
     if not mm.finite:
         raise NotAFiniteError(mm)

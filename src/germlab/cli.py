@@ -15,8 +15,8 @@ argument included); 70 = internal error (an exception outside these
 families, e.g. a non-integral alternating Milnor number; its traceback
 follows the message on stderr); 141 = stdout closed by its reader (nothing
 further is printed).
-GERMLAB_MAX_K caps the multiplicity sweep (default: run until the first
-empty multiple point space).
+--max-k or GERMLAB_MAX_K caps the multiplicity sweep (default: run until the
+first empty multiple point space); a cap below 2 is a usage error (64).
 """
 
 from __future__ import annotations

@@ -252,11 +252,13 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
     """Status table over k and partitions; finite iff no violation.
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
-    in k); `max_k` caps the sweep.  Each D^k(f)^sigma is built once; the
-    identity partition comes first and decides emptiness.
+    in k); `max_k` caps the sweep and must be at least 2.  Each D^k(f)^sigma
+    is built once; the identity partition comes first and decides emptiness.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
+    if max_k is not None and max_k < 2:
+        raise GermError(f"max_k must be at least 2, got {max_k}")
     statuses: list[SpaceStatus] = []
     finite = True
     cap = max_k if max_k is not None else 12

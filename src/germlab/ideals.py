@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from . import _kernel
@@ -232,33 +233,42 @@ def jacobian(gens: list[Polynomial], varnames: tuple[str, ...]) -> list[list[Pol
 
 
 def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
-    """All size x size minors (exact cofactor expansion)."""
-    from itertools import combinations
+    """All nonzero size x size minors, rows then columns in lexicographic order.
 
+    Each minor is expanded by cofactors along its first row.  Sub-determinants
+    are memoized by their (rows, cols) index tuples for the duration of one
+    call, so minors that share rows and columns share the work; zero entries
+    and zero sub-minors add no term.
+    """
     if not matrix:
         return []
-    nrows = len(matrix)
-    ncols = len(matrix[0])
     ring = matrix[0][0].ring
-    out = []
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
 
     def det(rows, cols):
         if len(rows) == 1:
             return matrix[rows[0]][cols[0]]
+        key = (rows, cols)
+        acc = memo.get(key)
+        if acc is not None:
+            return acc
         acc = ring.zero()
-        r = rows[0]
-        rest = rows[1:]
+        r, rest = rows[0], rows[1:]
         for t, c in enumerate(cols):
             entry = matrix[r][c]
             if entry.is_zero():
                 continue
             sub = det(rest, cols[:t] + cols[t + 1:])
-            acc = acc + entry * sub * ((-1) ** t)
+            if sub.is_zero():
+                continue
+            acc = acc - entry * sub if t % 2 else acc + entry * sub
+        memo[key] = acc
         return acc
 
-    for rows in combinations(range(nrows), size):
-        for cols in combinations(range(ncols), size):
-            d = det(list(rows), list(cols))
+    out = []
+    for rows in combinations(range(len(matrix)), size):
+        for cols in combinations(range(len(matrix[0])), size):
+            d = det(rows, cols)
             if not d.is_zero():
                 out.append(d)
     return out

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import germlab.analyzer as analyzer
 from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, REFUTED,
                               NotAFiniteError, WitnessPreconditionError,
                               analyze, witness_check, zero_dim_stable_counts)
-from germlab.germs import GermCorank1
+from germlab.germs import GermCorank1, GermError, marar_mond_check
 from germlab.parse import parse_polynomial
 from germlab.poly import PolyRing
 
@@ -208,3 +209,101 @@ def test_mu_alt_matches_analyze_on_shipped_germs():
         for row in rep.rows:
             assert mu_alt(germ, row.k) == (0 if row.empty else row.mu_alt), (path.name, row.k)
         assert rep.rows[-1].empty
+
+
+def test_max_k_below_two_is_refused():
+    from germlab.analyzer import mu_alt
+
+    for bad in (1, 0, -3):
+        with pytest.raises(GermError, match="max_k"):
+            marar_mond_check(Q2, bad)
+        with pytest.raises(GermError, match="max_k"):
+            analyze(Q2, max_k=bad)
+        with pytest.raises(GermError, match="max_k"):
+            witness_check(Q2, Q2W, {"s": Fraction(1)}, max_k=bad)
+        with pytest.raises(GermError, match="max_k"):
+            mu_alt(Q2, bad)
+    assert [r.k for r in analyze(Q2, max_k=2).rows] == [2]
+
+
+# -- the base-analysis memo of witness_check ------------------------------------
+
+SWEEP = [Fraction(a, b) for a, b in ((1, 1), (2, 1), (1, 2), (3, 4), (7, 3))]
+SWEEP += [-s for s in SWEEP]
+
+
+@pytest.fixture
+def analyze_calls(monkeypatch):
+    """Counts analyze() calls by (germ name, max_k, seed), on an empty memo."""
+    from collections import Counter
+
+    calls = Counter()
+    real_analyze = analyzer.analyze
+
+    def counting_analyze(germ, max_k=None, seed=0, name=None):
+        calls[(germ.name, max_k, seed)] += 1
+        return real_analyze(germ, max_k=max_k, seed=seed, name=name)
+
+    monkeypatch.setattr(analyzer, "analyze", counting_analyze)
+    analyzer._base_report.cache_clear()
+    yield calls
+    analyzer._base_report.cache_clear()
+
+
+def test_witness_sweep_analyzes_base_once_per_key(analyze_calls):
+    for s in SWEEP:
+        w = witness_check(Q2, Q2W, {"s": s})
+        assert w.verdict == (CONFIRMED if s > 0 else REFUTED), s
+    assert analyze_calls == {("Q2", None, 0): 1}
+    witness_check(Q2, Q2W, {"s": Fraction(5)}, seed=1)
+    witness_check(Q2, Q2W, {"s": Fraction(5)}, max_k=3)
+    witness_check(Q2, Q2W, {"s": Fraction(-5)}, max_k=3)
+    assert analyze_calls == {("Q2", None, 0): 1, ("Q2", None, 1): 1, ("Q2", 3, 0): 1}
+
+
+def test_witness_sweep_matches_uncached_answers(analyze_calls):
+    cached = [witness_check(Q2, Q2W, {"s": s}) for s in SWEEP]
+    fresh = []
+    for s in SWEEP:
+        analyzer._base_report.cache_clear()
+        fresh.append(witness_check(Q2, Q2W, {"s": s}))
+    assert cached == fresh  # names, verdicts, rows and notes
+    assert analyze_calls[("Q2", None, 0)] == 1 + len(SWEEP)
+
+
+def test_witness_preconditions_checked_on_every_call(analyze_calls):
+    a2 = make(["z^2", "z*(z^2 + x^2 + y^3)"], name="A2")
+    a2w = make(["z^2", "z*(z^2 + x^2 + y^3) - s*z"], params=("s",), name="A2s")
+    nonfinite = make(["z^2", "z^3"], name="NF")
+    nonfinite_w = make(["z^2", "z^3 - s*z"], params=("s",), name="NFs")
+    for _ in range(3):
+        with pytest.raises(WitnessPreconditionError, match="FAILS"):
+            witness_check(a2, a2w, {"s": Fraction(1)})
+        with pytest.raises(NotAFiniteError):
+            witness_check(nonfinite, nonfinite_w, {"s": Fraction(1)})
+    assert analyze_calls[("NF", None, 0)] == 3  # a refusal is not remembered
+
+
+def test_base_report_memo_is_bounded(analyze_calls):
+    cap = analyzer.BASE_REPORTS
+    for seed in range(cap + 3):
+        witness_check(Q2, Q2W, {"s": Fraction(1)}, seed=seed)
+        assert analyzer._base_report.cache_info().currsize == min(seed + 1, cap)
+    assert analyzer._base_report.cache_info().maxsize == cap
+    witness_check(Q2, Q2W, {"s": Fraction(1)}, seed=0)  # evicted, analyzed again
+    assert analyze_calls[("Q2", None, 0)] == 2
+    assert analyzer._base_report.cache_info().currsize == cap
+
+
+def test_mutating_a_witness_report_does_not_leak(analyze_calls):
+    first = witness_check(Q2, Q2W, {"s": Fraction(1)})
+    expected = witness_check(Q2, Q2W, {"s": Fraction(1)})
+    for row in first.rows:
+        row.abeta_complex = -7
+        row.classes[0].chi_complex = -7
+        row.classes.clear()
+    first.rows.clear()
+    first.notes.append("tampered")
+    again = witness_check(Q2, Q2W, {"s": Fraction(1)})
+    assert again == expected and again.verdict == CONFIRMED
+    assert analyze_calls[("Q2", None, 0)] == 1

@@ -169,6 +169,23 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     assert "GERMLAB_MAX_K" in err and "internal error" not in err
 
 
+def test_cli_max_k_below_two_exits_64(capsys, monkeypatch):
+    # no multiplicity is checked below k = 2, so there is no verdict to give
+    q2 = str(GERMS / "q2.germ")
+    for argv in (("witness", q2, "--max-k", "1", "--param", "s=1"),
+                 ("analyze", q2, "--max-k", "1"), ("analyze", q2, "--max-k", "-3")):
+        assert run_cli(*argv) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "max_k must be at least 2" in err, argv
+    monkeypatch.setenv("GERMLAB_MAX_K", "1")
+    for argv in (("witness", q2, "--param", "s=1"), ("analyze", q2)):
+        assert run_cli(*argv) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "max_k must be at least 2" in err, argv
+    assert run_cli("analyze", q2, "--max-k", "2") == 0
+    capsys.readouterr()
+
+
 def test_cli_argparse_errors_exit_64(capsys):
     # argparse's own status 2 would read as INCONCLUSIVE
     rp2 = str(COMPLEXES / "rp2.json")

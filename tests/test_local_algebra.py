@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
-                            local_dimension)
+                            local_dimension, minors)
 from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
 from germlab.orders import MonomialOrder
 from germlab.poly import Polynomial, PolyRing
@@ -371,3 +371,63 @@ def test_colength_infinite_matches_growing_macaulay_dimension():
         # the quotient modulo m^D keeps growing: no m^D lies in I
         assert _macaulay_oracle(gens, ring.nvars, 1, 9) == (INF, None)
         assert colength(Ideal.of(gens)) == INF
+
+
+def _leibniz_minors(matrix, size):
+    """Nonzero size x size minors by the permutation sum, rows then columns."""
+    ring = matrix[0][0].ring
+    out = []
+    for rows in combinations(range(len(matrix)), size):
+        for cols in combinations(range(len(matrix[0])), size):
+            det = ring.zero()
+            for perm in permutations(range(size)):
+                inversions = sum(perm[i] > perm[j]
+                                 for i in range(size) for j in range(i + 1, size))
+                term = ring.const(-1 if inversions % 2 else 1)
+                for i, j in enumerate(perm):
+                    term = term * matrix[rows[i]][cols[j]]
+                det = det + term
+            if not det.is_zero():
+                out.append(det)
+    return out
+
+
+def _sparse_entry(rng, ring):
+    if rng.random() < 0.4:
+        return ring.zero()
+    entry = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in ring.vars)
+        entry = entry + Polynomial(ring, {e: Fraction(rng.choice([-3, -1, 1, 2]),
+                                                      rng.choice([1, 1, 2]))})
+    return entry
+
+
+def test_minors_match_leibniz_oracle():
+    # the Jacobian shapes of the workloads (one row per generator, full-row
+    # minors), then shapes with fewer minor rows than matrix rows, where
+    # sub-minors on the same columns but different rows must stay apart
+    rng = random.Random(11)
+    R = PolyRing(("x", "y", "z"))
+    full_row = [(1, 2, 1), (1, 3, 1), (2, 3, 2), (2, 4, 2), (3, 4, 3), (4, 5, 4), (5, 5, 5)]
+    below = [(3, 3, 2), (4, 4, 2), (4, 5, 3), (5, 5, 3)]
+    nonzero = 0
+    for nrows, ncols, size in full_row + below:
+        for _ in range(3):
+            m = [[_sparse_entry(rng, R) for _ in range(ncols)] for _ in range(nrows)]
+            want = _leibniz_minors(m, size)
+            assert minors(m, size) == want, (nrows, ncols, size)
+            nonzero += len(want)
+    assert nonzero > 100
+
+    x, y, z = syms(R)
+    zero_row = [[x, y * z, R.const(2)], [R.zero()] * 3, [z ** 2, x - y, y]]
+    assert minors(zero_row, 3) == []
+    assert minors(zero_row, 2) == _leibniz_minors(zero_row, 2) != []
+    a, b = x + 1, y * z - 2
+    r0 = [x * y, z, R.zero(), y ** 2]
+    r1 = [R.const(3), x ** 2, y, z]
+    deficient = [r0, r1, [a * p + b * q for p, q in zip(r0, r1)]]
+    assert minors(deficient, 3) == []
+    assert minors(deficient, 2) == _leibniz_minors(deficient, 2)
+    assert len(minors(deficient, 2)) == 18
