@@ -31,7 +31,7 @@ from operator import attrgetter
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
                     build_Dk, class_size, marar_mond_check)
 from .ideals import affine_is_smooth, contains_one
-from .milnor import milnor_icis
+from .milnor import mu_chain
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
 FAILS = "FAILS"
@@ -104,7 +104,9 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
     """Invariants of D^k(f) from the finiteness sweep's statuses at one k.
 
     The identity partition comes first: its d^sigma is d_k, and an EMPTY one
-    makes the whole row empty.
+    makes the whole row empty.  The sweep has certified every space, so
+    nothing is checked again: mu is colength - 1 for d^sigma = 0, and for
+    d^sigma > 0 the Milnor computation runs on the reduced generators.
     """
     k, d_k = statuses[0].k, statuses[0].expected_dim
     if statuses[0].kind == EMPTY_SPACE:
@@ -121,8 +123,12 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
             classes.append(ClassEntry(part, st.sigma_sharp, d_sigma, "beta0", beta0=1))
             acc -= size * (-1 if d_sigma % 2 else 1)
             continue
-        # a smooth space has no reduced ideal and mu = 0
-        mu = 0 if st.reduced is None else milnor_icis(st.reduced, d_sigma, rng=rng).milnor
+        if st.reduced is None:  # smooth
+            mu = 0
+        elif d_sigma == 0:
+            mu = st.colength - 1
+        else:
+            mu = mu_chain(list(st.reduced.gens), st.reduced.ring, d_sigma, rng)
         entry = ClassEntry(part, st.sigma_sharp, d_sigma, "mu", mu=mu)
         if d_sigma == 0:
             entry.count = mu + 1  # colength of the zero-dimensional space

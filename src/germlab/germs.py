@@ -185,6 +185,13 @@ VIOLATION = "VIOLATION"
 
 @dataclass
 class SpaceStatus:
+    """What the finiteness sweep found out about one D^k(f)^sigma.
+
+    The answers are final: an ICIS keeps its reduced ideal (and, in
+    dimension zero, its colength), so the invariant step reads them
+    instead of checking the space again.
+    """
+
     k: int
     partition: tuple[int, ...]
     sigma_sharp: int
@@ -194,6 +201,8 @@ class SpaceStatus:
     reason: str = ""
     # the space after linear elimination; None when empty or smooth
     reduced: Ideal | None = None
+    # colength of `reduced` for an ICIS or ORIGIN with expected_dim <= 0
+    colength: int | None = None
 
 
 @dataclass
@@ -210,15 +219,16 @@ def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
     """Classify one D^k(f)^sigma germ: EMPTY / ICIS / ORIGIN / VIOLATION.
 
     A nonempty, non-smooth space keeps the ideal left after linear
-    elimination, so the invariant step does not eliminate it again.
+    elimination and, for expected dimension at most 0, its colength, so the
+    invariant step neither eliminates nor measures it again.
     """
     from .ideals import singular_locus_ideal
 
     expected_dim = space.expected_dim
 
-    def status(kind, dim=None, reason="", reduced=None):
+    def status(kind, dim=None, reason="", reduced=None, length=None):
         return SpaceStatus(space.k, space.partition, space.sigma_sharp, expected_dim,
-                           kind, dim, reason, reduced)
+                           kind, dim, reason, reduced, length)
 
     if germ_is_empty(space.ideal):
         return status(EMPTY)
@@ -235,11 +245,12 @@ def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
     J = Ideal.of(gens, local=True)
     if expected_dim <= 0:
         # finite colength certifies dimension 0 without a full basis
-        if colength(J) == INF:
+        c = colength(J)
+        if c == INF:
             dim = local_dimension(J)
             want = "at most the origin" if expected_dim < 0 else "dimension 0"
             return status(VIOLATION, dim, f"dimension {dim}, should be {want}", J)
-        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J)
+        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J, c)
     dim = local_dimension(J)
     if dim != expected_dim:
         return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}", J)

@@ -197,9 +197,8 @@ def _alternating_homology(alt: AltChainComplex, fields: tuple[str, ...]) -> AltH
         torsion.append([d for d in up if d > 1])
         for f, p in primes.items():
             field_ranks[f].append(nq - _rank(down, p) - _rank(up, p))
-    chi_top = sum((-1) ** q * len(lst) for q, lst in alt.X.simplices().items())
     chi_alt = sum((-1) ** q * r for q, r in enumerate(ranks))
-    return AltHomologyResult(ranks, torsion, field_ranks, chi_top, chi_alt)
+    return AltHomologyResult(ranks, torsion, field_ranks, chi_top(alt.X), chi_alt)
 
 
 # -- Euler characteristics and the fixed-point formula -------------------------

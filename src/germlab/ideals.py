@@ -7,14 +7,11 @@ Colength, Krull dimension and emptiness are read off the leading ideal.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from . import _kernel
-from .orders import MonomialOrder
 from .poly import PolyError, Polynomial, PolyRing
 
 INF = float("inf")
@@ -53,80 +50,22 @@ def _int_terms(p: Polynomial) -> dict:
     return {e: int(c * den) for e, c in terms.items()}
 
 
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _permute(terms: dict, perm, inverse=False) -> dict:
-    if perm is None:
-        return terms
-    if inverse:
-        perm = _inverse(perm)
-    return {tuple(e[i] for i in perm): c for e, c in terms.items()}
-
-
-_BASIS_CACHE_SIZE = 4096
-_basis_cache: OrderedDict = OrderedDict()
-
-
-def standard_basis(I: Ideal, order: MonomialOrder | None = None,
-                   trunc: int = 0) -> tuple[dict, ...]:
+def standard_basis(I: Ideal, trunc: int = 0) -> tuple[dict, ...]:
     """Kernel-level standard basis (tuple of primitive integer term dicts).
 
-    trunc = D computes modulo m^D (local ideals only): the output is a
-    standard basis of I + m^D, cheap when tails are large.  Once the kernel
-    knows the highest corner of a local ideal it may work modulo a lower
-    power (trunc = 0 included); the result is still a standard basis of the
-    ideal asked for, memoized under the caller's trunc.  Bases are
-    memoized in a least-recently-used table of _BASIS_CACHE_SIZE entries;
-    the tuple is shared with later callers, so do not modify its dicts.
+    Local ideals use the negative degree-reverse-lexicographic order, affine
+    ones degree-reverse-lexicographic.  trunc = D computes modulo m^D (local
+    ideals only): the output is a standard basis of I + m^D, cheap when tails
+    are large.  Once the kernel knows the highest corner of a local ideal it
+    may work modulo a lower power (trunc = 0 included); the result is still a
+    standard basis of the ideal asked for.  Nothing is kept between calls.
     """
-    if order is None:
-        order = MonomialOrder(local=I.local)
-    if order.local != I.local:
-        raise PolyError("order kind does not match ideal locality")
-    perm = order.permutation(I.ring.vars)
-    key = (I.ring, tuple(I.gens), I.local, perm, trunc)
-    got = _basis_cache.get(key)
-    if got is not None:
-        _basis_cache.move_to_end(key)
-        return got
-    gens = [_permute(_int_terms(g), perm) for g in I.gens]
-    gens = [g for g in gens if g]
-    basis = _kernel.std_basis(gens, I.local, trunc) if gens else []
-    basis = tuple(_permute(g, perm, inverse=True) for g in basis)
-    _basis_cache[key] = basis
-    if len(_basis_cache) > _BASIS_CACHE_SIZE:
-        _basis_cache.popitem(last=False)
-    return basis
+    gens = [g for g in map(_int_terms, I.gens) if g]
+    return tuple(_kernel.std_basis(gens, I.local, trunc)) if gens else ()
 
 
-def standard_basis_ideal(I: Ideal, order: MonomialOrder | None = None) -> Ideal:
-    """Same basis repackaged as an Ideal of Polynomials."""
-    basis = standard_basis(I, order)
-    nv = I.ring.nvars
-    pad = (0,) * (I.ring.nsyms - nv)
-    polys = tuple(
-        Polynomial(I.ring, {e + pad: Fraction(c) for e, c in g.items()}) for g in basis
-    )
-    return replace(I, gens=polys)
-
-
-def leading_exponents(I: Ideal, order: MonomialOrder | None = None) -> list[tuple]:
-    if order is None:
-        order = MonomialOrder(local=I.local)
-    perm = order.permutation(I.ring.vars)
-    out = []
-    for g in standard_basis(I, order):
-        le = _kernel.lead_exp(_permute(g, perm), order.local)
-        if perm is not None:
-            inv = _inverse(perm)
-            le = tuple(le[i] for i in inv)
-        out.append(le)
-    return out
+def leading_exponents(I: Ideal) -> list[tuple]:
+    return [_kernel.lead_exp(g, I.local) for g in standard_basis(I)]
 
 
 def reduces_to_zero(f: Polynomial, I: Ideal) -> bool:
@@ -160,7 +99,7 @@ def germ_is_empty(I: Ideal) -> bool:
 _TRUNC_LADDER = (8, 16, 32)
 
 
-def colength(I: Ideal, order: MonomialOrder | None = None):
+def colength(I: Ideal):
     """dim_Q of the quotient (local: of the local ring); INF if not finite.
 
     Local colengths are computed modulo m^D for growing D; the answer is
@@ -174,7 +113,7 @@ def colength(I: Ideal, order: MonomialOrder | None = None):
         if germ_is_empty(I):
             return 0
         for D in _TRUNC_LADDER:
-            leads = [_kernel.lead_exp(g, True) for g in standard_basis(I, order, trunc=D)]
+            leads = [_kernel.lead_exp(g, True) for g in standard_basis(I, trunc=D)]
             if any(sum(e) == 0 for e in leads):
                 return 0
             # without a pure power on every axis some x_i^(D-1) is standard
@@ -182,7 +121,7 @@ def colength(I: Ideal, order: MonomialOrder | None = None):
                 stair = _kernel.staircase(leads, nvars, D - 1)
                 if max(map(sum, stair)) <= D - 2:
                     return len(stair)
-    leads = leading_exponents(I, order)
+    leads = leading_exponents(I)
     if not leads:
         return INF if nvars else 1
     if any(sum(e) == 0 for e in leads):
@@ -196,7 +135,7 @@ def colength(I: Ideal, order: MonomialOrder | None = None):
 def contains_one(I: Ideal) -> bool:
     """Affine Nullstellensatz check: ideal is the whole ring."""
     J = replace(I, local=False)
-    leads = leading_exponents(J, MonomialOrder(local=False))
+    leads = leading_exponents(J)
     zero = (0,) * I.ring.nvars
     return any(e == zero for e in leads)
 
@@ -217,9 +156,9 @@ def _monomial_ideal_dimension(leads: list[tuple], nvars: int) -> int:
     return best
 
 
-def local_dimension(I: Ideal, order: MonomialOrder | None = None) -> int:
+def local_dimension(I: Ideal) -> int:
     """Krull dimension of the local quotient ring (error on the empty germ)."""
-    leads = leading_exponents(I, order)
+    leads = leading_exponents(I)
     if not leads:
         return I.ring.nvars
     d = _monomial_ideal_dimension(leads, I.ring.nvars)

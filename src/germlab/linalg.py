@@ -209,28 +209,6 @@ def kernel_q(mat: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return basis
 
 
-def rank_mod(mat: list[list[int]], p: int) -> int:
-    A = [[x % p for x in row] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][col], -1, p)
-        A[rank] = [a * inv % p for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def column_space_basis_mod(mat: list[list[int]], p: int) -> list[int]:
     """Indices of columns forming a basis of the column space mod p."""
     A = [[x % p for x in row] for row in mat]
@@ -254,6 +232,10 @@ def column_space_basis_mod(mat: list[list[int]], p: int) -> list[int]:
         if rank == m:
             break
     return pivots
+
+
+def rank_mod(mat: list[list[int]], p: int) -> int:
+    return len(column_space_basis_mod(mat, p))
 
 
 def mat_mul_mod(A, B, p):

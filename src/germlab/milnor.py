@@ -1,10 +1,15 @@
 """Milnor and Tjurina numbers of isolated complete intersection germs.
 
-Route (a): after linear elimination a single equation remains and mu is the
-colength of its Jacobian ideal.  Route (b): the Le-Greuel chain
+`mu_chain` is the one Milnor computation.  A hypersurface's mu is the
+colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
-minors), recursing down to a hypersurface or to dimension zero, where mu is
+minors) recurses down to a hypersurface or to dimension zero, where mu is
 the colength of the ideal minus one (reduced point count of a generic fiber).
+The analyzer calls it on the spaces the finiteness sweep has already
+certified.  `milnor_icis` is the checked entry point for any germ: it tests
+emptiness and dimension, eliminates linear variables first unless asked to
+run the chain on the generators as given, and adds a hypersurface's Tjurina
+number.
 """
 
 from __future__ import annotations
@@ -57,8 +62,15 @@ def _jacobian_colength(g: Polynomial) -> int:
     return c
 
 
-def _mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Random,
-              depth: int = 0) -> int:
+def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Random,
+             depth: int = 0) -> int:
+    """Milnor number of the ICIS germ cut out by `gens`, of dimension `dim`.
+
+    The caller vouches that the germ is nonempty and of that dimension.  A
+    deletion order that fails is skipped; if all fail, the tuple is mixed by
+    random invertible matrices drawn from `rng`, so a seeded rng gives the
+    same answer.
+    """
     m = len(gens)
     if m == 0:
         return 0
@@ -85,7 +97,7 @@ def _mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rand
                 c = colength(Ideal.of(full_minors, local=True))
             if c == INF:
                 raise NonIsolatedError("Le-Greuel colength infinite")
-            mu_rest = _mu_chain(rest, ring, dim + 1, rng, depth + 1)
+            mu_rest = mu_chain(rest, ring, dim + 1, rng, depth + 1)
             return c - mu_rest
         except (NonIcisError, NonIsolatedError) as exc:
             last_error = exc
@@ -95,7 +107,7 @@ def _mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rand
         for _ in range(4):
             mixed = _random_mix(gens, ring, rng)
             try:
-                return _mu_chain(mixed, ring, dim, rng, depth + 1)
+                return mu_chain(mixed, ring, dim, rng, depth + 1)
             except (NonIcisError, NonIsolatedError) as exc:
                 last_error = exc
     raise last_error if last_error else NonIsolatedError("Le-Greuel chain failed")
@@ -161,14 +173,12 @@ def milnor_icis(I: Ideal, expected_dim: int, route: str = "auto",
     dim = local_dimension(Ideal.of(gens, local=True))
     if dim != expected_dim:
         raise NonIcisError(f"dimension {dim}, expected {expected_dim}")
+    mu = mu_chain(gens, ring, expected_dim, rng)
     tjurina = None
-    if len(gens) == 1 and expected_dim > 0 and route != "chain":
+    if len(gens) == 1 and route != "chain":
         g = gens[0]
-        mu = _jacobian_colength(g)
         tj = colength(Ideal.of([g] + [g.deriv(v) for v in ring.vars], local=True))
         tjurina = None if tj == INF else tj
-    else:
-        mu = _mu_chain(gens, ring, expected_dim, rng)
     return IcisReport(
         dim=dim,
         milnor=mu,

@@ -315,7 +315,24 @@ def _frac(x) -> Fraction:
     raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")
 
 
+def _indices(x, what: str) -> tuple[int, ...]:
+    if not isinstance(x, list) or not all(type(v) is int for v in x):
+        raise ActionError(f"{what} must be a list of integers, got {x!r}")
+    return tuple(x)
+
+
+def _index_lists(data: dict, key: str) -> list[tuple[int, ...]]:
+    if key not in data:
+        raise ActionError(f"'{key}' is missing")
+    rows = data[key]
+    if not isinstance(rows, list):
+        raise ActionError(f"'{key}' must be a list, got {rows!r}")
+    return [_indices(r, f"each entry of '{key}'") for r in rows]
+
+
 def from_json_dict(data: dict) -> GComplex:
+    if not isinstance(data, dict):
+        raise ActionError(f"a complex must be a JSON object, got {type(data).__name__}")
     verts = data.get("vertices")
     coords = None
     if isinstance(verts, int):
@@ -323,13 +340,17 @@ def from_json_dict(data: dict) -> GComplex:
     elif isinstance(verts, list):
         n = len(verts)
         if verts and isinstance(verts[0], list):
+            if not all(isinstance(v, list) for v in verts):
+                raise ActionError("'vertices' mixes coordinate lists with other entries")
             coords = tuple(tuple(_frac(x) for x in v) for v in verts)
     else:
         raise ActionError("'vertices' must be a count or a list")
-    facets = tuple(tuple(sorted(f)) for f in data["facets"])
-    gens = tuple(tuple(g) for g in data.get("sigma_generators", []))
-    g_perm = tuple(data["g_action"]) if "g_action" in data else None
+    facets = tuple(tuple(sorted(f)) for f in _index_lists(data, "facets"))
+    gens = tuple(_index_lists(data, "sigma_generators"))
+    g_perm = _indices(data["g_action"], "'g_action'") if "g_action" in data else None
     p = data.get("p")
+    if p is not None and type(p) is not int:
+        raise ActionError(f"'p' must be an integer, got {p!r}")
     return GComplex(n, facets, len(gens) + 1, gens, g_perm, p, coords)
 
 

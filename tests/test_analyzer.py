@@ -195,6 +195,38 @@ def test_analyze_builds_each_space_once(monkeypatch):
     assert {k for _, k, _ in built} >= {2, 3, 4}
 
 
+def test_analyze_asks_each_local_question_once(monkeypatch):
+    # the sweep's answers are final: no standard basis is asked for twice in
+    # one analysis, and the checked Milnor entry point is never reached
+    import sys
+
+    import germlab.ideals as ideals
+    import germlab.milnor as milnor
+    from germlab.catalog import nonsimple_entry, simple_entry
+
+    asked = []
+    real_basis = ideals.standard_basis
+
+    def recording_basis(I, trunc=0):
+        asked.append((tuple(I.gens), I.local, trunc))
+        return real_basis(I, trunc=trunc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("milnor_icis called during analyze")
+
+    monkeypatch.setattr(ideals, "standard_basis", recording_basis)
+    real_icis = milnor.milnor_icis
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("germlab") and getattr(mod, "milnor_icis", None) is real_icis:
+            monkeypatch.setattr(mod, "milnor_icis", refuse)
+    for entry in (simple_entry("Q", k=2), simple_entry("S", k=2, j=1),
+                  nonsimple_entry("VIII")):
+        asked.clear()
+        analyze(entry.germ)
+        assert asked, entry.label
+        assert len(set(asked)) == len(asked), entry.label
+
+
 def test_mu_alt_matches_analyze_on_shipped_germs():
     from pathlib import Path
 

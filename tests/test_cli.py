@@ -153,6 +153,14 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     assert run_cli("simplicial", str(bad), "homology") == 64
     bad.write_text('{"vertices": [["1/0"]], "facets": [[0]]}')
     assert run_cli("simplicial", str(bad), "homology") == 64
+    swap = '"vertices": 2, "facets": [[0, 1]], "sigma_generators": [[1, 0]]'
+    for text in ('{"vertices": 3}', '{"vertices": 3, "facets": [[0, 1]]}', '[1, 2]',
+                 '{"vertices": 3, "facets": [["a", 1]], "sigma_generators": []}',
+                 '{"vertices": [[1], 2], "facets": [], "sigma_generators": []}',
+                 '{%s, "g_action": 3, "p": 2}' % swap,
+                 '{%s, "g_action": [1, 0], "p": "2"}' % swap):
+        bad.write_text(text)
+        assert run_cli("simplicial", str(bad), "homology") == 64
     binary = tmp_path / "binary.germ"
     binary.write_bytes(b"\xff\xfe\x00germ")
     assert run_cli("analyze", str(binary)) == 64

@@ -8,7 +8,6 @@ from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
                             local_dimension, minors)
 from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
-from germlab.orders import MonomialOrder
 from germlab.poly import Polynomial, PolyRing
 
 
@@ -17,26 +16,26 @@ def syms(ring):
 
 
 def test_standard_basis_leads_local():
-    # with priority z2 > z1 the basis of <z1+z2, z1^2+z1 z2+z2^2> leads with {z2, z1^2}
-    R = PolyRing(("z1", "z2"))
-    z1, z2 = syms(R)
+    # with z2 declared first the basis of <z1+z2, z1^2+z1 z2+z2^2> leads with {z2, z1^2}
+    R = PolyRing(("z2", "z1"))
+    z2, z1 = syms(R)
     I = Ideal.of([z1 + z2, z1 ** 2 + z1 * z2 + z2 ** 2], local=True)
-    order = MonomialOrder(local=True, priority=("z2", "z1"))
-    leads = set(leading_exponents(I, order))
-    assert leads == {(0, 1), (2, 0)}  # z2 and z1^2
+    leads = set(leading_exponents(I))
+    assert leads == {(1, 0), (0, 2)}  # z2 and z1^2
 
 
 def test_standard_basis_unit_and_monomial():
-    from germlab.ideals import standard_basis_ideal
+    from germlab.ideals import standard_basis
 
     R = PolyRing(("x", "y"))
     x, y = syms(R)
     I = Ideal.of([R.const(1)], local=True)
     assert leading_exponents(I) == [(0, 0)]
-    assert standard_basis_ideal(I).gens == (R.const(1),)
+    assert standard_basis(I) == ({(0, 0): 1},)
     J = Ideal.of([x ** 2, x * y, y ** 2], local=True)
     assert set(leading_exponents(J)) == {(2, 0), (1, 1), (0, 2)}
-    assert set(standard_basis_ideal(J).gens) == {x ** 2, x * y, y ** 2}
+    assert sorted(standard_basis(J), key=lambda g: sorted(g)) == [
+        {(0, 2): 1}, {(1, 1): 1}, {(2, 0): 1}]
 
 
 def test_colength_examples():
@@ -189,39 +188,6 @@ def test_colength_generator_permutation_invariance():
         p = gens[:]
         rng.shuffle(p)
         assert colength(Ideal.of(p)) == base
-
-
-def test_standard_basis_memo_evicts_least_recently_used(monkeypatch):
-    from collections import OrderedDict
-
-    import germlab.ideals as ideals
-
-    monkeypatch.setattr(ideals, "_basis_cache", OrderedDict())
-    monkeypatch.setattr(ideals, "_BASIS_CACHE_SIZE", 2)
-    computed = []
-    kernel_std_basis = ideals._kernel.std_basis
-
-    def counting(gens, local, trunc=0):
-        computed.append(len(computed))
-        return kernel_std_basis(gens, local, trunc)
-
-    monkeypatch.setattr(ideals._kernel, "std_basis", counting)
-    R = PolyRing(("x", "y"))
-    x, y = syms(R)
-    A, B, C = (Ideal.of([g], local=True) for g in (x ** 2 + y ** 3, x * y, y ** 2 - x ** 3))
-    for I in (A, B, A, C):  # the hit on A makes B the oldest entry
-        ideals.standard_basis(I)
-    assert len(computed) == 3
-    ideals.standard_basis(A)
-    ideals.standard_basis(C)
-    assert len(computed) == 3  # A and C stayed
-    ideals.standard_basis(B)
-    assert len(computed) == 4  # B was evicted; now A goes, C stays
-    ideals.standard_basis(C)
-    assert len(computed) == 4
-    ideals.standard_basis(A)
-    assert len(computed) == 5
-    assert len(ideals._basis_cache) == 2
 
 
 def test_standard_basis_memo_cannot_be_grown_by_callers():
