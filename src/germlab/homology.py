@@ -1,10 +1,13 @@
 """Simplicial homology and alternating homology of symmetric complexes.
 
-Each integer boundary matrix is eliminated once, to its Smith normal form
-(unit pivots first, see `linalg`), and every number comes from its
-elementary divisors: the rank of d_q over Q is their count, over F_p (p
-prime) the count of those p does not divide, and the torsion of H_{q-1} is
-those above 1.
+Each integer boundary matrix of a complex is eliminated once, to its Smith
+normal form (unit pivots first, see `linalg`), and every number comes from
+its elementary divisors: the rank of d_q over Q is their count, over F_p
+(p prime) the count of those p does not divide, and the torsion of H_{q-1}
+is those above 1.  The complex keeps the divisors (`GComplex.derived`), not
+the matrices, so `homology(X, "Z")` and `homology(X, "F<p>")` share one
+elimination; likewise X keeps its alternating chain complex, which keeps
+its own divisors, for `alternating_homology` and the Smith verifiers.
 
 The alternating chain complex has one generator per group orbit of
 simplexes whose stabilizer contains no odd element of Sigma_k (a stabilizer
@@ -15,11 +18,15 @@ contribute a single signed generator.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .linalg import kernel_q, rref_q, smith_normal_form
-from .simplicial import ActionError, GComplex, perm_sign, smallest_prime_factor
+from .simplicial import (MAX_P, ActionError, GComplex, check_p, perm_sign,
+                         smallest_prime_factor)
 
 
 @dataclass
@@ -35,15 +42,14 @@ class HomologyResult:
 
 
 def _sorted_with_sign(values: list[int]) -> tuple[tuple[int, ...], int]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    sign = perm_sign(tuple(order))
-    return tuple(values[i] for i in order), sign
+    """Distinct values sorted, and the sign of the sorting permutation (their inversion parity)."""
+    return tuple(sorted(values)), perm_sign(values)
 
 
-def boundary_matrices(X: GComplex) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, list[list[int]]]]:
+def boundary_matrices(X: GComplex) -> tuple[Mapping[int, tuple[tuple[int, ...], ...]], dict[int, list[list[int]]]]:
     """Simplex tables and integer boundary matrices d_q: C_q -> C_{q-1}."""
     simp = X.simplices()
-    index = {q: {s: i for i, s in enumerate(lst)} for q, lst in simp.items()}
+    index = X.simplex_index()
     mats: dict[int, list[list[int]]] = {}
     for q in simp:
         if q == 0:
@@ -59,18 +65,29 @@ def boundary_matrices(X: GComplex) -> tuple[dict[int, list[tuple[int, ...]]], di
     return simp, mats
 
 
+def _boundary_divisors(X: GComplex) -> Mapping[int, tuple[int, ...]]:
+    """Elementary divisors of each d_q of X; kept with X by `GComplex.derived`."""
+    _, mats = boundary_matrices(X)
+    return MappingProxyType({q: tuple(smith_normal_form(M)) for q, M in mats.items()})
+
+
 def _field_prime(field: str) -> int | None:
     """None for "Q", p for "F<p>" with p prime; anything else is an ActionError."""
     if field == "Q":
         return None
     if field[:1] == "F" and field[1:].isdecimal():
-        p = int(field[1:])
+        try:
+            p = int(field[1:])
+        except ValueError:  # more digits than int() converts
+            raise ActionError(f"field characteristic of {len(field) - 1} digits "
+                              f"is above the supported maximum {MAX_P}") from None
+        check_p(p, "field characteristic")
         if p >= 2 and smallest_prime_factor(p) == p:
             return p
     raise ActionError(f"coefficients must be Z, Q or F<p> with p prime, got {field!r}")
 
 
-def _rank(divisors: list[int], p: int | None) -> int:
+def _rank(divisors: tuple[int, ...], p: int | None) -> int:
     """Rank over Q (p None) or F_p of a matrix with these elementary divisors."""
     if p is None:
         return len(divisors)
@@ -80,14 +97,14 @@ def _rank(divisors: list[int], p: int | None) -> int:
 def homology(X: GComplex, coeff="Z") -> HomologyResult:
     """H_*(X) with Z, Q or F_p coefficients (unreduced); p must be prime."""
     p = None if coeff == "Z" else _field_prime(coeff)
-    simp, mats = boundary_matrices(X)
-    divs = {q: smith_normal_form(M) for q, M in mats.items()}
+    simp = X.simplices()
+    divs = X.derived(_boundary_divisors)
     topdim = max(simp) if simp else -1
     betti: list[int] = []
     torsion: list[list[int]] = []
     for q in range(topdim + 1):
-        down, up = divs.get(q, []), divs.get(q + 1, [])
-        betti.append(len(simp.get(q, [])) - _rank(down, p) - _rank(up, p))
+        down, up = divs.get(q, ()), divs.get(q + 1, ())
+        betti.append(len(simp.get(q, ())) - _rank(down, p) - _rank(up, p))
         torsion.append([d for d in up if d > 1])
     if coeff == "Z":
         return HomologyResult("Z", betti, torsion)
@@ -96,40 +113,52 @@ def homology(X: GComplex, coeff="Z") -> HomologyResult:
 
 # -- alternating chain complex -----------------------------------------------
 
+Simplex = tuple[int, ...]
 
-@dataclass
+
+@dataclass(frozen=True)
 class AltChainComplex:
-    """Basis data of C^Alt_*(X; Z) plus its boundary matrices."""
+    """Basis data of C^Alt_*(X; Z) plus its boundary matrices, all immutable."""
 
-    X: GComplex
-    reps: dict[int, list[tuple[int, ...]]]           # orbit representatives per degree
-    gens: dict[int, list[dict[tuple[int, ...], int]]]  # generator chains per degree
-    boundaries: dict[int, list[list[int]]]           # d_q in the generator bases
+    reps: Mapping[int, tuple[Simplex, ...]]  # orbit representatives per degree
+    rep_index: Mapping[int, Mapping[Simplex, int]]  # position of each in `reps`
+    # generator chains per degree, each a tuple of (simplex, coefficient)
+    gens: Mapping[int, tuple[tuple[tuple[Simplex, int], ...], ...]]
+    boundaries: Mapping[int, tuple[tuple[int, ...], ...]]  # d_q in the generator bases
 
     def dims(self) -> dict[int, int]:
         return {q: len(r) for q, r in self.reps.items()}
 
+    @cached_property
+    def divisors(self) -> Mapping[int, tuple[int, ...]]:
+        """Elementary divisors of each boundary matrix, eliminated on first use."""
+        return MappingProxyType({q: tuple(smith_normal_form(M))
+                                 for q, M in self.boundaries.items()})
+
 
 def alternating_chain_complex(X: GComplex) -> AltChainComplex:
-    table = X.group()
-    elements = list(table.values())  # (vertex perm, sign) over Sigma_k
-    simp = X.simplices()
-    reps: dict[int, list[tuple[int, ...]]] = {}
-    gens: dict[int, list[dict[tuple[int, ...], int]]] = {}
-    for q, simlist in simp.items():
-        simset = set(simlist)
-        seen: set[tuple[int, ...]] = set()
-        reps[q] = []
-        gens[q] = []
+    """C^Alt_*(X; Z), built on the first call and kept with X."""
+    return X.derived(_build_alternating_chain_complex)
+
+
+def _build_alternating_chain_complex(X: GComplex) -> AltChainComplex:
+    elements = X.group().values()  # (vertex perm, sign) over Sigma_k
+    index = X.simplex_index()
+    reps: dict[int, tuple[Simplex, ...]] = {}
+    gens: dict[int, tuple[tuple[tuple[Simplex, int], ...], ...]] = {}
+    for q, simlist in X.simplices().items():
+        simset = index[q]
+        seen: set[Simplex] = set()
+        q_reps = []
+        q_gens = []
         for s in simlist:
             if s in seen:
                 continue
-            chain: dict[tuple[int, ...], int] = {}
+            chain: dict[Simplex, int] = {}
             dead = False
             orbit = set()
             for v, sg in elements:
-                img_raw = [v[x] for x in s]
-                img, osign = _sorted_with_sign(img_raw)
+                img, osign = _sorted_with_sign([v[x] for x in s])
                 if img not in simset:
                     raise ActionError("action is not simplicial")
                 orbit.add(img)
@@ -142,24 +171,26 @@ def alternating_chain_complex(X: GComplex) -> AltChainComplex:
                     chain[img] = coeff
             seen |= orbit
             if not dead:
-                reps[q].append(s)
-                gens[q].append(chain)
-    boundaries: dict[int, list[list[int]]] = {}
-    rep_index = {q: {s: i for i, s in enumerate(reps[q])} for q in reps}
-    for q in sorted(reps):
-        if q == 0 or not gens.get(q):
+                q_reps.append(s)
+                q_gens.append(tuple(chain.items()))
+        reps[q] = tuple(q_reps)
+        gens[q] = tuple(q_gens)
+    rep_index = {q: MappingProxyType({s: i for i, s in enumerate(r)}) for q, r in reps.items()}
+    boundaries: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for q in reps:
+        if q == 0 or not gens[q]:
             continue
-        rows = len(reps.get(q - 1, []))
-        M = [[0] * len(gens[q]) for _ in range(rows)]
+        below = rep_index[q - 1]
+        M = [[0] * len(gens[q]) for _ in range(len(reps[q - 1]))]
         for j, chain in enumerate(gens[q]):
-            for s, c in chain.items():
+            for s, c in chain:
                 for t in range(q + 1):
-                    face = s[:t] + s[t + 1:]
-                    i = rep_index[q - 1].get(face)
+                    i = below.get(s[:t] + s[t + 1:])
                     if i is not None:
                         M[i][j] += c * (-1 if t % 2 else 1)
-        boundaries[q] = M
-    return AltChainComplex(X, reps, gens, boundaries)
+        boundaries[q] = tuple(map(tuple, M))
+    return AltChainComplex(MappingProxyType(reps), MappingProxyType(rep_index),
+                           MappingProxyType(gens), MappingProxyType(boundaries))
 
 
 @dataclass
@@ -179,26 +210,27 @@ def alternating_homology(X: GComplex, fields: tuple[str, ...] = ()) -> AltHomolo
     """AH_*(X; Z) with torsion, plus ranks over requested fields ("Q", "F2", ...)."""
     if not X.is_good():
         raise ActionError("action is not simplicially good; subdivide first")
-    return _alternating_homology(alternating_chain_complex(X), fields)
+    return _alternating_homology(X, fields)
 
 
-def _alternating_homology(alt: AltChainComplex, fields: tuple[str, ...]) -> AltHomologyResult:
-    """`alternating_homology` of an alternating chain complex already built."""
+def _alternating_homology(X: GComplex, fields: tuple[str, ...]) -> AltHomologyResult:
+    """`alternating_homology` of a complex already known to be good."""
     primes = {f: _field_prime(f) for f in fields}
-    divs = {q: smith_normal_form(M) for q, M in alt.boundaries.items()}
+    alt = alternating_chain_complex(X)
+    divs = alt.divisors
     top = max(alt.reps, default=-1)
     ranks = []
     torsion = []
     field_ranks = {f: [] for f in fields}
     for q in range(top + 1):
-        nq = len(alt.reps.get(q, []))
-        down, up = divs.get(q, []), divs.get(q + 1, [])
+        nq = len(alt.reps.get(q, ()))
+        down, up = divs.get(q, ()), divs.get(q + 1, ())
         ranks.append(nq - len(down) - len(up))
         torsion.append([d for d in up if d > 1])
         for f, p in primes.items():
             field_ranks[f].append(nq - _rank(down, p) - _rank(up, p))
     chi_alt = sum((-1) ** q * r for q, r in enumerate(ranks))
-    return AltHomologyResult(ranks, torsion, field_ranks, chi_top(alt.X), chi_alt)
+    return AltHomologyResult(ranks, torsion, field_ranks, chi_top(X), chi_alt)
 
 
 # -- Euler characteristics and the fixed-point formula -------------------------

@@ -253,3 +253,16 @@ def mat_mul_mod(A, B, p):
                         acc[j] = (acc[j] + a * brow[j]) % p
         out.append(acc)
     return out
+
+
+def mat_pow_mod(A, e, p):
+    """A^e mod p for a square matrix A, by repeated squaring (A^0 is the identity)."""
+    n = len(A)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    while e:
+        if e & 1:
+            out = mat_mul_mod(out, A, p)
+        e >>= 1
+        if e:
+            A = mat_mul_mod(A, A, p)
+    return out

@@ -5,26 +5,49 @@ transpositions (1 2), ..., (k-1 k) as vertex permutations; the sign of an
 element is its sign in Sigma_k, not the parity of the vertex permutation
 (the trivial action of Sigma_2 on a point has a sign -1 generator acting as
 the identity permutation).  An optional commuting cyclic action of prime
-order p rides along for Smith theory.
+power order p (at most MAX_P) rides along for Smith theory.
 
 Actions must be *simplicially good*: a simplex mapped to itself by any group
 element is fixed vertex by vertex.  One barycentric subdivision always
 repairs a merely simplicial action, because subdivision vertices are
 barycenters of simplexes of pairwise distinct dimensions.
+
+A `GComplex` is immutable, so what is derived from it is built once, on
+first use, and kept as long as the complex lives: the facet closure and its
+per-dimension index, the group table and elements, goodness, the g-fixed
+subcomplex, and through `GComplex.derived` what other modules compute from
+it (`homology` keeps its elementary divisors and alternating chain complex
+there).  Every kept value is immutable; nothing is cached across complexes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import combinations, permutations
+from types import MappingProxyType
+from typing import TypeVar
 
 MAX_K = 7  # k! group elements are enumerated
+# The largest prime (power) accepted as a field characteristic or as the order
+# p of a cyclic action, 2^31 - 1.  Factoring it by trial division takes
+# milliseconds; a larger p from input would take unbounded time.
+MAX_P = 2**31 - 1
+
+T = TypeVar("T")
 
 
 class ActionError(ValueError):
     pass
+
+
+def check_p(p: int, what: str) -> None:
+    """Refuse a prime (power) `p` from input above MAX_P, naming it as `what`."""
+    if p > MAX_P:
+        raise ActionError(f"{what} {p} is above the supported maximum {MAX_P}")
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -42,6 +65,23 @@ def _perm_order(p: tuple[int, ...]) -> int:
         if n > len(p) ** 2 + 1:
             raise ActionError("permutation order overflow")
     return n
+
+
+def _cycles(p: tuple[int, ...]) -> list[set[int]]:
+    """The cycles of length at least 2 of a permutation."""
+    out = []
+    seen = set()
+    for start in range(len(p)):
+        if start in seen or p[start] == start:
+            continue
+        cycle = set()
+        x = start
+        while x not in cycle:
+            cycle.add(x)
+            x = p[x]
+        seen |= cycle
+        out.append(cycle)
+    return out
 
 
 def perm_sign(p: tuple[int, ...]) -> int:
@@ -76,6 +116,7 @@ class GComplex:
                 raise ActionError("g action is not a vertex permutation")
             if self.p is None:
                 raise ActionError("g action needs its order p")
+            check_p(self.p, "cyclic action order p")
             if not _is_prime_power(self.p) or self.p % _perm_order(self.g_perm):
                 raise ActionError("g action order must divide p (a prime power)")
             for s in self.sigma_gens:
@@ -91,34 +132,70 @@ class GComplex:
             seen.add(t)
 
     # -- derived structure --------------------------------------------------
+    # Built on first use and kept for the life of the complex.  The values
+    # live in the instance __dict__, outside the dataclass fields, so ==,
+    # hash and `replace` ignore them (`replace` and the constructions below
+    # return cold complexes), and every one of them is immutable.
 
-    def simplices(self) -> dict[int, list[tuple[int, ...]]]:
-        """Closure of the facets, keyed by dimension, sorted tuples."""
-        from itertools import combinations
+    def simplices(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+        """Closure of the facets, keyed by dimension in increasing order, sorted tuples."""
+        return self._simplices
 
+    @cached_property
+    def _simplices(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
         got: set[tuple[int, ...]] = set()
         for f in self.facets:
             for q in range(1, len(f) + 1):
-                for s in combinations(f, q):
-                    got.add(s)
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for s in got:
-            out.setdefault(len(s) - 1, []).append(s)
-        for q in out:
-            out[q].sort()
-        return out
+                got.update(combinations(f, q))
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
+        for s in sorted(got):
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        return MappingProxyType({q: tuple(by_dim[q]) for q in sorted(by_dim)})
+
+    def simplex_index(self) -> Mapping[int, Mapping[tuple[int, ...], int]]:
+        """Position of each simplex in its dimension's `simplices()` list."""
+        return self._simplex_index
+
+    @cached_property
+    def _simplex_index(self) -> Mapping[int, Mapping[tuple[int, ...], int]]:
+        return MappingProxyType({q: MappingProxyType({s: i for i, s in enumerate(lst)})
+                                 for q, lst in self._simplices.items()})
+
+    def derived(self, build: Callable[[GComplex], T]) -> T:
+        """`build(self)`, computed on the first call with this `build` and kept.
+
+        For structure other modules derive from a complex (`homology` keeps
+        its boundary divisors and alternating chain complex here); `build`
+        must return an immutable value.
+        """
+        cache = self._derived
+        if build not in cache:
+            cache[build] = build(self)
+        return cache[build]
+
+    @cached_property
+    def _derived(self) -> dict[Callable, object]:
+        return {}
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy carry the fields only; the copy starts cold
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def dim(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
     # -- group table ---------------------------------------------------------
 
-    def group(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    def group(self) -> Mapping[tuple[int, ...], tuple[tuple[int, ...], int]]:
         """Map abstract sigma (one-line tuple) -> (vertex permutation, sign).
 
         Built by BFS over the Cayley graph; revisiting an element with a
         different vertex image means the generators are not a representation.
         """
+        return self._group
+
+    @cached_property
+    def _group(self) -> Mapping[tuple[int, ...], tuple[tuple[int, ...], int]]:
         ident_s = tuple(range(self.k))
         ident_v = tuple(range(self.n_vertices))
         table = {ident_s: (ident_v, 1)}
@@ -140,47 +217,52 @@ class GComplex:
                         table[s2] = (v2, -sg)
                         nxt.append(s2)
             frontier = nxt
-        return table
+        return MappingProxyType(table)
 
-    def all_elements(self) -> list[tuple[tuple[int, ...], int]]:
+    def all_elements(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Every (vertex permutation, sign) of the full group including g powers.
 
-        The g factor carries sign +1: only the symmetric part is signed.
+        The g factor carries sign +1: only the symmetric part is signed.  The
+        powers of g run up to the order of g, which divides (and may be far
+        below) p.
         """
-        base = list(self.group().values())
+        return self._elements
+
+    @cached_property
+    def _elements(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        base = tuple(self.group().values())
         if self.g_perm is None:
             return base
         out = []
         g = tuple(range(self.n_vertices))
-        for _ in range(self.p):
-            for v, sg in base:
-                out.append((_compose(g, v), sg))
+        for _ in range(_perm_order(self.g_perm)):
+            out.extend((_compose(g, v), sg) for v, sg in base)
             g = _compose(self.g_perm, g)
-        return out
+        return tuple(out)
 
     # -- actions on simplexes -------------------------------------------------
 
     def is_simplicial(self) -> bool:
-        simp = self.simplices()
-        allset = {s for q in simp.values() for s in q}
+        index = self.simplex_index()
         for v, _ in self.all_elements():
             for f in self.facets:
-                img = tuple(sorted(v[x] for x in f))
-                if img not in allset:
+                if tuple(sorted(v[x] for x in f)) not in index.get(len(f) - 1, ()):
                     return False
         return True
 
     def is_good(self) -> bool:
         """Invariant simplexes are fixed vertex by vertex."""
-        simp = self.simplices()
-        for v, _ in self.all_elements():
-            if all(v[i] == i for i in range(self.n_vertices)):
-                continue
-            for q, simlist in simp.items():
-                for s in simlist:
-                    img = tuple(sorted(v[x] for x in s))
-                    if img == s and any(v[x] != x for x in s):
-                        return False
+        return self._good
+
+    @cached_property
+    def _good(self) -> bool:
+        # A simplex mapped onto itself with a vertex moved contains that
+        # vertex's whole cycle, and a cycle inside a facet is such a face.
+        facets = [set(f) for f in self.facets]
+        for v in {v for v, _ in self.all_elements()}:
+            for cycle in _cycles(v):
+                if any(cycle <= f for f in facets):
+                    return False
         return True
 
     # -- constructions ---------------------------------------------------------
@@ -231,6 +313,11 @@ class GComplex:
         return replace(self, facets=tuple(sorted(keep)), g_perm=None, p=None)
 
     def g_fixed_subcomplex(self) -> "GComplex":
+        """Subcomplex fixed by the cyclic action, built once per complex."""
+        return self._g_fixed
+
+    @cached_property
+    def _g_fixed(self) -> "GComplex":
         if self.g_perm is None:
             return replace(self, g_perm=None, p=None)
         return self.fixed_subcomplex([self.g_perm])
@@ -270,14 +357,10 @@ class GComplex:
 def _is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    for q in range(2, n + 1):
-        if q * q > n:
-            return n > 1  # n itself prime
-        if n % q == 0:
-            while n % q == 0:
-                n //= q
-            return n == 1
-    return False
+    q = smallest_prime_factor(n)
+    while n % q == 0:
+        n //= q
+    return n == 1
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -358,7 +441,7 @@ def load_json(path: str) -> GComplex:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # undecodable bytes, bad JSON, an int past int()'s digit limit
             raise ActionError(f"{path}: not a JSON file: {exc}") from None
     return from_json_dict(data)
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import (_alternating_homology, alternating_chain_complex,
-                       alternating_homology, homology)
-from .linalg import column_space_basis_mod, mat_mul_mod, rank_mod
-from .simplicial import ActionError, GComplex, smallest_prime_factor
+from .homology import (AltChainComplex, _alternating_homology, _sorted_with_sign,
+                       alternating_chain_complex, alternating_homology, homology)
+from .linalg import column_space_basis_mod, mat_mul_mod, mat_pow_mod, rank_mod
+from .simplicial import ActionError, GComplex, _perm_order, smallest_prime_factor
 
 
 @dataclass
@@ -78,9 +78,10 @@ def verify_equivariant_smith(X: GComplex, N: int | None = None) -> tuple[bool, l
             h = Y.g_perm
             Z = Y
         else:
-            # subgroup of order p generated by g^(order/p)
-            h = Y.g_perm
-            for _ in range(order // p - 1):
+            # subgroup of order p generated by g^(order/p); g's own order
+            # may be far below `order`, so step only order/p mod that
+            h = tuple(range(Y.n_vertices))
+            for _ in range(order // p % _perm_order(Y.g_perm)):
                 h = tuple(Y.g_perm[x] for x in h)
             Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p, Y.coords)
         lhs = alternating_homology(Z, fields=(f"F{p}",)).field_ranks[f"F{p}"]
@@ -123,18 +124,15 @@ class SpecialRanksReport:
         return all(self.additivity)
 
 
-def _g_matrix_on_alt(X: GComplex, alt, q: int, p: int) -> list[list[int]]:
+def _g_matrix_on_alt(X: GComplex, alt: AltChainComplex, q: int, p: int) -> list[list[int]]:
     """Matrix of the cyclic generator acting on the alternating basis mod p."""
-    from .homology import _sorted_with_sign
-
-    reps = alt.reps.get(q, [])
-    gens = alt.gens.get(q, [])
-    rep_index = {s: i for i, s in enumerate(reps)}
+    gens = alt.gens.get(q, ())
+    rep_index = alt.rep_index.get(q, {})
     g = X.g_perm
     M = [[0] * len(gens) for _ in range(len(gens))]
     for j, chain in enumerate(gens):
         # image of the generator under g, read off at representatives
-        for s, c in chain.items():
+        for s, c in chain:
             img, osign = _sorted_with_sign([g[x] for x in s])
             i = rep_index.get(img)
             if i is not None:
@@ -161,28 +159,20 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
     top = max(alt.reps, default=-1)
     degrees = list(range(top + 1))
 
-    def eta_power_matrix(q: int, power: int) -> list[list[int]]:
-        n = len(alt.reps.get(q, []))
-        G = _g_matrix_on_alt(X, alt, q, p)
-        E = [[(1 if a == b else 0) - G[a][b] for b in range(n)] for a in range(n)]
-        E = [[x % p for x in row] for row in E]
-        M = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for _ in range(power):
-            M = mat_mul_mod(M, E, p) if n else []
-        return M
-
     dim_alt, dim_rho, dim_rho_bar, dim_fixed, additivity = [], [], [], [], []
     rho_bases: dict[int, list[list[int]]] = {}
     rho_bar_bases: dict[int, list[list[int]]] = {}
     for q in degrees:
-        n = len(alt.reps.get(q, []))
-        Mi = eta_power_matrix(q, i)
-        Mbar = eta_power_matrix(q, p - i)
+        n = len(alt.reps.get(q, ()))
+        G = _g_matrix_on_alt(X, alt, q, p)
+        eta = [[((1 if a == b else 0) - G[a][b]) % p for b in range(n)] for a in range(n)]  # 1 - g
+        Mi = mat_pow_mod(eta, i, p)
+        Mbar = mat_pow_mod(eta, p - i, p)
         cols_i = column_space_basis_mod(Mi, p) if n else []
         cols_bar = column_space_basis_mod(Mbar, p) if n else []
         rho_bases[q] = [[Mi[r][c] for c in cols_i] for r in range(n)]
         rho_bar_bases[q] = [[Mbar[r][c] for c in cols_bar] for r in range(n)]
-        nf = len(alt_fixed.reps.get(q, []))
+        nf = len(alt_fixed.reps.get(q, ()))
         dim_alt.append(n)
         dim_rho.append(len(cols_i))
         dim_rho_bar.append(len(cols_bar))
@@ -205,8 +195,8 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
     a = image_complex_homology(rho_bases)
     a_bar = image_complex_homology(rho_bar_bases)
     field = f"F{p}"
-    ah = _alternating_homology(alt, (field,)).field_ranks[field]
-    ah_fixed_full = _alternating_homology(alt_fixed, (field,)).field_ranks[field]
+    ah = _alternating_homology(X, (field,)).field_ranks[field]
+    ah_fixed_full = _alternating_homology(fixed, (field,)).field_ranks[field]
     ah = ah + [0] * (len(degrees) - len(ah))
     ah_fixed = ah_fixed_full + [0] * (len(degrees) - len(ah_fixed_full))
     ah_fixed = ah_fixed[: len(degrees)]

@@ -209,6 +209,46 @@ def test_cli_argparse_errors_exit_64(capsys):
     assert "expected one argument" in proc.stderr
 
 
+def _simplicial_subprocess(*argv):
+    # a subprocess with a timeout, so that a hang fails the test instead of the run
+    return subprocess.run([sys.executable, "-m", "germlab.cli", "simplicial", *argv],
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_cli_primes_above_max_p_exit_64_quickly(tmp_path):
+    def refused(*argv):
+        proc = _simplicial_subprocess(*argv)
+        assert proc.returncode == 64, (argv[1:], proc.stderr)
+        assert proc.stdout == "" and "germlab: error:" in proc.stderr, argv[1:]
+
+    def with_p(p: str) -> str:
+        path = tmp_path / f"p{len(p)}.json"
+        path.write_text('{"vertices": 2, "facets": [[0], [1]], "sigma_generators": [], '
+                        '"g_action": [0, 1], "p": %s}' % p)
+        return str(path)
+
+    rp2 = str(COMPLEXES / "rp2.json")
+    refused(rp2, "homology", "--coeff", "F100000000000000000039")
+    refused(with_p("100000000000031"), "floyd")
+    from germlab.simplicial import MAX_P
+
+    for p in (str(MAX_P + 1), str(2**40), "9" * 5000):
+        refused(rp2, "homology", "--coeff", "F" + p)
+        refused(with_p(p), "floyd")
+
+
+def test_cli_large_accepted_p_finishes(tmp_path):
+    # g of order 1 with a large p: only g's own powers are enumerated, and
+    # the special complexes take powers of 1 - g by repeated squaring
+    path = tmp_path / "trivial-g.json"
+    for p, action in ((2**30, ("smith",)), (2147483647, ("smith", "--i", "2000000000")),
+                      (2147483647, ("floyd",))):
+        path.write_text('{"vertices": 2, "facets": [[0], [1]], "sigma_generators": [], '
+                        '"g_action": [0, 1], "p": %d}' % p)
+        proc = _simplicial_subprocess(str(path), *action)
+        assert proc.returncode == 0, (p, action, proc.stderr)
+
+
 def test_cli_engine_value_errors_are_internal(capsys, monkeypatch):
     import germlab.cli as cli
     import germlab.homology

@@ -1,12 +1,20 @@
+import copy
+import pickle
+import random
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from germlab.homology import (alternating_homology, chi_alt_fixed_point_formula,
+from germlab.homology import (alternating_chain_complex, alternating_homology,
+                              boundary_matrices, chi_alt_fixed_point_formula, chi_top,
                               homology, induced_homology_action_ranks)
+from germlab.randoms import random_block_complex
 from germlab.simplicial import (ActionError, GComplex, from_json_dict, load_json,
-                                to_json_dict, validate_or_subdivide)
+                                smallest_prime_factor, to_json_dict,
+                                validate_or_subdivide)
 from germlab.smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
 
 RP2_FACETS = tuple(tuple(sorted((a - 1, b - 1, c - 1))) for a, b, c in [
@@ -249,3 +257,137 @@ def test_smith_special_ranks_endpoints_literal():
     assert rep0.dim_rho == rep0.dim_alt
     rep2 = smith_special_ranks(X, 2)  # rho = eta^p = 0
     assert all(d == 0 for d in rep2.dim_rho)
+
+
+# -- per-complex caches --------------------------------------------------------
+
+
+def _homology_pipeline(X: GComplex) -> GComplex:
+    """What one request of the benchmark's homology workload asks of a complex."""
+    Y = validate_or_subdivide(X)
+    homology(Y, "Z")
+    alternating_homology(Y)
+    chi_alt_fixed_point_formula(Y)
+    verify_floyd(Y)
+    verify_equivariant_smith(Y)
+    smith_special_ranks(Y, 1)
+    return Y
+
+
+def _cyclic_random_complex() -> GComplex:
+    return random_block_complex(random.Random(7), k=2, m=3, n_facets=4, max_dim=2, p=3)
+
+
+def test_homology_pipeline_eliminates_each_matrix_once(monkeypatch):
+    import germlab.homology as hom
+
+    closure = GComplex.__dict__["_simplices"]
+    build_closure = closure.func
+    builds: Counter = Counter()
+    complexes: list[GComplex] = []  # kept alive so that ids stay distinct
+
+    def counted_closure(X):
+        builds[id(X)] += 1
+        complexes.append(X)
+        return build_closure(X)
+
+    eliminated = []
+    snf = hom.smith_normal_form
+    monkeypatch.setattr(closure, "func", counted_closure)
+    monkeypatch.setattr(hom, "smith_normal_form", lambda M: eliminated.append(M) or snf(M))
+    sphere_swap = load_json(str(Path(__file__).resolve().parent.parent / "complexes"
+                                / "sphere-swap.json"))
+    for X in (sphere_swap, _cyclic_random_complex()):
+        assert X.p is not None and smallest_prime_factor(X.p) == X.p
+        eliminated.clear()
+        Y = _homology_pipeline(X)
+        fixed = Y.g_fixed_subcomplex()  # Floyd and the special ranks share it
+        reindexed = Y.reindexed_fixed_subcomplex()  # equivariant Smith's right side
+        # H_* over Z and F_p of Y and of its fixed complex; AH_* of Y, of the
+        # fixed complex and of its reindexed copy
+        need = sum(len(boundary_matrices(Z)[1]) for Z in (Y, fixed))
+        need += sum(len(alternating_chain_complex(Z).boundaries)
+                    for Z in (Y, fixed, reindexed))
+        assert need and len(eliminated) == need
+    assert builds and set(builds.values()) == {1}
+
+
+def _cached(X: GComplex) -> set[str]:
+    return set(vars(X)) - {f.name for f in fields(GComplex)}
+
+
+def test_cached_structure_is_immutable_and_invisible():
+    X = _cyclic_random_complex()
+    twin = GComplex(X.n_vertices, X.facets, X.k, X.sigma_gens, X.g_perm, X.p)
+    _homology_pipeline(X)
+    assert _cached(X) and not _cached(twin)
+    assert X == twin and hash(X) == hash(twin)
+    simp, index, table, elements = X.simplices(), X.simplex_index(), X.group(), X.all_elements()
+    assert all(len(simp[q]) == len(index[q]) for q in simp)
+    for mapping, key in ((simp, 0), (index, 0), (index[0], (0,)), (table, next(iter(table)))):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    with pytest.raises(AttributeError):
+        simp[0].append((0,))
+    with pytest.raises(TypeError):
+        elements[0] = elements[0]
+    alt = alternating_chain_complex(X)
+    with pytest.raises(TypeError):
+        alt.divisors[1] = ()
+    with pytest.raises(AttributeError):
+        alt.boundaries[1][0].append(0)
+    # answers are fresh objects: scribbling on one leaves the next intact
+    H = homology(X, "Z")
+    H.betti.append(99)
+    H.torsion[0].append(99)
+    assert homology(X, "Z") == homology(twin, "Z")
+    for cold in (replace(X, coords=None), X.barycentric_subdivision(),
+                 X.reindexed_fixed_subcomplex(), X.fixed_subcomplex([X.g_perm]),
+                 pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
+        assert not _cached(cold)
+    assert pickle.loads(pickle.dumps(X)) == X == copy.deepcopy(X)
+
+
+_ENTRY_POINTS = (
+    ("H_Z", lambda X: homology(X, "Z")),
+    ("H_Q", lambda X: homology(X, "Q")),
+    ("H_F2", lambda X: homology(X, "F2")),
+    ("H_F3", lambda X: homology(X, "F3")),
+    ("AH", lambda X: alternating_homology(X, fields=("Q", "F2", "F3"))),
+    ("AH_Q", lambda X: alternating_homology(X, fields=("Q",))),
+    ("chi_alt", chi_alt_fixed_point_formula),
+    ("chi_top", chi_top),
+    ("good", lambda X: X.is_good()),
+    ("cells", lambda X: {q: list(s) for q, s in X.simplices().items()}),
+    ("floyd", lambda X: verify_floyd(X) if X.p else None),
+    ("smith", lambda X: verify_equivariant_smith(X) if X.p else None),
+    ("special", lambda X: [smith_special_ranks(X, i) for i in range(X.p + 1)]
+     if X.p else None),
+)
+
+
+def test_cached_answers_match_fresh_complexes():
+    # a seeded differential oracle: every entry point on warmed complexes,
+    # called in two orders, against the same call on a cold copy
+    rng = random.Random(20240608)
+    for case in range(50):
+        k, m = rng.choice(((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)))
+        p = rng.choice([None] + [q for q in (2, 3) if q <= m])
+        X = random_block_complex(rng, k=k, m=m, n_facets=rng.randint(2, 4),
+                                 max_dim=rng.randint(1, 2), p=p)
+
+        def cold():
+            return GComplex(X.n_vertices, X.facets, X.k, X.sigma_gens, X.g_perm, X.p)
+
+        forward, backward = cold(), cold()
+        got_forward = {name: fn(forward) for name, fn in _ENTRY_POINTS}
+        got_backward = {name: fn(backward) for name, fn in reversed(_ENTRY_POINTS)}
+        for name, fn in _ENTRY_POINTS:
+            want = fn(cold())
+            assert got_forward[name] == want == got_backward[name], (case, name)
+            assert fn(forward) == want, (case, name)
+        if case % 5 == 0:  # exact rational linear algebra: every fifth case
+            want = induced_homology_action_ranks(cold())
+            assert induced_homology_action_ranks(forward) == want, case
