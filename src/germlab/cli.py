@@ -258,11 +258,6 @@ def cmd_analyze(args) -> int:
     return 0 if rep.verdict == CANDIDATE else 1
 
 
-def _table_worker(payload):
-    entry, max_k, seed = payload
-    return analyze(entry.germ, max_k=max_k, seed=seed, name=entry.label)
-
-
 def cmd_table(args) -> int:
     entries = []
     if args.which in ("simple", "all"):
@@ -271,14 +266,8 @@ def cmd_table(args) -> int:
         entries += default_nonsimple_entries()
     if args.row:
         entries = [_row_entry(label) for label in {r.upper() for r in args.row}]
-    payloads = [(e, _max_k(args), args.seed) for e in entries]
-    if args.jobs > 1 and len(entries) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_table_worker, payloads))
-    else:
-        reports = [_table_worker(p) for p in payloads]
+    reports = [analyze(e.germ, max_k=_max_k(args), seed=args.seed, name=e.label)
+               for e in entries]
     mismatches = 0
     out_rows = []
     candidates = []
@@ -441,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--json", action="store_true")
     pt.add_argument("--max-k", type=int, default=None)
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--jobs", type=int, default=1,
-                    help="analyze table entries in parallel processes")
     pt.set_defaults(fn=cmd_table)
 
     pw = sub.add_parser("witness", help="verify a real perturbation witness")

@@ -234,7 +234,7 @@ def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
         return status(EMPTY)
     # substituting solutions without constant term keeps the germ nonempty
     elim = eliminate_linear(list(space.ideal.gens))
-    gens = [g for g in elim.gens if not g.is_zero()]
+    gens = elim.gens
     if not gens:
         dim = elim.ring.nvars
         if expected_dim < 0:

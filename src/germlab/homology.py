@@ -14,6 +14,11 @@ simplexes whose stabilizer contains no odd element of Sigma_k (a stabilizer
 element fixes its simplex pointwise on a good complex, so an odd one forces
 the coefficient to vanish); orbits with even stabilizers survive and
 contribute a single signed generator.
+
+`induced_homology_action_ranks` is the independent oracle for AH over Q: by
+Maschke's theorem AH_*(X; Q) is the sign isotype of H_*(X; Q), the homology
+of the image of the alternating projector, whose ranks it takes with
+`linalg.rank_q` from the boundary matrices and the group table alone.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import kernel_q, rref_q, smith_normal_form
+from .linalg import rank_q, smith_normal_form
 from .simplicial import (MAX_P, ActionError, GComplex, check_p, perm_sign,
                          smallest_prime_factor)
 
@@ -126,9 +131,6 @@ class AltChainComplex:
     gens: Mapping[int, tuple[tuple[tuple[Simplex, int], ...], ...]]
     boundaries: Mapping[int, tuple[tuple[int, ...], ...]]  # d_q in the generator bases
 
-    def dims(self) -> dict[int, int]:
-        return {q: len(r) for q, r in self.reps.items()}
-
     @cached_property
     def divisors(self) -> Mapping[int, tuple[int, ...]]:
         """Elementary divisors of each boundary matrix, eliminated on first use."""
@@ -201,10 +203,6 @@ class AltHomologyResult:
     chi_top: int
     chi_alt: int
 
-    def abeta(self, i: int, field: str | None = None) -> int:
-        seq = self.ranks if field is None else self.field_ranks[field]
-        return seq[i] if 0 <= i < len(seq) else 0
-
 
 def alternating_homology(X: GComplex, fields: tuple[str, ...] = ()) -> AltHomologyResult:
     """AH_*(X; Z) with torsion, plus ranks over requested fields ("Q", "F2", ...)."""
@@ -262,111 +260,44 @@ def chi_alt_fixed_point_formula(X: GComplex) -> Fraction:
     return total / len(table)
 
 
-# -- alternating isotype of homology (field coefficients) ----------------------
+# -- alternating isotype of homology (rational coefficients) ------------------
 
 
 def induced_homology_action_ranks(X: GComplex) -> list[int]:
-    """rank of the sign-isotype of H_i(X; Q) under the Sigma_k action.
+    """Rank of the sign isotype of H_q(X; Q) under Sigma_k, for each q.
 
-    Computes H_i as cycles modulo boundaries with explicit bases, pushes each
-    group element through, and takes the trace of the alternating projector.
-    The coordinate system [boundaries | homology reps] is factored once per
-    degree; each trace term is then a dot product.
+    The alternating projector (1/k!) sum_sigma sgn(sigma) sigma commutes
+    with d, so by Maschke's theorem the isotype is the homology of its
+    image.  Scaled by k! it is an integer matrix P_q on C_q, and the rank
+    is rank P_q - rank d_q P_q - rank d_{q+1} P_{q+1}, every rank taken by
+    `rank_q`.  Nothing here uses the alternating chain complex or a Smith
+    normal form, so this checks `alternating_homology` independently; the
+    action need not be good.  The matrices are built transposed (a row per
+    basis simplex), which leaves every rank unchanged.
     """
     simp, mats = boundary_matrices(X)
-    table = X.group()
-    order = len(table)
-    top = max(simp, default=-1)
-    out = []
-    for q in range(top + 1):
-        basis = simp.get(q, [])
-        n = len(basis)
-        dq = mats.get(q, [])
-        dq1 = mats.get(q + 1, [])
-        dq_f = [[Fraction(x) for x in r] for r in dq]
-        Z = kernel_q(dq_f, n) if dq else [
-            [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        B_cols: list[list[Fraction]] = []
-        if dq1:
-            cols = len(dq1[0])
-            _, pivots = rref_q([[Fraction(dq1[i][j]) for j in range(cols)] for i in range(n)])
-            for pc in pivots:
-                B_cols.append([Fraction(dq1[i][pc]) for i in range(n)])
-        # extend B to a basis of the cycle space by greedy column echelon
-        sel: list[list[Fraction]] = []
-        sel_rref: list[list[Fraction]] = []  # row-echelon copies for quick tests
-        sel_pivots: list[int] = []
-
-        def try_add(v):
-            w = list(v)
-            for row, pc in zip(sel_rref, sel_pivots):
-                if w[pc]:
-                    f = w[pc]
-                    for i in range(n):
-                        if row[i]:
-                            w[i] -= f * row[i]
-            piv = next((i for i in range(n) if w[i]), None)
-            if piv is None:
-                return False
-            f = w[piv]
-            sel_rref.append([x / f for x in w])
-            sel_pivots.append(piv)
-            sel.append(list(v))
-            return True
-
-        for b in B_cols:
-            try_add(b)
-        nb = len(sel)
-        H_reps = []
-        for z in Z:
-            if try_add(z):
-                H_reps.append(z)
-        hdim = len(H_reps)
-        if hdim == 0:
-            out.append(0)
-            continue
-        c = len(sel)
-        # pivot rows make the square system; factor M^T once for the H rows
-        R = sel_pivots[:]  # after try_add echelon, these rows are independent
-        M = [[sel[cc][r] for cc in range(c)] for r in R]
-        # solve M^T y_j = e_{nb+j} for all j at once via an augmented rref
-        aug = [[M[r][i] for r in range(c)] for i in range(c)]  # M^T
-        for i in range(c):
-            aug[i].extend(Fraction(1) if i == nb + j else Fraction(0) for j in range(hdim))
-        rows, pivots = rref_q(aug)
-        Y = [[Fraction(0)] * hdim for _ in range(c)]
-        for row, pc in zip(rows, pivots):
-            if pc < c:
-                for j in range(hdim):
-                    Y[pc][j] = row[c + j]
-        rowpos = {r: t for t, r in enumerate(R)}
-        idx = {s: i for i, s in enumerate(basis)}
-        trace = Fraction(0)
-        for vperm, sign in table.values():
-            maps = {}
-            for jj, z in enumerate(H_reps):
-                img_R = [Fraction(0)] * c
-                for i, zi in enumerate(z):
-                    if zi == 0:
-                        continue
-                    key = i
-                    got = maps.get(key)
-                    if got is None:
-                        tgt, osign = _sorted_with_sign([vperm[x] for x in basis[i]])
-                        got = (idx[tgt], osign)
-                        maps[key] = got
-                    ti, osign = got
-                    t = rowpos.get(ti)
-                    if t is not None:
-                        img_R[t] += zi * osign
-                acc = Fraction(0)
-                for t in range(c):
-                    if img_R[t]:
-                        acc += Y[t][jj] * img_R[t]
-                trace += sign * acc
-        val = trace / order
-        if val.denominator != 1:
-            raise ActionError("alternating projector trace is not integral")
-        out.append(int(val))
-    return out
+    index = X.simplex_index()
+    elements = X.group().values()
+    rank_P: dict[int, int] = {}
+    rank_dP: dict[int, int] = {}
+    for q, basis in simp.items():
+        # column j of d_q as (row, entry) pairs: the boundary of basis[j]
+        d_cols = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*mats.get(q, ()))]
+        P, dP = [], []  # row j: P_q e_j and d_q P_q e_j
+        for s in basis:
+            Ps: dict[int, int] = {}
+            for v, sign in elements:
+                img, osign = _sorted_with_sign([v[x] for x in s])
+                j = index[q].get(img)
+                if j is None:
+                    raise ActionError("action is not simplicial")
+                Ps[j] = Ps.get(j, 0) + sign * osign
+            P.append([Ps.get(j, 0) for j in range(len(basis))])
+            if q:
+                dPs = [0] * len(simp[q - 1])
+                for j, c in Ps.items():
+                    for r, a in d_cols[j]:
+                        dPs[r] += c * a
+                dP.append(dPs)
+        rank_P[q], rank_dP[q] = rank_q(P), rank_q(dP)
+    return [rank_P[q] - rank_dP[q] - rank_dP.get(q + 1, 0) for q in range(len(simp))]

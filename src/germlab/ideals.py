@@ -76,15 +76,6 @@ def reduces_to_zero(f: Polynomial, I: Ideal) -> bool:
     return not _kernel.normal_form(_int_terms(f), basis, I.local)
 
 
-def _minimal_exponents(leads: list[tuple]) -> list[tuple]:
-    out = []
-    for e in leads:
-        if not any(all(x <= y for x, y in zip(f, e)) and f != e for f in leads):
-            if e not in out:
-                out.append(e)
-    return out
-
-
 def germ_is_empty(I: Ideal) -> bool:
     """True iff the germ at the origin is empty.
 
@@ -141,11 +132,15 @@ def contains_one(I: Ideal) -> bool:
 
 
 def _monomial_ideal_dimension(leads: list[tuple], nvars: int) -> int:
-    """Krull dimension of a monomial ideal: largest independent variable set."""
+    """Krull dimension of a monomial ideal: largest independent variable set.
+
+    S is independent when no lead's support lies inside S; a lead that is
+    not minimal has a support containing a minimal lead's, so all leads may
+    be tested.
+    """
     if any(sum(e) == 0 for e in leads):
         return -1
-    leads = _minimal_exponents(leads)
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
+    supports = {frozenset(i for i, x in enumerate(e) if x) for e in leads}
     best = -1
     for mask in range(1 << nvars):
         S = frozenset(i for i in range(nvars) if mask >> i & 1)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: integer Smith normal form, rank/kernel over Q and F_p.
+"""Exact linear algebra: integer Smith normal form, rank over Q and over F_p.
 
 Matrices are dense lists of rows.  The Smith normal form is the homology
 workhorse: one elimination per boundary matrix gives its elementary
@@ -9,6 +9,12 @@ entries, so the elimination takes unit pivots first on a sparse copy, in
 order of lowest Markowitz cost (Dumas, Saunders and Villard 2001); each
 is a divisor 1 and changes no other divisor.  Only the core left without a
 unit entry, usually empty, goes through the dense gcd loop.
+
+`rank_q` is the one elimination over Q.  The sign-isotype oracle in
+`homology` uses it so that it shares no code with the Smith normal form,
+and `milnor` uses it to test that a random mixing matrix is invertible.
+Mod p there is a column-space basis, the rank read off it, and matrix
+products and powers for the Smith-theory special complexes.
 """
 
 from __future__ import annotations
@@ -147,7 +153,12 @@ def _dense_divisors(A: list[list[int]]) -> list[int]:
     return divisors
 
 
-def rank_q(mat: list[list[Fraction]]) -> int:
+def rank_q(mat: list[list[int | Fraction]]) -> int:
+    """Rank over Q of a matrix with int or Fraction entries, by Gaussian elimination.
+
+    Each pivot row is subtracted from the rows below it on its nonzero
+    entries only, which keeps sparse matrices cheap.
+    """
     A = [row[:] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -159,54 +170,17 @@ def rank_q(mat: list[list[Fraction]]) -> int:
             col += 1
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        pv = A[rank][col]
-        A[rank] = [a / pv for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
+        pv = Fraction(A[rank][col])
+        support = [(j, b) for j, b in enumerate(A[rank]) if b]
+        for i in range(rank + 1, m):
+            row = A[i]
+            if row[col]:
+                f = row[col] / pv
+                for j, b in support:
+                    row[j] -= f * b
         rank += 1
         col += 1
     return rank
-
-
-def rref_q(mat: list[list[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    A = [[Fraction(x) for x in row] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        pv = A[rank][col]
-        A[rank] = [a / pv for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return A[:rank], pivots
-
-
-def kernel_q(mat: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of an m x n matrix."""
-    rows, pivots = rref_q(mat)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, pc in zip(rows, pivots):
-            v[pc] = -r[f]
-        basis.append(v)
-    return basis
 
 
 def column_space_basis_mod(mat: list[list[int]], p: int) -> list[int]:

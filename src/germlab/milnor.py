@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian,
                      local_dimension, minors)
+from .linalg import rank_q
 from .poly import Polynomial, PolyRing, eliminate_linear
 
 
@@ -42,12 +43,6 @@ class IcisReport:
     tjurina: int | None
     is_smooth: bool
     is_A1: bool
-
-
-def _reduce(gens: list[Polynomial]):
-    elim = eliminate_linear(gens)
-    live = [g for g in elim.gens if not g.is_zero()]
-    return live, elim.ring
 
 
 def _jacobian_colength(g: Polynomial) -> int:
@@ -117,27 +112,9 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
     m = len(gens)
     while True:
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-        if _det(rows) != 0:
+        if rank_q(rows) == m:
             break
     return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
-
-
-def _det(rows):
-    n = len(rows)
-    rows = [r[:] for r in rows]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if rows[r][i]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            rows[i], rows[piv] = rows[piv], rows[i]
-            det = -det
-        det *= rows[i][i]
-        for r in range(i + 1, n):
-            f = rows[r][i] / rows[i][i]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
-    return det
 
 
 def milnor_icis(I: Ideal, expected_dim: int, route: str = "auto",
@@ -158,7 +135,8 @@ def milnor_icis(I: Ideal, expected_dim: int, route: str = "auto",
         gens = [g for g in I.gens if not g.is_zero()]
         ring = I.ring
     else:
-        gens, ring = _reduce(list(I.gens))
+        elim = eliminate_linear(list(I.gens))
+        gens, ring = elim.gens, elim.ring
     if not gens:
         if ring.nvars != expected_dim:
             raise NonIcisError(f"smooth of dimension {ring.nvars}, expected {expected_dim}")

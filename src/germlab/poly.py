@@ -116,12 +116,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nsyms, Fraction(0))
 
-    def total_degree(self) -> int:
-        """Max total degree over all symbols; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.ring.index(name)
         if not self.terms:
@@ -416,6 +410,9 @@ class Elimination:
 
     `subs` is triangular: each solution is recorded as it was solved, so it
     may involve variables eliminated after it, never ones eliminated before.
+    `gens` holds no zero polynomial: zeros are dropped at every step, and
+    casting to the smaller ring cannot cancel terms, so callers need not
+    filter them again.
     """
 
     gens: list[Polynomial]

@@ -196,8 +196,7 @@ def classify_real_space(gens: list[Polynomial], expected_dim: int) -> RealSpace:
     if contains_one(Ideal.of(gens, local=False)):
         return RealSpace(EMPTY)  # complex-empty, a fortiori real-empty
     elim = eliminate_linear(gens)
-    live = [g for g in elim.gens if not g.is_zero()]
-    ring = elim.ring
+    live, ring = elim.gens, elim.ring
     if any(g.is_constant() for g in live):
         return RealSpace(EMPTY)
     if not live:

@@ -47,7 +47,7 @@ class TailLedger:
         return all(ok for *_, ok in self.rows())
 
 
-def verify_floyd(X: GComplex, N: int | None = None) -> tuple[bool, TailLedger]:
+def verify_floyd(X: GComplex) -> tuple[bool, TailLedger]:
     """Floyd inequality over F_p for the cyclic action of X; checks all N."""
     if X.g_perm is None:
         raise ActionError("no cyclic action on this complex")
@@ -57,11 +57,10 @@ def verify_floyd(X: GComplex, N: int | None = None) -> tuple[bool, TailLedger]:
     lhs = homology(X, f"F{p}").betti
     rhs = homology(X.g_fixed_subcomplex(), f"F{p}").betti
     ledger = TailLedger(f"beta tails over F{p}", lhs, rhs)
-    ok = ledger.holds if N is None else ledger.rows()[min(N, len(ledger.rows()) - 1)][3]
-    return ok, ledger
+    return ledger.holds, ledger
 
 
-def verify_equivariant_smith(X: GComplex, N: int | None = None) -> tuple[bool, list[TailLedger]]:
+def verify_equivariant_smith(X: GComplex) -> tuple[bool, list[TailLedger]]:
     """Equivariant Smith inequality; prime powers reduce along the subgroup chain.
 
     For |G| = p^e the tails chain through X >= X^{G'} >= ... >= X^G where G'
@@ -91,13 +90,7 @@ def verify_equivariant_smith(X: GComplex, N: int | None = None) -> tuple[bool, l
         if order == p:
             break
         Y = fixed  # carries the residual action of order p^{e-1}
-    ok_all = all(l.holds for l in ledgers)
-    if N is not None:
-        def tail_at(l, n):
-            rows = l.rows()
-            return rows[min(n, len(rows) - 1)][3]
-        ok_all = all(tail_at(l, N) for l in ledgers)
-    return ok_all, ledgers
+    return all(l.holds for l in ledgers), ledgers
 
 
 # -- special complexes ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Seeded oracles for the Smith normal form.
 
 The elementary divisors must agree with rank routines that share no code
-with the elimination (`rank_q` over Fractions, `rank_mod` over F_p), form a
+with the elimination (`rank_q` over Q, `rank_mod` over F_p), form a
 divisibility chain, multiply to |det| on full-rank square matrices, and
 reproduce the diagonal of D from U D V with U, V unimodular.
 """
@@ -88,10 +88,16 @@ def test_divisors_match_rank_oracles_and_chain():
         divs = smith_normal_form(mat)
         assert mat == copy
         assert len(divs) == rank_q([[Fraction(x) for x in row] for row in mat]), mat
+        assert len(divs) == rank_q(mat) and mat == copy, mat
         for p in PRIMES:
             assert sum(1 for d in divs if d % p) == rank_mod(mat, p), (mat, p)
         assert all(d > 0 for d in divs)
         assert all(b % a == 0 for a, b in zip(divs, divs[1:])), divs
+
+
+def test_rank_q_is_exact_on_integer_entries():
+    # in floating point 10**20 + 1 == 10**20, which would hide the second pivot
+    assert rank_q([[1, 10**20], [1, 10**20 + 1]]) == 2
 
 
 def test_divisors_multiply_to_determinant():

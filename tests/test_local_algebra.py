@@ -7,6 +7,7 @@ import pytest
 from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
                             local_dimension, minors)
+from germlab.linalg import rank_q
 from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
 from germlab.poly import Polynomial, PolyRing
 
@@ -109,9 +110,7 @@ def test_milnor_invariance_under_coordinate_changes():
         # random invertible linear substitution
         while True:
             M = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            from germlab.milnor import _det
-
-            if _det(M) != 0:
+            if rank_q(M) == 3:
                 break
         imgs = {}
         for i, v in enumerate(R.vars):
@@ -213,8 +212,6 @@ def _macaulay_colength(gens, nvars, D):
     < D; the quotient's dimension is that number minus their rank.  Columns
     run from the highest degree down, which keeps the elimination sparse.
     """
-    from germlab.linalg import rank_q
-
     cols = sorted((e for e in product(range(D), repeat=nvars) if sum(e) < D),
                   key=lambda e: (-sum(e), e))
     index = {e: i for i, e in enumerate(cols)}

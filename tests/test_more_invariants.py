@@ -69,20 +69,6 @@ def test_cmd_table_bit_for_bit_deterministic():
     assert out1 == out2
 
 
-def test_cmd_table_parallel_matches_sequential():
-    def grab(*extra):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            rc = main(["table", "simple", "--row", "A2", "--row", "B2",
-                       "--row", "Q2", *extra])
-        return rc, buf.getvalue()
-
-    rc1, seq = grab()
-    rc2, par = grab("--jobs", "2")
-    assert rc1 == rc2 == 0
-    assert seq == par
-
-
 def test_smith_special_trivial_g_degenerate():
     # trivial cyclic action: eta = 0, both special complexes vanish and the
     # sequence degenerates onto the fixed part

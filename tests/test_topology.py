@@ -118,6 +118,23 @@ def test_alternating_trivial_action_on_point():
     ah = alternating_homology(X)
     assert ah.ranks == [0]
     assert chi_alt_fixed_point_formula(X) == 0
+    assert induced_homology_action_ranks(X) == ah.ranks
+
+
+def test_isotype_of_a_complex_that_is_not_good():
+    # Sigma_3 permuting the vertices of the hollow triangle: H_0 is the
+    # trivial representation and a transposition reverses the 1-cycle
+    base = hollow_triangle()
+    X = GComplex(3, base.facets, k=3, sigma_gens=((1, 0, 2), (0, 2, 1)))
+    assert not X.is_good()
+    assert induced_homology_action_ranks(X) == [0, 1]
+
+
+def test_isotype_refuses_an_action_that_is_not_simplicial():
+    # the swap of vertices 0 and 2 sends the edge (0, 1) to (1, 2), absent here
+    X = GComplex(3, ((0, 1), (2,)), k=2, sigma_gens=((2, 1, 0),))
+    with pytest.raises(ActionError):
+        induced_homology_action_ranks(X)
 
 
 def test_even_stabilizer_orbit_survives():
@@ -388,6 +405,5 @@ def test_cached_answers_match_fresh_complexes():
             want = fn(cold())
             assert got_forward[name] == want == got_backward[name], (case, name)
             assert fn(forward) == want, (case, name)
-        if case % 5 == 0:  # exact rational linear algebra: every fifth case
-            want = induced_homology_action_ranks(cold())
-            assert induced_homology_action_ranks(forward) == want, case
+        want = induced_homology_action_ranks(cold())
+        assert induced_homology_action_ranks(forward) == want, case
