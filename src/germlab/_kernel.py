@@ -1,11 +1,14 @@
 """The reduction kernel (pure Python) that `ideals` calls through.
 
 Hot loops for the basis engines: weak normal form (Mora's algorithm with
-ecart control for local orders, classical division for global ones) and the
-Buchberger/Mora completion loop.  Polynomials cross this boundary as plain
-dicts mapping exponent tuples to Python ints, primitive (content 1) and
-defined up to a positive rational factor -- leading ideals, memberships and
-colengths are all invariant under that scaling.
+ecart control) for local orders, full head-and-tail reduction for global
+ones, and the Buchberger/Mora completion loop.  One reduction step, `_step`
+(h := c_g*h - c_h*x^a*g, content removed), is the only place two
+polynomials are combined: both normal forms and every S-polynomial go
+through it.  Polynomials cross this boundary as plain dicts mapping
+exponent tuples to Python ints, primitive (content 1) and defined up to a
+positive rational factor -- leading ideals, memberships and colengths are
+all invariant under that scaling.
 
 Local completions watch the highest corner (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra, 1.7; Singular's `noether` bound).
@@ -82,9 +85,7 @@ def staircase(leads, nvars, maxdeg=None):
 
 
 def _normalized(terms):
-    """Divide by integer content, make the max-key coefficient sign stable."""
-    if not terms:
-        return terms
+    """Divide by the integer content (the sign is left to `_sign_fix`)."""
     g = 0
     for c in terms.values():
         g = gcd(g, c if c >= 0 else -c)
@@ -159,78 +160,36 @@ def _nf_local(f, reducers, trunc=0):
 
 
 def _nf_global(f, reducers):
-    """Full (head and tail) reduction by [lead, terms, ...] reducers."""
-    out = {}
-    work = _normalized(dict(f))
-    while work:
-        we = min(work, key=_global_key)
-        hit = None
+    """Full (head and tail) reduction by [lead, terms, ...] reducers.
+
+    Terms are taken largest first; one that no reducer lead divides is
+    final.  A step changes only terms below the one it removes, so final
+    terms stay final (scaled with the rest) and come out largest first.
+    """
+    h = _normalized(dict(f))
+    final = {}
+    while len(final) < len(h):
+        he = min(h.keys() - final, key=_global_key)
         for r in reducers:
-            if _divides(r[0], we):
-                hit = r
+            if _divides(r[0], he):
+                h = _step(h, he, r[1], r[0])
                 break
-        if hit is None:
-            out[we] = work.pop(we)
-            continue
-        ge, g = hit[0], hit[1]
-        cg = g[ge]
-        cw = work[we]
-        shift = tuple(map(sub, we, ge))
-        nw = {e: c * cg for e, c in work.items()}
-        for e, c in g.items():
-            e2 = tuple(map(add, e, shift))
-            s = nw.get(e2, 0) - c * cw
-            if s:
-                nw[e2] = s
-            else:
-                nw.pop(e2, None)
-        if out:
-            for e in list(out):
-                out[e] *= cg
-        # joint content normalization keeps the pair consistent
-        both = list(nw.values()) + list(out.values())
-        gg = 0
-        for c in both:
-            gg = gcd(gg, c if c >= 0 else -c)
-            if gg == 1:
-                break
-        if gg > 1:
-            nw = {e: c // gg for e, c in nw.items()}
-            out = {e: c // gg for e, c in out.items()}
-        work = nw
-    return _sign_fix(out, False)
-
-
-def normal_form(f, basis, local, trunc=0):
-    if not f:
-        return {}
-    reducers = []
-    for g in basis:
-        if g:
-            ge = lead_exp(g, local)
-            reducers.append((ge, g, _ecart(g, ge) if local else 0))
-    if local:
-        return _nf_local(f, reducers, trunc)
-    return _nf_global(f, reducers)
-
-
-def _spoly(gi, ei, gj, ej):
-    lcm = tuple(map(max, ei, ej))
-    si = tuple(map(sub, lcm, ei))
-    sj = tuple(map(sub, lcm, ej))
-    ci = gi[ei]
-    cj = gj[ej]
-    out = {}
-    for e, c in gi.items():
-        out[tuple(map(add, e, si))] = c * cj
-    for e, c in gj.items():
-        e2 = tuple(map(add, e, sj))
-        s = out.get(e2, 0) - c * ci
-        if s:
-            out[e2] = s
         else:
-            out.pop(e2, None)
-    return _normalized(out)
+            final[he] = None
+    return _sign_fix({e: h[e] for e in final}, False)
+
+
+def _entry(terms, local):
+    """A [lead, terms, ecart] entry (ecart 0 for global orders)."""
+    lead = lead_exp(terms, local)
+    return [lead, terms, _ecart(terms, lead) if local else 0]
+
+
+def normal_form(f, basis, local):
+    reducers = [_entry(g, local) for g in basis if g]
+    if local:
+        return _nf_local(f, reducers)
+    return _nf_global(f, reducers)
 
 
 class _Corner:
@@ -296,8 +255,7 @@ def std_basis(gens, local, trunc=0):
         if g:
             h = _sign_fix(_normalized(_truncate(dict(g), trunc)), local)
             if h:
-                he = lead_exp(h, local)
-                G.append([he, h, _ecart(h, he) if local else 0])
+                G.append(_entry(h, local))
     if not G:
         return []
     zero = (0,) * len(G[0][0])
@@ -337,9 +295,10 @@ def std_basis(gens, local, trunc=0):
                     break
         if skip:
             continue
-        s = _spoly(G[i][1], ei, G[j][1], ej)
-        if trunc:
-            s = _truncate(s, trunc)
+        # the s-polynomial is one step: x^(lcm-ei)*gi's lead removed by gj
+        si = tuple(map(sub, lcm, ei))
+        s = _truncate({tuple(map(add, e, si)): c for e, c in G[i][1].items()}, trunc)
+        s = _step(s, lcm, G[j][1], ej, trunc)
         if not s:
             continue
         reducers = [t for t in G if t[1]]
@@ -349,10 +308,11 @@ def std_basis(gens, local, trunc=0):
             h = _nf_global(s, reducers)
         if not h:
             continue
-        he = lead_exp(h, local)
+        t = _entry(h, local)
+        he = t[0]
         if he == zero:
             return unit
-        G.append([he, h, _ecart(h, he) if local else 0])
+        G.append(t)
         n = len(G) - 1
         for k in range(n):
             heappush(pairs, (sum(map(max, G[k][0], he)), k, n))

@@ -273,6 +273,9 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     missing = [q for q in perturbation.ring.params if q not in assignment]
     if missing:
         raise WitnessPreconditionError(f"unassigned parameters: {missing}")
+    unknown = sorted(set(assignment) - set(perturbation.ring.params))
+    if unknown:
+        raise WitnessPreconditionError(f"unknown parameters: {unknown}")
     report = _base_report(germ, max_k, seed)
     if report.verdict != CANDIDATE:
         raise WitnessPreconditionError(
@@ -306,7 +309,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
                 note = "must be empty"
                 real = RealSpace(EMPTY) if ok else classify_real_space(gens, max(ce.d_sigma, 0))
             else:
-                ok = affine_is_smooth(space.ideal, ce.d_sigma)
+                ok = affine_is_smooth(space.ideal)
                 note = "must be smooth"
                 real = classify_real_space(gens, ce.d_sigma)
             chi_c = _chi_complex(ce)

@@ -216,10 +216,12 @@ def singular_locus_ideal(I: Ideal) -> Ideal:
     return I.with_extra(mins)
 
 
-def affine_is_smooth(I: Ideal, expected_dim: int) -> bool:
+def affine_is_smooth(I: Ideal) -> bool:
     """Smoothness of the affine complete intersection (possibly empty).
 
     True iff 1 lies in I + (maximal minors of the Jacobian), global basis.
+    I must be presented by codimension-many generators, so the Jacobian
+    criterion itself fixes the dimension.
     """
     J = replace(singular_locus_ideal(I), local=False)
     return contains_one(J)

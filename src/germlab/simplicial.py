@@ -26,8 +26,9 @@ import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
+from math import comb
 from types import MappingProxyType
 from typing import TypeVar
 
@@ -36,6 +37,10 @@ MAX_K = 7  # k! group elements are enumerated
 # p of a cyclic action, 2^31 - 1.  Factoring it by trial division takes
 # milliseconds; a larger p from input would take unbounded time.
 MAX_P = 2**31 - 1
+# The most cells (simplexes of every dimension) a complex may have, as given
+# or subdivided.  Homology's dense boundary matrices grow with the square of
+# the cell count: 9,365 cells take 2.5 s and 170 MB; 94,585 exhaust 1.5 GB.
+MAX_CELLS = 10_000
 
 T = TypeVar("T")
 
@@ -104,6 +109,8 @@ class GComplex:
     coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ActionError(f"vertex count {self.n_vertices} is negative")
         if self.k < 1 or self.k > MAX_K:
             raise ActionError(f"symmetric rank k must be in 1..{MAX_K}")
         if len(self.sigma_gens) != self.k - 1:
@@ -372,14 +379,35 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+@cache
+def _interior_cells(d: int) -> int:
+    """Cells the barycentric subdivision puts inside one d-simplex."""
+    return 1 + sum(comb(d + 1, j + 1) * _interior_cells(j) for j in range(d))
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise ActionError(f"{what} has {cells} cells, above the supported maximum {MAX_CELLS}")
+
+
 def validate_or_subdivide(X: GComplex, max_rounds: int = 2) -> GComplex:
-    """Return a simplicially good complex, subdividing at most `max_rounds` times."""
+    """Return a simplicially good complex, subdividing at most `max_rounds` times.
+
+    A subdivision with more than MAX_CELLS cells is refused before it is built.
+    """
+    widest = max(map(len, X.facets), default=0)
+    if widest >= MAX_CELLS.bit_length():  # the faces of that facet alone pass the cap
+        raise ActionError(f"a facet on {widest} vertices has 2^{widest} - 1 faces, "
+                          f"above the supported maximum of {MAX_CELLS} cells")
+    _check_cells(sum(map(len, X.simplices().values())), "the complex")
     if not X.is_simplicial():
         raise ActionError("action does not map simplexes to simplexes")
     Y = X
     for _ in range(max_rounds + 1):
         if Y.is_good():
             return Y
+        _check_cells(sum(_interior_cells(q) * len(s) for q, s in Y.simplices().items()),
+                     "the barycentric subdivision")
         Y = Y.barycentric_subdivision()
     raise ActionError("action not good after repeated subdivision")
 
@@ -418,7 +446,7 @@ def from_json_dict(data: dict) -> GComplex:
         raise ActionError(f"a complex must be a JSON object, got {type(data).__name__}")
     verts = data.get("vertices")
     coords = None
-    if isinstance(verts, int):
+    if type(verts) is int:  # not a bool
         n = verts
     elif isinstance(verts, list):
         n = len(verts)

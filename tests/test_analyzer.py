@@ -133,6 +133,8 @@ def test_witness_preconditions():
         witness_check(a2, a2w, {"s": Fraction(1)})  # analyze(A2) FAILS
     with pytest.raises(WitnessPreconditionError):
         witness_check(Q2, Q2W, {})  # unassigned parameter
+    with pytest.raises(WitnessPreconditionError, match=r"unknown parameters: \['S'\]"):
+        witness_check(Q2, Q2W, {"s": Fraction(1), "S": Fraction(1)})  # a typo for s
 
 
 def test_zero_dim_counts_cross_cap_analog():

@@ -146,6 +146,8 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     q2 = str(GERMS / "q2.germ")
     assert run_cli("analyze", q2, "--param", "s=abc") == 64
     assert run_cli("analyze", q2, "--param", "s=1/0") == 64
+    assert run_cli("witness", q2, "--param", "S=1") == 64  # a typo for s
+    assert "unknown parameters: ['S']" in capsys.readouterr().err
     assert run_cli("table", "simple", "--row", "P3^x") == 64
     assert run_cli("table", "simple", "--row", "S1") == 64
     bad = tmp_path / "bad.json"
@@ -157,6 +159,8 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     for text in ('{"vertices": 3}', '{"vertices": 3, "facets": [[0, 1]]}', '[1, 2]',
                  '{"vertices": 3, "facets": [["a", 1]], "sigma_generators": []}',
                  '{"vertices": [[1], 2], "facets": [], "sigma_generators": []}',
+                 '{"vertices": -1, "facets": [], "sigma_generators": []}',
+                 '{"vertices": true, "facets": [], "sigma_generators": []}',
                  '{%s, "g_action": 3, "p": 2}' % swap,
                  '{%s, "g_action": [1, 0], "p": "2"}' % swap):
         bad.write_text(text)
@@ -235,6 +239,28 @@ def test_cli_primes_above_max_p_exit_64_quickly(tmp_path):
     for p in (str(MAX_P + 1), str(2**40), "9" * 5000):
         refused(rp2, "homology", "--coeff", "F" + p)
         refused(with_p(p), "floyd")
+
+
+def test_cli_complex_above_the_cell_cap_exits_64_quickly(tmp_path):
+    # a 6-simplex with Sigma_6 swapping six of its vertices: one subdivision
+    # would have 94,585 cells, and its boundary matrices would exhaust memory
+    from germlab.simplicial import MAX_CELLS, load_json, validate_or_subdivide
+
+    swaps = [list(range(i)) + [i + 1, i] + list(range(i + 2, 7)) for i in range(5)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": 7, "facets": [list(range(7))],
+                                "sigma_generators": swaps}))
+    proc = _simplicial_subprocess(str(path), "homology")
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stdout == "" and f"94585 cells, above the supported maximum {MAX_CELLS}" in proc.stderr
+    path.write_text(json.dumps({"vertices": 20, "facets": [list(range(20))],
+                                "sigma_generators": []}))
+    proc = _simplicial_subprocess(str(path), "homology")
+    assert proc.returncode == 64 and "2^20 - 1 faces" in proc.stderr, proc.stderr
+    # the shipped complexes subdivided twice (at most 1,081 cells) pass
+    for path in sorted(COMPLEXES.glob("*.json")):
+        X = load_json(str(path)).barycentric_subdivision().barycentric_subdivision()
+        assert validate_or_subdivide(X) == X
 
 
 def test_cli_large_accepted_p_finishes(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from operator import le
 
 from germlab import _kernel
 
@@ -105,3 +106,93 @@ def test_truncated_and_untruncated_bases_share_the_staircase():
                 cut = _kernel.std_basis([dict(g) for g in gens], True, D)
                 assert sorted(_kernel.staircase(_leads(cut), nv, D - 1)) == \
                     [m for m in stair if sum(m) < D]
+
+
+def _seeded_ideal(seed):
+    rng = random.Random(seed)
+    nv = rng.choice([2, 3])
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = {}
+        for _ in range(rng.randint(2, 4)):
+            g[tuple(rng.randint(0, 3) for _ in range(nv))] = rng.choice([-3, -2, -1, 1, 2, 3])
+        gens.append(g)
+    return gens
+
+
+# std_basis output (local modulo nothing, local modulo m^8, global), terms in
+# the order the kernel returns them
+PINNED = {
+    23: ([{(0, 1, 3): -1, (0, 0, 3): 3, (0, 3, 2): -1}, {(2, 3, 3): 1, (2, 1, 1): 1}],
+         [{(0, 1, 3): -1, (0, 0, 3): 3, (0, 3, 2): -1}, {(2, 1, 1): 1}],
+         [{(0, 1, 3): 1, (0, 0, 3): -3, (0, 3, 2): 1},
+          {(2, 1, 4): 1, (2, 0, 4): -3, (2, 1, 1): -1},
+          {(2, 3, 1): 1, (2, 0, 4): 27, (2, 2, 1): 3, (2, 1, 2): 1, (2, 1, 1): 9},
+          {(2, 0, 5): 9, (2, 2, 2): 1, (2, 1, 2): 3, (2, 0, 3): 1}]),
+    25: ([{(1, 2, 1): 3, (2, 3, 0): -2, (0, 2, 3): -3, (1, 1, 3): 1},
+          {(3, 0, 2): 1, (2, 3, 0): 3},
+          {(3, 4, 0): 2, (1, 3, 3): 3, (2, 2, 3): -1, (3, 0, 3): 1},
+          {(0, 5, 5): 9, (1, 2, 7): 3, (2, 1, 7): -1, (2, 5, 4): -2, (0, 4, 7): -3,
+           (1, 3, 7): 1}],
+         [{(1, 2, 1): 3, (2, 3, 0): -2, (0, 2, 3): -3, (1, 1, 3): 1},
+          {(3, 0, 2): 1, (2, 3, 0): 3},
+          {(3, 4, 0): 2, (1, 3, 3): 3, (2, 2, 3): -1, (3, 0, 3): 1}],
+         [{(3, 0, 2): 1, (2, 3, 0): 3},
+          {(3, 0, 2): 2, (1, 1, 3): 3, (0, 2, 3): -9, (1, 2, 1): 9},
+          {(1, 4, 3): 3, (0, 5, 3): -9, (2, 1, 5): 1, (1, 2, 5): -3, (1, 5, 1): 9,
+           (2, 2, 3): 3},
+          {(0, 6, 3): 6, (1, 3, 5): 2, (1, 6, 1): -6, (1, 1, 6): -1, (0, 2, 6): 3,
+           (1, 2, 4): -3}]),
+    34: ([{(1, 0, 2): -2, (0, 1, 0): 1, (2, 2, 0): 3, (1, 2, 2): -1},
+          {(4, 0, 4): 4, (5, 2, 2): -6, (4, 2, 4): 2, (7, 2, 0): -243, (6, 3, 0): -27,
+           (4, 3, 2): 3}],
+         [{(1, 0, 2): -2, (0, 1, 0): 1, (2, 2, 0): 3, (1, 2, 2): -1}],
+         [{(1, 0, 2): 2, (0, 1, 0): -1, (2, 2, 0): -3, (1, 2, 2): 1},
+          {(3, 2, 0): 3, (2, 2, 0): -1},
+          {(3, 0, 2): 6, (2, 0, 2): -2, (2, 1, 0): -3, (1, 1, 0): 1},
+          {(2, 1, 2): 6, (1, 1, 2): -2, (1, 2, 0): -3, (0, 2, 0): 1},
+          {(1, 3, 0): 3, (2, 0, 2): 12, (0, 3, 0): -1, (1, 0, 2): -4, (1, 1, 0): -6,
+           (0, 1, 0): 2},
+          {(2, 0, 4): 12, (0, 3, 2): -1, (1, 0, 4): -4, (2, 0, 2): -12, (1, 1, 2): -12,
+           (0, 3, 0): 1, (1, 0, 2): 4, (0, 1, 2): 2, (1, 1, 0): 6, (0, 2, 0): 3,
+           (0, 1, 0): -2},
+          {(0, 4, 2): 1, (2, 2, 0): 18, (0, 4, 0): -1, (0, 3, 0): -3, (1, 0, 2): -12,
+           (0, 1, 0): 6}]),
+}
+
+
+def test_std_basis_output_is_pinned():
+    # dict order counts too: repr is compared, not just ==
+    for seed, want in PINNED.items():
+        gens = _seeded_ideal(seed)
+        got = (_kernel.std_basis([dict(g) for g in gens], True, 0),
+               _kernel.std_basis([dict(g) for g in gens], True, 8),
+               _kernel.std_basis([dict(g) for g in gens], False))
+        assert repr(got) == repr(want), seed
+
+
+def _s_polynomial(f, g):
+    # written out here, apart from the kernel's reduction step
+    fe, ge = _kernel.lead_exp(f, False), _kernel.lead_exp(g, False)
+    lcm = tuple(map(max, fe, ge))
+    out = {}
+    for h, he, c in ((f, fe, g[ge]), (g, ge, -f[fe])):
+        for e, a in h.items():
+            e2 = tuple(x + y - z for x, y, z in zip(e, lcm, he))
+            out[e2] = out.get(e2, 0) + c * a
+    return {e: c for e, c in out.items() if c}
+
+
+def test_global_bases_meet_buchberger_criterion():
+    for seed in range(16):
+        gens = _seeded_ideal(seed)
+        basis = _kernel.std_basis([dict(g) for g in gens], False)
+        leads = [_kernel.lead_exp(g, False) for g in basis]
+        for i, a in enumerate(leads):
+            assert not any(all(map(le, b, a)) for j, b in enumerate(leads) if j != i), seed
+        for g in gens:
+            assert _kernel.normal_form(g, basis, False) == {}, seed
+        for i in range(len(basis)):
+            for j in range(i):
+                s = _s_polynomial(basis[i], basis[j])
+                assert _kernel.normal_form(s, basis, False) == {}, seed

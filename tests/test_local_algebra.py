@@ -155,13 +155,13 @@ def test_affine_checks():
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = syms(R)
     gens = [z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 - 1, x + y * (z1 + z2)]
-    assert affine_is_smooth(Ideal.of(gens, local=False), 2)
+    assert affine_is_smooth(Ideal.of(gens, local=False))
     R2 = PolyRing(("x",))
     x = R2.sym("x")
-    assert not affine_is_smooth(Ideal.of([x ** 2], local=False), 0)
+    assert not affine_is_smooth(Ideal.of([x ** 2], local=False))
     R3 = PolyRing(("x", "y"))
     x, y = syms(R3)
-    assert affine_is_smooth(Ideal.of([x ** 2 + y ** 2 - 1], local=False), 1)
+    assert affine_is_smooth(Ideal.of([x ** 2 + y ** 2 - 1], local=False))
     assert contains_one(Ideal.of([x ** 2 + 1, y - x, x + y], local=False))
 
 
