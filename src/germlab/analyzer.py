@@ -32,6 +32,7 @@ from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceSta
                     build_Dk, class_size, marar_mond_check)
 from .ideals import affine_is_smooth, contains_one
 from .milnor import mu_chain
+from .poly import eliminate_linear
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
 FAILS = "FAILS"
@@ -302,16 +303,14 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         parity_ok: bool | None = True
         orbit_ok: bool | None = None
         for ce in grp_row.classes:
-            space = build_Dk(pert, k, ce.partition, local=False)
-            gens = list(space.ideal.gens)
+            # one emptiness test and one elimination decide both sides
+            I = build_Dk(pert, k, ce.partition, local=False).ideal
+            elim = None if contains_one(I) else eliminate_linear(I.gens)
             if ce.status == "empty" or ce.d_sigma < 0:
-                ok = contains_one(space.ideal)
-                note = "must be empty"
-                real = RealSpace(EMPTY) if ok else classify_real_space(gens, max(ce.d_sigma, 0))
+                ok, note = elim is None, "must be empty"
             else:
-                ok = affine_is_smooth(space.ideal)
-                note = "must be smooth"
-                real = classify_real_space(gens, ce.d_sigma)
+                ok, note = (elim is None or affine_is_smooth(I, elim)), "must be smooth"
+            real = RealSpace(EMPTY) if elim is None else classify_real_space(elim, max(ce.d_sigma, 0))
             chi_c = _chi_complex(ce)
             chi_r = real.chi
             comparisons.append(ClassComparison(ce.partition, ce.d_sigma, ok, note,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .ideals import INF, Ideal, colength, germ_is_empty, local_dimension
+from .ideals import (INF, Ideal, colength, germ_is_empty, local_dimension,
+                     singular_locus_ideal)
 from .poly import Polynomial, PolyRing, divided_differences, eliminate_linear
 
 
@@ -222,8 +223,6 @@ def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
     elimination and, for expected dimension at most 0, its colength, so the
     invariant step neither eliminates nor measures it again.
     """
-    from .ideals import singular_locus_ideal
-
     expected_dim = space.expected_dim
 
     def status(kind, dim=None, reason="", reduced=None, length=None):

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import lcm
 
 from . import _kernel
-from .poly import PolyError, Polynomial, PolyRing
+from .poly import Elimination, PolyError, Polynomial, PolyRing
 
 INF = float("inf")
 
@@ -216,12 +216,19 @@ def singular_locus_ideal(I: Ideal) -> Ideal:
     return I.with_extra(mins)
 
 
-def affine_is_smooth(I: Ideal) -> bool:
-    """Smoothness of the affine complete intersection (possibly empty).
+def affine_is_smooth(I: Ideal, elim: Elimination) -> bool:
+    """Smoothness of a nonempty affine complete intersection, already eliminated.
 
-    True iff 1 lies in I + (maximal minors of the Jacobian), global basis.
-    I must be presented by codimension-many generators, so the Jacobian
-    criterion itself fixes the dimension.
+    I must not contain 1, and elim = eliminate_linear(I.gens).  I + (c x c
+    Jacobian minors), c = min(#gens, nvars), is the preimage of the Fitting
+    ideal Fitt_{n-c} of the differentials of Q[x]/I, which the presentation
+    does not change: the test runs on elim with c less the eliminated
+    variables.  A dropped generator leaves fewer rows than c, so the Fitting
+    ideal is 0 and the space singular; no generator left is an affine space.
     """
-    J = replace(singular_locus_ideal(I), local=False)
-    return contains_one(J)
+    size = min(len(I.gens), I.ring.nvars) - len(elim.subs)
+    if size > len(elim.gens):
+        return False
+    if not elim.gens:
+        return True
+    return contains_one(singular_locus_ideal(Ideal.of(elim.gens, local=False)))

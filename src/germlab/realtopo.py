@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ideals import Ideal, contains_one
-from .poly import Polynomial, eliminate_linear
+from .poly import Elimination, Polynomial
 
 EMPTY = "EMPTY"
 SPHERE = "SPHERE"
@@ -186,19 +185,13 @@ def sturm_distinct_real_roots(coeffs: list[Fraction]) -> int:
     return variations(-1) - variations(+1)
 
 
-def classify_real_space(gens: list[Polynomial], expected_dim: int) -> RealSpace:
-    """Classify the real points of an affine complete intersection model."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return RealSpace(CELL, dim=expected_dim)
-    if any(g.is_constant() for g in gens):
-        return RealSpace(EMPTY)
-    if contains_one(Ideal.of(gens, local=False)):
-        return RealSpace(EMPTY)  # complex-empty, a fortiori real-empty
-    elim = eliminate_linear(gens)
+def classify_real_space(elim: Elimination, expected_dim: int) -> RealSpace:
+    """Classify the real points of a nonempty affine model, already eliminated.
+
+    elim is the linear elimination of an ideal that does not contain 1, so
+    its generators are nonzero and none is constant.
+    """
     live, ring = elim.gens, elim.ring
-    if any(g.is_constant() for g in live):
-        return RealSpace(EMPTY)
     if not live:
         return RealSpace(CELL, dim=ring.nvars)
     if expected_dim == 0:

@@ -200,8 +200,6 @@ def test_analyze_builds_each_space_once(monkeypatch):
 def test_analyze_asks_each_local_question_once(monkeypatch):
     # the sweep's answers are final: no standard basis is asked for twice in
     # one analysis, and the checked Milnor entry point is never reached
-    import sys
-
     import germlab.ideals as ideals
     import germlab.milnor as milnor
     from germlab.catalog import nonsimple_entry, simple_entry
@@ -217,16 +215,98 @@ def test_analyze_asks_each_local_question_once(monkeypatch):
         raise AssertionError("milnor_icis called during analyze")
 
     monkeypatch.setattr(ideals, "standard_basis", recording_basis)
-    real_icis = milnor.milnor_icis
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("germlab") and getattr(mod, "milnor_icis", None) is real_icis:
-            monkeypatch.setattr(mod, "milnor_icis", refuse)
+    _patch_everywhere(monkeypatch, milnor.milnor_icis, refuse)
     for entry in (simple_entry("Q", k=2), simple_entry("S", k=2, j=1),
                   nonsimple_entry("VIII")):
         asked.clear()
         analyze(entry.germ)
         assert asked, entry.label
         assert len(set(asked)) == len(asked), entry.label
+
+
+def _patch_everywhere(monkeypatch, real, fake):
+    """Replace `real` in every germlab module that bound it at import time."""
+    import sys
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("germlab"):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, fake)
+
+
+def test_witness_asks_each_global_question_once(monkeypatch):
+    # one emptiness test and one linear elimination per class decide both the
+    # complex and the real side; smoothness minors live on the eliminated ring
+    import germlab.ideals as ideals
+    import germlab.poly as poly
+
+    a1 = make(["z^2", "z^3 + x^2*z + y^2*z"], name="A1")
+    a1w = make(["z^2", "z^3 + x^2*z + y^2*z - s*z"], params=("s",), name="A1s")
+    p1 = make(["y*z + z^4", "x*z + z^3"], name="P1")
+    p1w = make(["y*z + z^4 - s*z^2", "x*z + z^3"], params=("s",), name="P1s")
+    cases = [(Q2, Q2W), (a1, a1w), (p1, p1w)]
+    for base, pert in cases:
+        witness_check(base, pert, {"s": Fraction(1)})  # warms the base report
+
+    events = []
+    real_basis, real_minors = ideals.standard_basis, ideals.minors
+    real_elim, real_build = poly.eliminate_linear, analyzer.build_Dk
+
+    def basis(I, trunc=0):
+        events.append(("basis", tuple(I.gens), I.local))
+        return real_basis(I, trunc=trunc)
+
+    def minors(matrix, size):
+        events.append(("minors", len(matrix[0]), matrix[0][0].ring))
+        return real_minors(matrix, size)
+
+    def eliminate(gens, protected=()):
+        out = real_elim(gens, protected)
+        events.append(("elim", out.ring))
+        return out
+
+    def build(*args, **kwargs):
+        events.append(("build",))
+        return real_build(*args, **kwargs)
+
+    for real, fake in ((real_basis, basis), (real_minors, minors),
+                       (real_elim, eliminate), (real_build, build)):
+        _patch_everywhere(monkeypatch, real, fake)
+    seen_minors = 0
+    for base, pert in cases:
+        for s in (Fraction(1), Fraction(-1), Fraction(7, 3)):
+            events.clear()
+            rep = witness_check(base, pert, {"s": s})
+            classes = sum(len(row.classes) for row in rep.rows)
+            assert sum(e[0] == "build" for e in events) == classes
+            last_ring, elims_since_build = None, 0
+            for e in events:
+                if e[0] == "build":
+                    last_ring, elims_since_build = None, 0
+                elif e[0] == "elim":
+                    last_ring, elims_since_build = e[1], elims_since_build + 1
+                    assert elims_since_build == 1, (pert.name, s)
+                elif e[0] == "minors":
+                    seen_minors += 1
+                    assert e[2] == last_ring and e[1] == last_ring.nvars, (pert.name, s)
+            asked = [e[1:] for e in events if e[0] == "basis"]
+            assert len(set(asked)) == len(asked), (pert.name, s)
+    assert seen_minors
+
+
+def test_witness_empty_space_counts_as_smooth():
+    # the perturbed cusp (z^2 + s(z - z^2), z^3) is an immersion at s = 1: its
+    # double point space, which must be smooth, is empty and therefore smooth
+    cusp = make(["z^2", "z^3"], varnames=("z",), n=1, p=2, name="cusp")
+    pert = make(["z^2 + s*z - s*z^2", "z^3"], params=("s",), varnames=("z",), n=1, p=2)
+    rep = witness_check(cusp, pert, {"s": Fraction(1)})
+    k2 = next(r for r in rep.rows if r.k == 2)
+    smooth = k2.classes[0]
+    assert smooth.complex_note == "must be smooth" and smooth.complex_ok
+    assert smooth.real.kind == "EMPTY" and smooth.real.signature is None
+    assert (smooth.chi_complex, smooth.chi_real) == (2, 0)
+    assert rep.verdict == REFUTED  # the real picture has lost the node
 
 
 def test_mu_alt_matches_analyze_on_shipped_germs():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,6 +104,42 @@ def test_cli_rules_only(capsys):
     assert run_cli("analyze", str(GERMS / "a2.germ"), "--rules-only") == 1
     out = capsys.readouterr().out
     assert "R1 at k=2" in out and out.strip().endswith("FAILS")
+
+
+# witness text and --json output per (germ, s): exit code and the first 16
+# hex digits of sha256(text + json).  The output names no s, so the digest
+# depends on the sign of s only; it pins every class's smoothness verdict,
+# real class, signature and chi.
+WITNESS_PINS = [
+    ("q2", "1", 0, "8554515ce347a5b1"),
+    ("q2", "-1", 1, "666af593237b7165"),
+    ("q2", "1/2", 0, "8554515ce347a5b1"),
+    ("q2", "-1/2", 1, "666af593237b7165"),
+    ("q2", "7/3", 0, "8554515ce347a5b1"),
+    ("q2", "99/16", 0, "8554515ce347a5b1"),
+    ("a1", "1", 0, "a54e90b2a32eaaf6"),
+    ("a1", "-1", 1, "cfb02cc81aba9961"),
+    ("a1", "1/2", 0, "a54e90b2a32eaaf6"),
+    ("a1", "-1/2", 1, "cfb02cc81aba9961"),
+    ("a1", "7/3", 0, "a54e90b2a32eaaf6"),
+    ("a1", "99/16", 0, "a54e90b2a32eaaf6"),
+    ("p1", "1", 0, "0b16069258140c8e"),
+    ("p1", "-1", 1, "41a424aa78426605"),
+    ("p1", "1/2", 0, "0b16069258140c8e"),
+    ("p1", "-1/2", 1, "41a424aa78426605"),
+    ("p1", "7/3", 0, "0b16069258140c8e"),
+    ("p1", "99/16", 0, "0b16069258140c8e"),
+]
+
+
+@pytest.mark.parametrize("germ,s,code,digest", WITNESS_PINS)
+def test_cli_witness_output_pinned(capsys, germ, s, code, digest):
+    path = str(GERMS / f"{germ}.germ")
+    assert run_cli("witness", path, "--param", f"s={s}") == code
+    text = capsys.readouterr().out
+    assert run_cli("witness", path, "--param", f"s={s}", "--json") == code
+    out = text + capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
 
 
 def test_cli_witness_inconclusive_exit(capsys, tmp_path):

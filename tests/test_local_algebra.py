@@ -6,10 +6,10 @@ import pytest
 
 from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
-                            local_dimension, minors)
+                            local_dimension, minors, singular_locus_ideal)
 from germlab.linalg import rank_q
 from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
-from germlab.poly import Polynomial, PolyRing
+from germlab.poly import Polynomial, PolyRing, eliminate_linear
 
 
 def syms(ring):
@@ -151,18 +151,91 @@ def test_milnor_errors():
         milnor_icis(Ideal.of([R.const(1)]), 0)
 
 
+def smooth(gens):
+    """affine_is_smooth on a nonempty space, from its one elimination."""
+    I = Ideal.of(gens, local=False)
+    assert not contains_one(I)
+    return affine_is_smooth(I, eliminate_linear(gens))
+
+
+def jacobian_oracle(gens):
+    """The Jacobian criterion on the presentation as given."""
+    return contains_one(singular_locus_ideal(Ideal.of(gens, local=False)))
+
+
 def test_affine_checks():
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = syms(R)
     gens = [z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 - 1, x + y * (z1 + z2)]
-    assert affine_is_smooth(Ideal.of(gens, local=False))
+    assert smooth(gens)
     R2 = PolyRing(("x",))
     x = R2.sym("x")
-    assert not affine_is_smooth(Ideal.of([x ** 2], local=False))
+    assert not smooth([x ** 2])
     R3 = PolyRing(("x", "y"))
     x, y = syms(R3)
-    assert affine_is_smooth(Ideal.of([x ** 2 + y ** 2 - 1], local=False))
+    assert smooth([x ** 2 + y ** 2 - 1])
     assert contains_one(Ideal.of([x ** 2 + 1, y - x, x + y], local=False))
+
+
+def test_fitting_rule_dropped_generator_is_singular():
+    # x is eliminated and x*y becomes 0: one row short, so Fitt = 0
+    R = PolyRing(("x", "y"))
+    x, y = syms(R)
+    elim = eliminate_linear([x, x * y])
+    assert list(elim.subs) == ["x"] and elim.gens == []
+    assert not smooth([x, x * y])
+    assert not jacobian_oracle([x, x * y])
+
+
+def test_fitting_rule_everything_eliminated_is_smooth():
+    # the graph of (y^2, z^3): an affine line after eliminating x and y
+    R = PolyRing(("x", "y", "z"))
+    x, y, z = syms(R)
+    gens = [x - y ** 2, y - z ** 3]
+    elim = eliminate_linear(gens)
+    assert len(elim.subs) == 2 and elim.gens == []
+    assert smooth(gens) and jacobian_oracle(gens)
+
+
+def _random_ideal(rng, R):
+    """A few small generators, often linear in some variable, sometimes redundant."""
+    xs = syms(R)
+
+    def poly():
+        g = R.const(rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3)):
+            m = R.const(rng.choice((-2, -1, 1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                m = m * rng.choice(xs)
+            g = g + m
+        if rng.random() < 0.5:
+            g = g + rng.choice(xs)
+        return g
+
+    gens = [poly() for _ in range(rng.randint(1, R.nvars))]
+    if rng.random() < 0.3:
+        gens.append(gens[0] * rng.choice(xs + [R.const(2)]) + gens[-1])
+    return [g for g in gens if not g.is_zero()] or [xs[0]]
+
+
+def test_fitting_rule_matches_jacobian_criterion_on_original_presentation():
+    rng = random.Random(2024)
+    branches = {"empty": 0, "dropped": 0, "affine": 0, "minors": 0}
+    for trial in range(200):
+        R = PolyRing(("x", "y", "z")[:rng.choice((2, 3))])
+        gens = _random_ideal(rng, R)
+        expected = jacobian_oracle(gens)
+        I = Ideal.of(gens, local=False)
+        if contains_one(I):
+            branches["empty"] += 1
+            assert expected, gens  # an empty space counts as smooth
+            continue
+        elim = eliminate_linear(gens)
+        size = min(len(gens), R.nvars) - len(elim.subs)
+        branches["dropped" if size > len(elim.gens)
+                 else "affine" if not elim.gens else "minors"] += 1
+        assert affine_is_smooth(I, elim) == expected, (trial, gens)
+    assert all(branches.values()), branches
 
 
 def test_colength_counts_local_fiber_points():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from germlab.poly import PolyRing
+from germlab.ideals import Ideal, contains_one
+from germlab.poly import PolyRing, eliminate_linear
 from germlab.realtopo import (CELL, EMPTY, INCONCLUSIVE, POINTS, SPHERE,
                               classify_real_space, quadratic_parts, signature,
                               sturm_distinct_real_roots)
@@ -8,6 +9,12 @@ from germlab.realtopo import (CELL, EMPTY, INCONCLUSIVE, POINTS, SPHERE,
 
 def F(x):
     return Fraction(x)
+
+
+def classify(gens, expected_dim):
+    """classify_real_space on a nonempty space, from its one elimination."""
+    assert not contains_one(Ideal.of(gens, local=False))
+    return classify_real_space(eliminate_linear(gens), expected_dim)
 
 
 def test_signature_definite():
@@ -38,7 +45,7 @@ def test_classify_sphere():
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = (R.sym(n) for n in R.vars)
     gens = [x + y * (z1 + z2), z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 - 1]
-    space = classify_real_space(gens, 2)
+    space = classify(gens, 2)
     assert space.kind == SPHERE and space.dim == 2
     assert space.chi == 2 and space.betti() == [1, 0, 1]
     assert space.signature == (3, 0, 0)
@@ -48,28 +55,28 @@ def test_classify_empty_wrong_side():
     R = PolyRing(("y", "z1", "z2"))
     y, z1, z2 = (R.sym(n) for n in R.vars)
     gens = [z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 + 1]
-    assert classify_real_space(gens, 2).kind == EMPTY
+    assert classify(gens, 2).kind == EMPTY
 
 
 def test_classify_points_and_cell():
     R = PolyRing(("z1",))
     z1 = R.sym("z1")
-    got = classify_real_space([z1 ** 2 * 3 - 1], 0)
+    got = classify([z1 ** 2 * 3 - 1], 0)
     assert got.kind == POINTS and got.count == 2
     R2 = PolyRing(("x", "z1"))
     x, z1 = R2.sym("x"), R2.sym("z1")
-    got = classify_real_space([x + z1 ** 2], 1)
+    got = classify([x + z1 ** 2], 1)
     assert got.kind == CELL and got.dim == 1 and got.chi == 1
 
 
 def test_classify_inconclusive():
     R = PolyRing(("y", "z1"))
     y, z1 = R.sym("y"), R.sym("z1")
-    assert classify_real_space([y ** 2 - z1 ** 2 - 1], 1).kind == INCONCLUSIVE  # hyperbola
-    assert classify_real_space([y ** 3 + z1 ** 2 - 1], 1).kind == INCONCLUSIVE  # cubic
+    assert classify([y ** 2 - z1 ** 2 - 1], 1).kind == INCONCLUSIVE  # hyperbola
+    assert classify([y ** 3 + z1 ** 2 - 1], 1).kind == INCONCLUSIVE  # cubic
     R3 = PolyRing(("a", "b", "c"))
     a, b, c = (R3.sym(n) for n in R3.vars)
-    assert classify_real_space([a * a + b * b - 1, c * c + a - 2], 1).kind == INCONCLUSIVE
+    assert classify([a * a + b * b - 1, c * c + a - 2], 1).kind == INCONCLUSIVE
 
 
 def test_quadratic_parts():
