@@ -31,7 +31,7 @@ from operator import attrgetter
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
                     build_Dk, class_size, marar_mond_check)
 from .ideals import affine_is_smooth, contains_one
-from .milnor import mu_chain
+from .milnor import milnor
 from .poly import eliminate_linear
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
@@ -106,8 +106,7 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
 
     The identity partition comes first: its d^sigma is d_k, and an EMPTY one
     makes the whole row empty.  The sweep has certified every space, so
-    nothing is checked again: mu is colength - 1 for d^sigma = 0, and for
-    d^sigma > 0 the Milnor computation runs on the reduced generators.
+    nothing is checked again: `milnor.milnor` reads mu off each status.
     """
     k, d_k = statuses[0].k, statuses[0].expected_dim
     if statuses[0].kind == EMPTY_SPACE:
@@ -124,12 +123,7 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
             classes.append(ClassEntry(part, st.sigma_sharp, d_sigma, "beta0", beta0=1))
             acc -= size * (-1 if d_sigma % 2 else 1)
             continue
-        if st.reduced is None:  # smooth
-            mu = 0
-        elif d_sigma == 0:
-            mu = st.colength - 1
-        else:
-            mu = mu_chain(list(st.reduced.gens), st.reduced.ring, d_sigma, rng)
+        mu = milnor(st, rng)
         entry = ClassEntry(part, st.sigma_sharp, d_sigma, "mu", mu=mu)
         if d_sigma == 0:
             entry.count = mu + 1  # colength of the zero-dimensional space

@@ -176,9 +176,10 @@ def render_grp_report(rep) -> str:
     return "\n".join(lines)
 
 
-def witness_report_dict(rep) -> dict:
+def witness_report_dict(rep, params: dict[str, Fraction]) -> dict:
     return {
         "name": rep.name,
+        "params": {name: str(v) for name, v in params.items()},
         "verdict": rep.verdict,
         "rows": [
             {
@@ -213,8 +214,9 @@ def witness_report_dict(rep) -> dict:
     }
 
 
-def render_witness_report(rep) -> str:
-    lines = [f"witness {rep.name}: verdict {rep.verdict}"]
+def render_witness_report(rep, params: dict[str, Fraction]) -> str:
+    at = ", ".join(f"{name}={v}" for name, v in params.items())
+    lines = [f"witness {rep.name}{' at ' + at if at else ''}: verdict {rep.verdict}"]
     for r in rep.rows:
         head = f"k={r.k} d_k={r.d_k}"
         if r.germ_empty:
@@ -265,7 +267,7 @@ def cmd_table(args) -> int:
     if args.which in ("nonsimple", "all"):
         entries += default_nonsimple_entries()
     if args.row:
-        entries = [_row_entry(label) for label in {r.upper() for r in args.row}]
+        entries = [_row_entry(label) for label in dict.fromkeys(r.upper() for r in args.row)]
     reports = [analyze(e.germ, max_k=_max_k(args), seed=args.seed, name=e.label)
                for e in entries]
     mismatches = 0
@@ -324,9 +326,9 @@ def cmd_witness(args) -> int:
     rep = witness_check(germ, pert, values, max_k=_max_k(args), seed=args.seed,
                         name=gf.name)
     if args.json:
-        print(json.dumps(witness_report_dict(rep), indent=2))
+        print(json.dumps(witness_report_dict(rep, values), indent=2))
     else:
-        print(render_witness_report(rep))
+        print(render_witness_report(rep, values))
     return {CONFIRMED: 0, REFUTED: 1}.get(rep.verdict, 2)
 
 
@@ -335,7 +337,6 @@ def cmd_simplicial(args) -> int:
     rc = 0
     if args.action == "homology":
         coeff = args.coeff.upper() if args.coeff else "Z"
-        coeff = {"Z": "Z", "Q": "Q"}.get(coeff, coeff)
         H = homology(X, coeff)
         payload = {"coefficients": coeff, "betti": H.betti}
         if H.torsion is not None:

@@ -9,8 +9,8 @@ the differences z_a - z_b gluing consecutive entries of each cycle block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from math import factorial
 
 from .ideals import (INF, Ideal, colength, germ_is_empty, local_dimension,
@@ -186,16 +186,14 @@ VIOLATION = "VIOLATION"
 
 @dataclass
 class SpaceStatus:
-    """What the finiteness sweep found out about one D^k(f)^sigma.
+    """What the finiteness check found out about one germ of expected dimension.
 
     The answers are final: an ICIS keeps its reduced ideal (and, in
     dimension zero, its colength), so the invariant step reads them
-    instead of checking the space again.
+    instead of checking the space again.  The sweep adds the space's place
+    in it: k, the cycle type and sigma^#.
     """
 
-    k: int
-    partition: tuple[int, ...]
-    sigma_sharp: int
     expected_dim: int
     kind: str
     dim: int | None = None
@@ -204,6 +202,9 @@ class SpaceStatus:
     reduced: Ideal | None = None
     # colength of `reduced` for an ICIS or ORIGIN with expected_dim <= 0
     colength: int | None = None
+    k: int = 0
+    partition: tuple[int, ...] = ()
+    sigma_sharp: int = 0
 
 
 @dataclass
@@ -216,23 +217,18 @@ class MararMondReport:
         return [s for s in self.statuses if s.kind == VIOLATION]
 
 
-def _isolated_after_reduction(space: MultiplePointSpace) -> SpaceStatus:
-    """Classify one D^k(f)^sigma germ: EMPTY / ICIS / ORIGIN / VIOLATION.
+def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
+    """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
     A nonempty, non-smooth space keeps the ideal left after linear
     elimination and, for expected dimension at most 0, its colength, so the
     invariant step neither eliminates nor measures it again.
     """
-    expected_dim = space.expected_dim
-
-    def status(kind, dim=None, reason="", reduced=None, length=None):
-        return SpaceStatus(space.k, space.partition, space.sigma_sharp, expected_dim,
-                           kind, dim, reason, reduced, length)
-
-    if germ_is_empty(space.ideal):
+    status = partial(SpaceStatus, expected_dim)
+    if germ_is_empty(ideal):
         return status(EMPTY)
     # substituting solutions without constant term keeps the germ nonempty
-    elim = eliminate_linear(list(space.ideal.gens))
+    elim = eliminate_linear(list(ideal.gens))
     gens = elim.gens
     if not gens:
         dim = elim.ring.nvars
@@ -274,7 +270,9 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
     cap = max_k if max_k is not None else 12
     for k in range(2, cap + 1):
         for part in partitions(k):
-            st = _isolated_after_reduction(build_Dk(germ, k, part))
+            space = build_Dk(germ, k, part)
+            st = replace(_isolated_after_reduction(space.ideal, space.expected_dim),
+                         k=k, partition=part, sigma_sharp=space.sigma_sharp)
             statuses.append(st)
             if st.kind == VIOLATION:
                 finite = False

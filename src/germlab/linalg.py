@@ -13,8 +13,8 @@ unit entry, usually empty, goes through the dense gcd loop.
 `rank_q` is the one elimination over Q.  The sign-isotype oracle in
 `homology` uses it so that it shares no code with the Smith normal form,
 and `milnor` uses it to test that a random mixing matrix is invertible.
-Mod p there is a column-space basis, the rank read off it, and matrix
-products and powers for the Smith-theory special complexes.
+`rank_mod` is the same elimination over F_p; with the matrix products and
+powers mod p it gives the ranks of the Smith-theory special complexes.
 """
 
 from __future__ import annotations
@@ -183,33 +183,30 @@ def rank_q(mat: list[list[int | Fraction]]) -> int:
     return rank
 
 
-def column_space_basis_mod(mat: list[list[int]], p: int) -> list[int]:
-    """Indices of columns forming a basis of the column space mod p."""
+def rank_mod(mat: list[list[int]], p: int) -> int:
+    """Rank over F_p, p prime, by Gaussian elimination as in `rank_q`."""
     A = [[x % p for x in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     rank = 0
-    pivots = []
-    for col in range(n):
+    col = 0
+    while rank < m and col < n:
         piv = next((i for i in range(rank, m) if A[i][col]), None)
         if piv is None:
+            col += 1
             continue
         A[rank], A[piv] = A[piv], A[rank]
         inv = pow(A[rank][col], -1, p)
-        A[rank] = [a * inv % p for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[rank])]
-        pivots.append(col)
+        support = [(j, b) for j, b in enumerate(A[rank]) if b]
+        for i in range(rank + 1, m):
+            row = A[i]
+            if row[col]:
+                f = row[col] * inv % p
+                for j, b in support:
+                    row[j] = (row[j] - f * b) % p
         rank += 1
-        if rank == m:
-            break
-    return pivots
-
-
-def rank_mod(mat: list[list[int]], p: int) -> int:
-    return len(column_space_basis_mod(mat, p))
+        col += 1
+    return rank
 
 
 def mat_mul_mod(A, B, p):

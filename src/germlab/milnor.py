@@ -5,11 +5,12 @@ colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
 minors) recurses down to a hypersurface or to dimension zero, where mu is
 the colength of the ideal minus one (reduced point count of a generic fiber).
-The analyzer calls it on the spaces the finiteness sweep has already
-certified.  `milnor_icis` is the checked entry point for any germ: it tests
-emptiness and dimension, eliminates linear variables first unless asked to
-run the chain on the generators as given, and adds a hypersurface's Tjurina
-number.
+`milnor` is the one map from a certified space to its mu: 0 when smooth,
+the colength minus one in dimension zero, `mu_chain` on the reduced
+generators otherwise.  The analyzer calls it on the spaces the finiteness
+sweep has certified; `milnor_icis` is the entry point for any germ: it
+classifies the germ with the sweep's own check, then calls `milnor` and
+adds a hypersurface's Tjurina number.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .germs import EMPTY, ICIS, VIOLATION, SpaceStatus, _isolated_after_reduction
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian,
                      local_dimension, minors)
 from .linalg import rank_q
-from .poly import Polynomial, PolyRing, eliminate_linear
+from .poly import Polynomial, PolyRing
 
 
 class NonIcisError(ValueError):
@@ -117,50 +119,40 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
     return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
 
 
-def milnor_icis(I: Ideal, expected_dim: int, route: str = "auto",
-                rng: random.Random | None = None) -> IcisReport:
+def milnor(st: SpaceStatus, rng: random.Random) -> int:
+    """Milnor number of a space the finiteness check certified as an ICIS.
+
+    A smooth space has mu 0 and a zero-dimensional one its colength minus
+    one; otherwise the Le-Greuel chain runs on the reduced generators.
+    """
+    if st.reduced is None:
+        return 0
+    if st.dim == 0:
+        return st.colength - 1
+    return mu_chain(list(st.reduced.gens), st.reduced.ring, st.dim, rng)
+
+
+def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -> IcisReport:
     """Invariants of the germ defined by I, checked against its expected dimension.
 
-    route: "auto" eliminates linear variables first and goes through the
-    hypersurface formula when possible; "chain" skips elimination and runs
-    the Le-Greuel recursion on the generators as given.
+    The check is the finiteness sweep's own classifier; a hypersurface left
+    after linear elimination also gets its Tjurina number.
     """
     if not I.local:
         raise ValueError("milnor_icis works on germs (local ideals)")
-    if rng is None:
-        rng = random.Random(0)
-    if germ_is_empty(I):
+    st = _isolated_after_reduction(I, expected_dim)
+    if st.kind == EMPTY:
         raise EmptyGermError("empty germ")
-    if route == "chain":
-        gens = [g for g in I.gens if not g.is_zero()]
-        ring = I.ring
-    else:
-        elim = eliminate_linear(list(I.gens))
-        gens, ring = elim.gens, elim.ring
-    if not gens:
-        if ring.nvars != expected_dim:
-            raise NonIcisError(f"smooth of dimension {ring.nvars}, expected {expected_dim}")
-        return IcisReport(dim=expected_dim, milnor=0, tjurina=0, is_smooth=True, is_A1=False)
-    if expected_dim == 0:
-        # finite colength certifies dimension 0 without a full standard basis
-        c = colength(Ideal.of(gens, local=True))
-        if c == INF:
-            raise NonIcisError("expected dimension 0 but the colength is infinite")
-        return IcisReport(dim=0, milnor=c - 1, tjurina=None,
-                          is_smooth=(c == 1), is_A1=False)
-    dim = local_dimension(Ideal.of(gens, local=True))
-    if dim != expected_dim:
-        raise NonIcisError(f"dimension {dim}, expected {expected_dim}")
-    mu = mu_chain(gens, ring, expected_dim, rng)
-    tjurina = None
-    if len(gens) == 1 and route != "chain":
-        g = gens[0]
-        tj = colength(Ideal.of([g] + [g.deriv(v) for v in ring.vars], local=True))
+    if st.kind == VIOLATION and st.dim == expected_dim:
+        raise NonIsolatedError(st.reason)
+    if st.kind != ICIS:
+        raise NonIcisError(st.reason or f"expected dimension {expected_dim} is negative")
+    mu = milnor(st, rng if rng is not None else random.Random(0))
+    J = st.reduced
+    tjurina = 0 if J is None else None
+    if J is not None and len(J.gens) == 1 and st.dim > 0:
+        g = J.gens[0]
+        tj = colength(J.with_extra([g.deriv(v) for v in J.ring.vars]))
         tjurina = None if tj == INF else tj
-    return IcisReport(
-        dim=dim,
-        milnor=mu,
-        tjurina=tjurina,
-        is_smooth=(mu == 0),
-        is_A1=(expected_dim > 0 and mu == 1),
-    )
+    return IcisReport(dim=st.dim, milnor=mu, tjurina=tjurina, is_smooth=(mu == 0),
+                      is_A1=(st.dim > 0 and mu == 1))

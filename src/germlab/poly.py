@@ -109,10 +109,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        zero = (0,) * self.ring.nsyms
-        return all(e == zero for e in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nsyms, Fraction(0))
 
@@ -420,7 +416,7 @@ class Elimination:
     ring: PolyRing  # ring on the surviving variables
 
 
-def _linear_candidates(g: Polynomial, protected: frozenset[str]) -> list[str]:
+def _linear_candidates(g: Polynomial) -> list[str]:
     """Variables occurring in g only once, linearly, with a constant coefficient."""
     ring = g.ring
     nv = ring.nvars
@@ -431,38 +427,33 @@ def _linear_candidates(g: Polynomial, protected: frozenset[str]) -> list[str]:
                 seen.setdefault(i, []).append((e, c))
     out = []
     for i, occs in seen.items():
-        name = ring.vars[i]
-        if name in protected:
-            continue
         if len(occs) == 1:
             e, _ = occs[0]
             if e[i] == 1 and sum(e) == 1:  # pure constant-coefficient linear term
-                out.append(name)
+                out.append(ring.vars[i])
     return out
 
 
-def eliminate_linear(gens: Iterable[Polynomial],
-                     protected: Iterable[str] = ()) -> Elimination:
+def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
     """Repeatedly solve a generator that is linear in a variable and substitute.
 
     A variable is eliminable from a generator g when it appears in g exactly
     once, to the first power and with a coefficient in Q*, so that solving is
-    an exact polynomial coordinate change.  Protected variables are never
-    eliminated.  Generators that become zero are dropped.  The substitution
-    map is left triangular (see `Elimination`): the relations v - subs[v]
-    together with the output generators still cut out the input ideal.
+    an exact polynomial coordinate change.  Generators that become zero are
+    dropped.  The substitution map is left triangular (see `Elimination`):
+    the relations v - subs[v] together with the output generators still cut
+    out the input ideal.
     """
     gens = [g for g in gens]
     if not gens:
         raise PolyError("no generators")
     ring = gens[0].ring
-    protected = frozenset(protected)
     subs: dict[str, Polynomial] = {}
     live = [g for g in gens if not g.is_zero()]
     while True:
         pick = None
         for idx, g in enumerate(live):
-            names = _linear_candidates(g, protected)
+            names = _linear_candidates(g)
             if names:
                 # prefer the latest-declared variable (keeps early ones as coordinates)
                 name = max(names, key=ring.var_index)

@@ -41,6 +41,8 @@ MAX_P = 2**31 - 1
 # or subdivided.  Homology's dense boundary matrices grow with the square of
 # the cell count: 9,365 cells take 2.5 s and 170 MB; 94,585 exhaust 1.5 GB.
 MAX_CELLS = 10_000
+# Barycentric subdivisions validate_or_subdivide tries before it gives up.
+SUBDIVISIONS = 2
 
 T = TypeVar("T")
 
@@ -390,8 +392,8 @@ def _check_cells(cells: int, what: str) -> None:
         raise ActionError(f"{what} has {cells} cells, above the supported maximum {MAX_CELLS}")
 
 
-def validate_or_subdivide(X: GComplex, max_rounds: int = 2) -> GComplex:
-    """Return a simplicially good complex, subdividing at most `max_rounds` times.
+def validate_or_subdivide(X: GComplex) -> GComplex:
+    """Return a simplicially good complex, subdividing at most SUBDIVISIONS times.
 
     A subdivision with more than MAX_CELLS cells is refused before it is built.
     """
@@ -403,7 +405,7 @@ def validate_or_subdivide(X: GComplex, max_rounds: int = 2) -> GComplex:
     if not X.is_simplicial():
         raise ActionError("action does not map simplexes to simplexes")
     Y = X
-    for _ in range(max_rounds + 1):
+    for _ in range(SUBDIVISIONS + 1):
         if Y.is_good():
             return Y
         _check_cells(sum(_interior_cells(q) * len(s) for q, s in Y.simplices().items()),

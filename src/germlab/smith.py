@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .homology import (AltChainComplex, _alternating_homology, _sorted_with_sign,
                        alternating_chain_complex, alternating_homology, homology)
-from .linalg import column_space_basis_mod, mat_mul_mod, mat_pow_mod, rank_mod
+from .linalg import mat_mul_mod, mat_pow_mod, rank_mod
 from .simplicial import ActionError, GComplex, _perm_order, smallest_prime_factor
 
 
@@ -152,41 +152,27 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
     top = max(alt.reps, default=-1)
     degrees = list(range(top + 1))
 
-    dim_alt, dim_rho, dim_rho_bar, dim_fixed, additivity = [], [], [], [], []
-    rho_bases: dict[int, list[list[int]]] = {}
-    rho_bar_bases: dict[int, list[list[int]]] = {}
-    for q in degrees:
-        n = len(alt.reps.get(q, ()))
+    dim_alt = [len(alt.reps.get(q, ())) for q in degrees]
+    dim_fixed = [len(alt_fixed.reps.get(q, ())) for q in degrees]
+    rho, rho_bar = [], []
+    for q, n in zip(degrees, dim_alt):
         G = _g_matrix_on_alt(X, alt, q, p)
         eta = [[((1 if a == b else 0) - G[a][b]) % p for b in range(n)] for a in range(n)]  # 1 - g
-        Mi = mat_pow_mod(eta, i, p)
-        Mbar = mat_pow_mod(eta, p - i, p)
-        cols_i = column_space_basis_mod(Mi, p) if n else []
-        cols_bar = column_space_basis_mod(Mbar, p) if n else []
-        rho_bases[q] = [[Mi[r][c] for c in cols_i] for r in range(n)]
-        rho_bar_bases[q] = [[Mbar[r][c] for c in cols_bar] for r in range(n)]
-        nf = len(alt_fixed.reps.get(q, ()))
-        dim_alt.append(n)
-        dim_rho.append(len(cols_i))
-        dim_rho_bar.append(len(cols_bar))
-        dim_fixed.append(nf)
-        additivity.append(n == len(cols_i) + len(cols_bar) + nf)
+        rho.append(mat_pow_mod(eta, i, p))
+        rho_bar.append(mat_pow_mod(eta, p - i, p))
 
-    def image_complex_homology(bases: dict[int, list[list[int]]]) -> list[int]:
-        out = []
-        for q in degrees:
-            B = bases.get(q, [])
-            nb = len(B[0]) if B else 0
-            dq = alt.boundaries.get(q, [])
-            dq1 = alt.boundaries.get(q + 1, [])
-            r_dn = rank_mod(mat_mul_mod(dq, B, p), p) if (dq and nb) else 0
-            B1 = bases.get(q + 1, [])
-            r_up = rank_mod(mat_mul_mod(dq1, B1, p), p) if (dq1 and B1 and B1[0]) else 0
-            out.append(nb - r_dn - r_up)
-        return out
+    def image_complex(maps: list[list[list[int]]]) -> tuple[list[int], list[int]]:
+        """Chain and homology ranks of the image complex: the ranks of maps[q]
+        and of d_q maps[q] (the boundary on the image)."""
+        dims = [rank_mod(m, p) for m in maps]
+        ranks = [rank_mod(mat_mul_mod(alt.boundaries.get(q, []), maps[q], p), p)
+                 for q in degrees] + [0]
+        return dims, [dims[q] - ranks[q] - ranks[q + 1] for q in degrees]
 
-    a = image_complex_homology(rho_bases)
-    a_bar = image_complex_homology(rho_bar_bases)
+    dim_rho, a = image_complex(rho)
+    dim_rho_bar, a_bar = image_complex(rho_bar)
+    additivity = [n == r + rb + nf
+                  for n, r, rb, nf in zip(dim_alt, dim_rho, dim_rho_bar, dim_fixed)]
     field = f"F{p}"
     ah = _alternating_homology(X, (field,)).field_ranks[field]
     ah_fixed_full = _alternating_homology(fixed, (field,)).field_ranks[field]

@@ -9,7 +9,7 @@ CRITERIA = {
     "06": "orbit-of-segments complex has AH_0 = Z (torsion-free)",
     "07": "property suite on 200+ random good complexes (five theorem oracles)",
     "08": "partition sign identities (k <= 8) and divided-difference identity (500 samples)",
-    "09": "Milnor engine oracles: Brieskorn-Pham closed form and route agreement",
+    "09": "Milnor engine oracles: Brieskorn-Pham closed form and chain agreement",
     "10": "homotopy-level statements excluded by design; homology substitutes present",
 }
 

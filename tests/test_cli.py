@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,9 +108,10 @@ def test_cli_rules_only(capsys):
 
 
 # witness text and --json output per (germ, s): exit code and the first 16
-# hex digits of sha256(text + json).  The output names no s, so the digest
-# depends on the sign of s only; it pins every class's smoothness verdict,
-# real class, signature and chi.
+# hex digits of sha256(text + json) with the parameter values taken out of
+# the header line and the JSON, as recorded before the output named them.
+# That body depends on the sign of s only; it pins every class's smoothness
+# verdict, real class, signature and chi.
 WITNESS_PINS = [
     ("q2", "1", 0, "8554515ce347a5b1"),
     ("q2", "-1", 1, "666af593237b7165"),
@@ -132,14 +134,52 @@ WITNESS_PINS = [
 ]
 
 
+# the same digest of the whole output, which names s
+WITNESS_OUTPUT_PINS = {
+    ("q2", "1"): "751b8436b565fb41",
+    ("q2", "-1"): "8684dada6464a8ca",
+    ("q2", "1/2"): "61c9294900eaa71f",
+    ("q2", "-1/2"): "19eae101cd74ec41",
+    ("q2", "7/3"): "49dbc83a084a51e2",
+    ("q2", "99/16"): "033e2afa41930ca6",
+    ("a1", "1"): "51738e8950fec319",
+    ("a1", "-1"): "cb50d3f59fbaeaf1",
+    ("a1", "1/2"): "0308fbc8f211a2dd",
+    ("a1", "-1/2"): "13450d3929486aa2",
+    ("a1", "7/3"): "1cf89071c8851b3b",
+    ("a1", "99/16"): "46d40d7ef1b353a9",
+    ("p1", "1"): "d00fabb36494cdeb",
+    ("p1", "-1"): "e9922d4a20b566a6",
+    ("p1", "1/2"): "0652caa1fea69239",
+    ("p1", "-1/2"): "1204c31f5434d80c",
+    ("p1", "7/3"): "f2cc6c3aff289edb",
+    ("p1", "99/16"): "304d198365e1a786",
+}
+
+
+def _digest(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("germ,s,code,digest", WITNESS_PINS)
 def test_cli_witness_output_pinned(capsys, germ, s, code, digest):
     path = str(GERMS / f"{germ}.germ")
     assert run_cli("witness", path, "--param", f"s={s}") == code
     text = capsys.readouterr().out
     assert run_cli("witness", path, "--param", f"s={s}", "--json") == code
-    out = text + capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+    js = capsys.readouterr().out
+    assert _digest(text + js) == WITNESS_OUTPUT_PINS[germ, s], text + js
+    head, rest = text.split("\n", 1)
+    at = f" at s={Fraction(s)}"
+    assert head.startswith(f"witness {germ.upper()}{at}: verdict ")
+    data = json.loads(js)
+    assert data.pop("params") == {"s": str(Fraction(s))}
+    body = head.replace(at, "", 1) + "\n" + rest + json.dumps(data, indent=2) + "\n"
+    assert _digest(body) == digest, body
+
+
+def test_cli_witness_output_names_its_parameters():
+    assert len(set(WITNESS_OUTPUT_PINS.values())) == len(WITNESS_OUTPUT_PINS)
 
 
 def test_cli_witness_inconclusive_exit(capsys, tmp_path):
@@ -360,6 +400,32 @@ def test_cli_table_rows(capsys):
     assert run_cli("table", "simple", "--row", "A1", "--row", "Q2", "--row", "S1,2") == 0
     out = capsys.readouterr().out
     assert "A1" in out and "Q2" in out and "S1,2" in out
+
+
+def test_cli_table_rows_keep_the_given_order(capsys):
+    for labels in (("VII", "A1", "D4", "A2"), ("A2", "D4", "A1", "VII")):
+        argv = [a for label in labels + ("a1",) for a in ("--row", label)]
+        assert run_cli("table", "simple", *argv, "--json") == 0
+        got = [row["label"].split("[")[0] for row in json.loads(capsys.readouterr().out)]
+        assert got == list(labels)
+
+
+def test_cli_output_repeats_across_hash_seeds():
+    commands = [
+        ("table", "simple", "--row", "A1", "--row", "A2", "--row", "D4", "--row", "VII",
+         "--json"),
+        ("witness", str(GERMS / "q2.germ"), "--json"),
+        ("simplicial", str(COMPLEXES / "rp2.json"), "alt", "--json"),
+    ]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-m", "germlab.cli", *argv],
+                                  capture_output=True, timeout=60,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, (argv, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv
 
 
 def test_cli_table_all_matches_the_catalog(capsys):

@@ -8,7 +8,7 @@ from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
                             local_dimension, minors, singular_locus_ideal)
 from germlab.linalg import rank_q
-from germlab.milnor import (EmptyGermError, NonIcisError, milnor_icis)
+from germlab.milnor import EmptyGermError, NonIcisError, milnor_icis, mu_chain
 from germlab.poly import Polynomial, PolyRing, eliminate_linear
 
 
@@ -134,11 +134,13 @@ def test_milnor_zero_dimensional():
 
 
 def test_milnor_chain_route_matches_hypersurface_route():
+    # milnor_icis eliminates z2 and takes the hypersurface's Jacobian
+    # colength; the chain on the generators as given must agree
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = syms(R)
     gens = [z1 + z2, z1 ** 2 + z1 * z2 + z2 ** 2 + x ** 2 + y ** 4]
-    a = milnor_icis(Ideal.of(gens), 2, route="auto").milnor
-    b = milnor_icis(Ideal.of(gens), 2, route="chain").milnor
+    a = milnor_icis(Ideal.of(gens), 2).milnor
+    b = mu_chain(gens, R, 2, random.Random(0))
     assert a == b == 3
 
 
@@ -149,6 +151,10 @@ def test_milnor_errors():
         milnor_icis(Ideal.of([x * y ** 2 - x]), 0)  # dim 1, not 0
     with pytest.raises(EmptyGermError):
         milnor_icis(Ideal.of([R.const(1)]), 0)
+    with pytest.raises(NonIcisError):
+        milnor_icis(Ideal.of([x, y]), -1)  # the origin, of negative expected dimension
+    with pytest.raises(NonIcisError):
+        milnor_icis(Ideal.of([x + y ** 2]), 0)  # a smooth curve, not a point
 
 
 def smooth(gens):

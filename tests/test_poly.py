@@ -236,14 +236,6 @@ def test_eliminate_linear_graph():
     ]
 
 
-def test_eliminate_linear_protected():
-    R = PolyRing(("x", "z1", "z2"))
-    x, z1, z2 = (R.sym(n) for n in R.vars)
-    res = eliminate_linear([z1 + z2, x ** 2 + z1], protected=("z1", "z2"))
-    assert res.subs == {}
-    assert len(res.gens) == 2
-
-
 def test_eliminate_preserves_ideal_membership():
     # substitute-and-check both ways through a Groebner oracle
     from germlab.ideals import Ideal, reduces_to_zero

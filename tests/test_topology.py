@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 from collections import Counter
@@ -274,6 +275,27 @@ def test_smith_special_ranks_endpoints_literal():
     assert rep0.dim_rho == rep0.dim_alt
     rep2 = smith_special_ranks(X, 2)  # rho = eta^p = 0
     assert all(d == 0 for d in rep2.dim_rho)
+
+
+# (k, m, p) of block complexes random_block_complex(Random(100 + case), k, m,
+# n_facets=5, max_dim=2, p) and the first 16 hex digits of the sha256 of the
+# repr of [smith_special_ranks(X, i) for i in 0..p], taken when the ranks of
+# C^{Alt,rho} were read off an extracted column basis of rho
+SPECIAL_RANKS_PINS = [
+    ((1, 2, 2), "d2a39915ca929628"), ((1, 3, 3), "6b00cb793686ac88"),
+    ((2, 2, 2), "53eec9e8552ccf59"), ((2, 3, 3), "edae97f46193bda6"),
+    ((2, 3, 2), "9dfde3b6ac0aeaf6"), ((3, 2, 2), "22d463deca64ba6f"),
+    ((1, 3, 2), "59bdb8e71a22fc0b"), ((3, 3, 2), "91065937c6c9badd"),
+    ((2, 3, 3), "96acce5fb9b4ced5"), ((3, 3, 3), "869e4eecb76ac379"),
+]
+
+
+def test_smith_special_ranks_pinned():
+    for case, ((k, m, p), digest) in enumerate(SPECIAL_RANKS_PINS):
+        X = random_block_complex(random.Random(100 + case), k=k, m=m, n_facets=5,
+                                 max_dim=2, p=p)
+        reports = repr([smith_special_ranks(X, i) for i in range(p + 1)])
+        assert hashlib.sha256(reports.encode()).hexdigest()[:16] == digest, case
 
 
 # -- per-complex caches --------------------------------------------------------
