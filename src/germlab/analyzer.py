@@ -271,12 +271,14 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     unknown = sorted(set(assignment) - set(perturbation.ring.params))
     if unknown:
         raise WitnessPreconditionError(f"unknown parameters: {unknown}")
+    pert = perturbation.at_params(assignment)
+    if pert.components == base.components:
+        raise WitnessPreconditionError("the assigned perturbation is the germ itself")
     report = _base_report(germ, max_k, seed)
     if report.verdict != CANDIDATE:
         raise WitnessPreconditionError(
             "witness verification requires a CANDIDATE germ; analyze() said "
             + report.verdict)
-    pert = perturbation.at_params(assignment)
 
     rows: list[WitnessRow] = []
     notes: list[str] = []

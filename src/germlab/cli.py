@@ -57,10 +57,13 @@ def _fractions(pairs: list[str]) -> dict[str, Fraction]:
         if "=" not in item:
             raise UsageError(f"--param needs name=value, got {item!r}")
         name, val = item.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"--param {name} given more than once")
         try:
-            out[name.strip()] = Fraction(val.strip())
+            out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--param {name.strip()}: not a rational number: {val!r}") from None
+            raise UsageError(f"--param {name}: not a rational number: {val!r}") from None
     return out
 
 

@@ -137,6 +137,13 @@ def test_witness_preconditions():
         witness_check(Q2, Q2W, {"s": Fraction(1), "S": Fraction(1)})  # a typo for s
 
 
+def test_witness_must_perturb_the_germ():
+    with pytest.raises(WitnessPreconditionError, match="germ itself"):
+        witness_check(Q2, Q2W, {"s": Fraction(0)})
+    with pytest.raises(WitnessPreconditionError, match="germ itself"):
+        witness_check(Q2, Q2, {})  # no parameter to perturb with
+
+
 def test_zero_dim_counts_cross_cap_analog():
     # (x, z^2, z^3 + x^2 z) for source dimension 2: the transposition space of
     # D^2 has expected dimension 0 and length 2

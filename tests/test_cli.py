@@ -219,6 +219,23 @@ def test_cli_internal_error_exit(capsys, monkeypatch):
     assert err.startswith("germlab: internal error:") and "not an integer" in err
 
 
+def test_cli_repeated_param_exits_64(capsys):
+    q2 = str(GERMS / "q2.germ")
+    for cmd in ("analyze", "witness"):
+        assert run_cli(cmd, q2, "--param", "s=2", "--param", " s =3") == 64
+        assert "--param s given more than once" in capsys.readouterr().err
+        assert run_cli(cmd, q2, "--param", "s=2") in (0, 1)
+        capsys.readouterr()
+
+
+def test_cli_witness_at_the_germ_itself_exits_64(capsys):
+    # s = 0 assigns the unperturbed germ: a precondition error, not REFUTED
+    assert run_cli("witness", str(GERMS / "q2.germ"), "--param", "s=0") == 64
+    captured = capsys.readouterr()
+    assert "perturbation is the germ itself" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     q2 = str(GERMS / "q2.germ")
     assert run_cli("analyze", q2, "--param", "s=abc") == 64

@@ -1,10 +1,13 @@
-"""The reduction kernel: highest-corner truncation and the staircase walker."""
+"""The reduction kernel: highest-corner truncation, field widening and the staircase walker."""
 
+import hashlib
 import random
 from itertools import product
 from operator import le
 
 from germlab import _kernel
+from germlab.ideals import Ideal, colength, contains_one
+from germlab.poly import PolyRing
 
 
 def _leads(basis):
@@ -171,6 +174,20 @@ def test_std_basis_output_is_pinned():
         assert repr(got) == repr(want), seed
 
 
+# sha256 over repr(std_basis) for seeds 0-63, local modulo m^8 and global
+CORPUS_DIGEST = "a61ece15763b24e643d7d44599d5b9f63f624559317478b32a4ebb068141f156"
+
+
+def test_std_basis_corpus_digest():
+    h = hashlib.sha256()
+    for seed in range(64):
+        gens = _seeded_ideal(seed)
+        got = (_kernel.std_basis([dict(g) for g in gens], True, 8),
+               _kernel.std_basis([dict(g) for g in gens], False))
+        h.update(repr(got).encode())
+    assert h.hexdigest() == CORPUS_DIGEST
+
+
 def _s_polynomial(f, g):
     # written out here, apart from the kernel's reduction step
     fe, ge = _kernel.lead_exp(f, False), _kernel.lead_exp(g, False)
@@ -196,3 +213,62 @@ def test_global_bases_meet_buchberger_criterion():
             for j in range(i):
                 s = _s_polynomial(basis[i], basis[j])
                 assert _kernel.normal_form(s, basis, False) == {}, seed
+
+
+def _spy_widths(monkeypatch):
+    """The field widths the kernel lays monomials out in, call by call."""
+    seen = []
+    layout = _kernel._layout
+
+    def spy(nvars, local, width):
+        seen.append(width)
+        return layout(nvars, local, width)
+
+    monkeypatch.setattr(_kernel, "_layout", spy)
+    return seen
+
+
+def test_exponents_past_the_narrowest_field(monkeypatch):
+    seen = _spy_widths(monkeypatch)
+    x, y = (PolyRing(("x", "y")).sym(v) for v in "xy")
+    # (x^a + y^(b+1), y^b) = (x^a, y^b) locally: colength a*b
+    for a, b in ((200, 3), (130, 5), (300, 2)):
+        assert colength(Ideal.of([x ** a + y ** (b + 1), y ** b], local=True)) == a * b
+    assert max(seen) == 16  # x^a does not fit an 8-bit field
+    # x^a = 1 and x^(a+1) = 2 force x = 2 and 2^a = 1: no common zero
+    assert contains_one(Ideal.of([x ** 200 - 1, x ** 201 - 2], local=False))
+    # x^300 - 1 and x^200 - 1 share x^100 - 1
+    assert not contains_one(Ideal.of([x ** 300 - 1, x ** 200 - 1], local=False))
+    assert _kernel.std_basis([{(300, 0): 1, (0, 0): -1}, {(200, 0): 1, (0, 0): -1}],
+                             False) == [{(100, 0): 1, (0, 0): -1}]
+    # (1, 1) is a common zero of x^150 y - 1 and y^128 - y
+    assert not contains_one(Ideal.of([x ** 150 * y - 1, y ** 128 - y], local=False))
+    # fields wider than 64 bits
+    huge = 2 ** 64
+    assert _kernel.std_basis([{(huge, 0): 1, (0, 0): -1}], False) == [{(huge, 0): 1, (0, 0): -1}]
+    assert _kernel.lead_exp({(huge, 0): 1, (0, 1): 1}, True) == (0, 1)
+    assert _kernel.lead_exp({(huge, 0): 1, (0, 1): 1}, False) == (huge, 0)
+
+
+def test_runs_widen_midway_and_agree_with_closed_forms(monkeypatch):
+    seen = _spy_widths(monkeypatch)
+    # global: inputs of degree < 128, but the s-polynomial of the pair is
+    # y^60 - x^150; x is a unit modulo x^100 - 1, so the ideal is
+    # (x^100 - 1, y^60 - x^50)
+    basis = _kernel.std_basis([{(60, 60): 1, (110, 0): -1}, {(100, 0): 1, (0, 0): -1}], False)
+    assert sorted(map(sorted, (g.items() for g in basis))) == [
+        [((0, 0), -1), ((100, 0), 1)], [((0, 60), 1), ((50, 0), -1)]]
+    assert seen == [8, 16]
+    # local: (xy, x - y^127) = (x - y^127, y^128), colength 128; the
+    # s-polynomial reaches y^128
+    seen.clear()
+    basis = _kernel.std_basis([{(1, 1): 1}, {(1, 0): 1, (0, 127): -1}], True)
+    widths = seen[:]
+    assert sorted(_kernel.lead_exp(g, True) for g in basis) == [(0, 128), (1, 0)]
+    assert widths == [8, 16]
+    x, y = (PolyRing(("x", "y")).sym(v) for v in "xy")
+    assert colength(Ideal.of([x * y, x - y ** 127], local=True)) == 128
+    # a Mora normal form that grows past the field: xy = y^128 modulo x - y^127
+    seen.clear()
+    assert _kernel.normal_form({(1, 1): 1}, [{(1, 0): 1, (0, 127): -1}], True) == {(0, 128): 1}
+    assert seen == [8, 16]
