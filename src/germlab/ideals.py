@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import lcm
 
 from . import _kernel
 from .poly import Elimination, PolyError, Polynomial, PolyRing
@@ -39,17 +38,6 @@ class Ideal:
         return replace(self, gens=self.gens + tuple(more))
 
 
-def _int_terms(p: Polynomial) -> dict:
-    """Variable-exponent terms with integer coefficients (cleared denominators)."""
-    terms = p.var_exponents()
-    if not terms:
-        return {}
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    return {e: int(c * den) for e, c in terms.items()}
-
-
 def standard_basis(I: Ideal, trunc: int = 0) -> tuple[dict, ...]:
     """Kernel-level standard basis (tuple of primitive integer term dicts).
 
@@ -59,21 +47,19 @@ def standard_basis(I: Ideal, trunc: int = 0) -> tuple[dict, ...]:
     are large.  Once the kernel knows the highest corner of a local ideal it
     may work modulo a lower power (trunc = 0 included); the result is still a
     standard basis of the ideal asked for.  Nothing is kept between calls.
+
+    The generators' numerator dicts go to the kernel as they are: a
+    polynomial and its numerators differ by a positive factor, and the
+    kernel makes its inputs primitive.
     """
-    gens = [g for g in map(_int_terms, I.gens) if g]
+    if I.ring.params:
+        raise PolyError("substitute the parameters before computing a standard basis")
+    gens = [g.terms for g in I.gens if g.terms]
     return tuple(_kernel.std_basis(gens, I.local, trunc)) if gens else ()
 
 
 def leading_exponents(I: Ideal) -> list[tuple]:
     return [_kernel.lead_exp(g, I.local) for g in standard_basis(I)]
-
-
-def reduces_to_zero(f: Polynomial, I: Ideal) -> bool:
-    """Membership test: f in I (local: up to a unit, which is what germs need)."""
-    if f.is_zero():
-        return True
-    basis = standard_basis(I)
-    return not _kernel.normal_form(_int_terms(f), basis, I.local)
 
 
 def germ_is_empty(I: Ideal) -> bool:

@@ -156,7 +156,7 @@ def to_string(p: Polynomial) -> str:
         return (sum(e), e)
 
     parts = []
-    for e, c in sorted(p.terms.items(), key=key, reverse=True):
+    for e, c in sorted(p.coefficients().items(), key=key, reverse=True):
         factors = []
         for name, k in zip(syms, e):
             if k == 1:

@@ -3,16 +3,23 @@
 A ring declares an ordered variable list plus a (possibly empty) list of
 parameter names.  Parameters are transcendental scalars: they take part in
 arithmetic exactly like variables, but differentiation, divided differences
-and the basis engines act on true variables only.  Coefficients are
-`fractions.Fraction`; nothing here ever rounds.
+and the basis engines act on true variables only.
+
+A polynomial is stored fraction-free: integer numerators over one common
+positive denominator `den`, with gcd(content, den) = 1, so every value has
+exactly one form (most have den 1).  All arithmetic runs on Python ints;
+`fractions.Fraction` appears only at the edges (`coefficients`,
+`constant_term`).  Scalars are ints or Fractions; floats and bools are
+refused, so nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -21,6 +28,15 @@ Scalar = Union[int, Fraction]
 
 class PolyError(ValueError):
     pass
+
+
+def _scalar(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; anything else is refused."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise PolyError(f"scalars must be int or Fraction, got {type(c).__name__} {c!r}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +51,7 @@ class PolyRing:
         if len(set(syms)) != len(syms):
             raise PolyError(f"duplicate symbol in ring {syms}")
 
-    @property
+    @cached_property
     def syms(self) -> tuple[str, ...]:
         return self.vars + self.params
 
@@ -43,7 +59,7 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.vars)
 
-    @property
+    @cached_property
     def nsyms(self) -> int:
         return len(self.vars) + len(self.params)
 
@@ -64,42 +80,51 @@ class PolyRing:
         return PolyRing(tuple(v for v in self.vars if v not in dead), self.params)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _make(self, {})
 
     def const(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nsyms: c})
+        return self.monomial({}, c)
 
     def sym(self, name: str) -> "Polynomial":
-        e = [0] * self.nsyms
-        e[self.index(name)] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return self.monomial({name: 1})
 
     def monomial(self, exps: Mapping[str, int], coeff: Scalar = 1) -> "Polynomial":
+        num, den = _scalar(coeff)
         e = [0] * self.nsyms
         for name, k in exps.items():
             e[self.index(name)] = k
-        return Polynomial(self, {tuple(e): Fraction(coeff)})
+        return _make(self, {tuple(e): num} if num else {}, den)
+
+
+def _make(ring: PolyRing, terms: dict, den: int = 1) -> "Polynomial":
+    """Wrap nonzero int numerators over den > 0, dividing out gcd(content, den)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
+    p = object.__new__(Polynomial)
+    p.ring = ring
+    p.terms = terms
+    p.den = den
+    return p
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple (over ring.syms) -> Fraction."""
+    """Immutable sparse polynomial: exponent tuple (over ring.syms) -> int, over `den`.
 
-    __slots__ = ("ring", "terms")
+    The constructor takes int or Fraction coefficients; `terms` then holds
+    the numerators over the common denominator `den`.  Never mutate `terms`.
+    """
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar], _clean=False):
+    __slots__ = ("ring", "terms", "den")
+
+    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Scalar]):
+        parts = {tuple(e): _scalar(c) for e, c in terms.items()}
+        den = lcm(*(d for num, d in parts.values() if num))
         self.ring = ring
-        if _clean:
-            self.terms = dict(terms)
-        else:
-            clean = {}
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[tuple(e)] = c
-            self.terms = clean
+        self.terms = {e: num * (den // d) for e, (num, d) in parts.items() if num}
+        self.den = den
 
     # -- predicates / accessors ------------------------------------------
 
@@ -109,8 +134,19 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def coefficients(self) -> dict[tuple, Fraction]:
+        """The rational coefficients, keyed like `terms`."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.terms.items()}
+
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nsyms, Fraction(0))
+        return Fraction(self.terms.get((0,) * self.ring.nsyms, 0), self.den)
+
+    def primitive(self) -> "Polynomial":
+        """The positive multiple with integer coefficients of content 1."""
+        g = gcd(*self.terms.values())
+        terms = {e: c // g for e, c in self.terms.items()} if g > 1 else self.terms
+        return _make(self.ring, terms)
 
     def degree_in(self, name: str) -> int:
         i = self.ring.index(name)
@@ -122,59 +158,67 @@ class Polynomial:
         i = self.ring.index(name)
         return any(e[i] for e in self.terms)
 
-    def uses_params(self) -> bool:
-        nv = self.ring.nvars
-        return any(any(e[nv:]) for e in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
         if self.ring != other.ring:
             raise PolyError("mixed rings")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """self + sign * other, other a polynomial or a scalar."""
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        res = dict(self.terms)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            res = dict(self.terms)
+            den = d1
+        else:
+            g = gcd(d1, d2)
+            a = d2 // g
+            sign *= d1 // g
+            res = {e: c * a for e, c in self.terms.items()}
+            den = d1 * a
         for e, c in other.terms.items():
-            s = res.get(e, 0) + c
+            s = res.get(e, 0) + sign * c
             if s:
                 res[e] = s
             else:
-                res.pop(e, None)
-        return Polynomial(self.ring, res, _clean=True)
+                del res[e]
+        return _make(self.ring, res, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return _make(self.ring, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+        if not isinstance(other, Polynomial):
+            num, den = _scalar(other)
+            if not num:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
+            terms = self.terms if num == 1 else {e: v * num for e, v in self.terms.items()}
+            return _make(self.ring, terms, self.den * den)
         self._check(other)
-        res: dict[tuple, Fraction] = {}
+        res: dict[tuple, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = res.get(e, 0) + c1 * c2
                 if s:
                     res[e] = s
                 else:
-                    res.pop(e, None)
-        return Polynomial(self.ring, res, _clean=True)
+                    del res[e]
+        return _make(self.ring, res, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -194,11 +238,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items()), self.den))
 
     def __repr__(self):
         from .parse import to_string
@@ -211,11 +256,10 @@ class Polynomial:
         i = self.ring.var_index(name)
         res = {}
         for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                res[tuple(e2)] = c * e[i]
-        return Polynomial(self.ring, res)
+            k = e[i]
+            if k:
+                res[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _make(self.ring, res, self.den)
 
     def subs(self, assignment: Mapping[str, Union["Polynomial", Scalar]],
              ring: PolyRing | None = None) -> "Polynomial":
@@ -229,26 +273,41 @@ class Polynomial:
         into the coefficient as c * v^k, and only polynomial values are
         expanded.  Terms are grouped by their exponents in the polynomial-
         valued symbols, so each group costs one product of cached powers.
+        Numerators stay integers: a value N/q assigned to a symbol whose top
+        exponent is K puts N^k * q^(K-k) on a term of exponent k, and q^K on
+        the common denominator.
         """
         target = ring if ring is not None else self.ring
         keep: list[tuple[int, int]] = []     # (source index, target index)
-        scalars: list[tuple[int, Fraction]] = []
-        polys: list[tuple[int, Polynomial]] = []
+        scalars: list[tuple[int, int]] = []  # (source index, numerator)
+        polys: list[tuple[int, Polynomial]] = []  # (source index, numerator)
+        raised: list[tuple[int, int, int]] = []  # (source index, q > 1, K)
         for i, name in enumerate(self.ring.syms):
             if name not in assignment:
                 keep.append((i, target.index(name)))
                 continue
             v = assignment[name]
             if isinstance(v, Polynomial):
-                polys.append((i, v if v.ring == target else v.cast(target)))
+                v = v if v.ring == target else v.cast(target)
+                polys.append((i, _make(target, v.terms)))
+                q = v.den
             else:
-                scalars.append((i, Fraction(v)))
+                num, q = _scalar(v)
+                scalars.append((i, num))
+            if q != 1 and self.terms:
+                raised.append((i, q, max(e[i] for e in self.terms)))
+        den = self.den
+        for _, q, top in raised:
+            den *= q ** top
         n = target.nsyms
-        groups: dict[tuple, dict[tuple, Fraction]] = {}
+        groups: dict[tuple, dict[tuple, int]] = {}
         for e, c in self.terms.items():
             for i, v in scalars:
                 if e[i]:
                     c *= v ** e[i]
+            for i, q, top in raised:
+                if top > e[i]:
+                    c *= q ** (top - e[i])
             if not c:
                 continue
             moved = [0] * n
@@ -266,7 +325,7 @@ class Polynomial:
                 cached.append(cached[-1] * cached[0])
             return cached[k - 1]
 
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int] = {}
         for key, group in groups.items():
             factor = None
             for slot, k in enumerate(key):
@@ -283,7 +342,7 @@ class Polynomial:
                     c *= d
                     s = out.get(e)
                     out[e] = c if s is None else s + c
-        return Polynomial(target, {e: c for e, c in out.items() if c}, _clean=True)
+        return _make(target, {e: c for e, c in out.items() if c}, den)
 
     def subs_params(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
         """Substitute every parameter by a rational; result is parameter-free."""
@@ -294,7 +353,7 @@ class Polynomial:
             if missing:
                 raise PolyError(f"unassigned parameters {missing}")
         target = PolyRing(self.ring.vars, ())
-        full = {q: Fraction(assignment.get(q, 0)) for q in self.ring.params}
+        full = {q: assignment.get(q, 0) for q in self.ring.params}
         return self.subs(full, ring=target)
 
     def cast(self, ring: PolyRing) -> "Polynomial":
@@ -312,18 +371,11 @@ class Polynomial:
                     if pos[i] < 0:
                         raise PolyError(f"symbol {self.ring.syms[i]!r} absent from target ring")
                     e2[pos[i]] = k
-            res[tuple(e2)] = res.get(tuple(e2), 0) + c
-        return Polynomial(ring, res)
-
-    def var_exponents(self) -> dict[tuple, Fraction]:
-        """Terms keyed by variable exponents only; raises if parameters occur."""
-        if self.uses_params():
-            raise PolyError("polynomial still carries parameters")
-        nv = self.ring.nvars
-        return {e[:nv]: c for e, c in self.terms.items()}
+            res[tuple(e2)] = c
+        return _make(ring, res, self.den)
 
 
-# -- symmetric helpers and divided differences ----------------------------
+# -- divided differences ---------------------------------------------------
 
 
 @lru_cache(maxsize=1024)
@@ -336,15 +388,6 @@ def _monomials(nsyms: int, idx: tuple[int, ...], degree: int) -> tuple[tuple[int
             e[i] += 1
         out.append(tuple(e))
     return tuple(out)
-
-
-def h_complete(ring: PolyRing, degree: int, names: Iterable[str]) -> Polynomial:
-    """Complete homogeneous symmetric polynomial of the given degree."""
-    if degree < 0:
-        return ring.zero()
-    idx = tuple(ring.index(n) for n in names)
-    one = Fraction(1)
-    return Polynomial(ring, dict.fromkeys(_monomials(ring.nsyms, idx, degree), one), _clean=True)
 
 
 def divided_differences(f: Polynomial, var: str, fresh: list[str],
@@ -367,10 +410,11 @@ def divided_differences(f: Polynomial, var: str, fresh: list[str],
             raise PolyError(f"fresh variable {name!r} already occurs in the polynomial")
     zi = f.ring.index(var)
     zs = tuple(ring.index(name) for name in fresh)
+    n = ring.nsyms
     where = {i: ring.syms.index(name) for i, name in enumerate(f.ring.syms) if name in ring.syms}
     split = []  # (x^a as a target exponent, m, c) for each term c * x^a * var^m
     for e, c in f.terms.items():
-        base = [0] * ring.nsyms
+        base = [0] * n
         for i, a in enumerate(e):
             if a and i != zi:
                 if i not in where:
@@ -382,19 +426,10 @@ def divided_differences(f: Polynomial, var: str, fresh: list[str],
         terms = {}
         for base, m, c in split:
             if m >= j:
-                for mu in _monomials(ring.nsyms, zs[: j + 1], m - j):
+                for mu in _monomials(n, zs[: j + 1], m - j):
                     terms[tuple(map(add, base, mu))] = c
-        out.append(Polynomial(ring, terms, _clean=True))
+        out.append(_make(ring, terms, f.den))
     return out
-
-
-def divided_difference(f: Polynomial, var: str, fresh: tuple[str, str],
-                       ring: PolyRing | None = None) -> Polynomial:
-    """First divided difference: q with f(z1) - f(z2) = (z1 - z2) * q."""
-    if ring is None:
-        extra = [n for n in fresh if n not in f.ring.vars]
-        ring = PolyRing(f.ring.vars + tuple(extra), f.ring.params)
-    return divided_differences(f, var, list(fresh), ring)[0]
 
 
 # -- linear elimination ----------------------------------------------------
@@ -408,7 +443,8 @@ class Elimination:
     may involve variables eliminated after it, never ones eliminated before.
     `gens` holds no zero polynomial: zeros are dropped at every step, and
     casting to the smaller ring cannot cancel terms, so callers need not
-    filter them again.
+    filter them again.  Every generator is primitive (integer coefficients
+    of content 1), a positive multiple of what exact substitution gives.
     """
 
     gens: list[Polynomial]
@@ -419,17 +455,11 @@ class Elimination:
 def _linear_candidates(g: Polynomial) -> list[str]:
     """Variables occurring in g only once, linearly, with a constant coefficient."""
     ring = g.ring
-    nv = ring.nvars
-    seen: dict[int, list] = {}
-    for e, c in g.terms.items():
-        for i in range(nv):
-            if e[i]:
-                seen.setdefault(i, []).append((e, c))
     out = []
-    for i, occs in seen.items():
-        if len(occs) == 1:
-            e, _ = occs[0]
-            if e[i] == 1 and sum(e) == 1:  # pure constant-coefficient linear term
+    for e in g.terms:
+        if sum(e) == 1:
+            i = e.index(1)
+            if i < ring.nvars and sum(1 for f in g.terms if f[i]) == 1:
                 out.append(ring.vars[i])
     return out
 
@@ -443,13 +473,19 @@ def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
     dropped.  The substitution map is left triangular (see `Elimination`):
     the relations v - subs[v] together with the output generators still cut
     out the input ideal.
+
+    Fraction-free (Bareiss): generators are kept primitive.  Solving c*x +
+    rest for x gives x = -rest/c, and a generator h of degree d in x becomes
+    |c|^d * h(x = -rest/c) divided by its positive content.  Generators are
+    only ever scaled by positive rationals, so signs of values, quadric
+    signatures and root counts are those of exact substitution.
     """
     gens = [g for g in gens]
     if not gens:
         raise PolyError("no generators")
     ring = gens[0].ring
     subs: dict[str, Polynomial] = {}
-    live = [g for g in gens if not g.is_zero()]
+    live = [g.primitive() for g in gens if not g.is_zero()]
     while True:
         pick = None
         for idx, g in enumerate(live):
@@ -471,9 +507,9 @@ def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
                 coef = c
             else:
                 rest[e] = c
-        sol = Polynomial(ring, rest) * (Fraction(-1) / coef)
+        sol = _make(ring, {e: -c for e, c in rest.items()} if coef > 0 else rest, abs(coef))
         repl = {name: sol}
-        live = [h.subs(repl) for h in live]
+        live = [h.subs(repl).primitive() if h.involves(name) else h for h in live]
         live = [h for h in live if not h.is_zero()]
         subs[name] = sol
     out_ring = ring.drop_vars(subs.keys())

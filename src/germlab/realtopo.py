@@ -70,7 +70,7 @@ def quadratic_parts(g: Polynomial):
     const = Fraction(0)
     linear: dict[int, Fraction] = {}
     quad = [[Fraction(0)] * n for _ in range(n)]
-    for e, c in g.terms.items():
+    for e, c in g.coefficients().items():
         d = sum(e)
         if d > 2:
             return None
@@ -199,7 +199,7 @@ def classify_real_space(elim: Elimination, expected_dim: int) -> RealSpace:
             g = live[0]
             deg = g.degree_in(ring.vars[0])
             coeffs = [Fraction(0)] * (deg + 1)
-            for e, c in g.terms.items():
+            for e, c in g.coefficients().items():
                 coeffs[e[0]] += c
             return RealSpace(POINTS, count=sturm_distinct_real_roots(coeffs))
         return RealSpace(INCONCLUSIVE)

@@ -1,0 +1,36 @@
+"""Reference helpers for the tests: symmetric polynomials, first divided
+differences and ideal membership, written on top of the library's public
+entry points.
+"""
+
+from collections import Counter
+from itertools import combinations_with_replacement
+
+from germlab import _kernel
+from germlab.ideals import Ideal, standard_basis
+from germlab.poly import Polynomial, PolyRing, divided_differences
+
+
+def h_complete(ring: PolyRing, degree: int, names) -> Polynomial:
+    """Complete homogeneous symmetric polynomial of the given degree."""
+    out = ring.zero()
+    if degree >= 0:
+        for combo in combinations_with_replacement(names, degree):
+            out = out + ring.monomial(Counter(combo))
+    return out
+
+
+def divided_difference(f: Polynomial, var: str, fresh: tuple[str, str],
+                       ring: PolyRing | None = None) -> Polynomial:
+    """First divided difference: q with f(z1) - f(z2) = (z1 - z2) * q."""
+    if ring is None:
+        extra = [n for n in fresh if n not in f.ring.vars]
+        ring = PolyRing(f.ring.vars + tuple(extra), f.ring.params)
+    return divided_differences(f, var, list(fresh), ring)[0]
+
+
+def reduces_to_zero(f: Polynomial, I: Ideal) -> bool:
+    """Membership test: f in I (local: up to a unit, which is what germs need)."""
+    if f.is_zero():
+        return True
+    return not _kernel.normal_form(f.terms, standard_basis(I), I.local)

@@ -446,3 +446,22 @@ def test_mutating_a_witness_report_does_not_leak(analyze_calls):
     again = witness_check(Q2, Q2W, {"s": Fraction(1)})
     assert again == expected and again.verdict == CONFIRMED
     assert analyze_calls[("Q2", None, 0)] == 1
+
+
+def test_kernel_sees_only_int_coefficients(monkeypatch):
+    # numerator dicts cross the kernel boundary as they are: Python ints only
+    from germlab import _kernel
+
+    real = _kernel.std_basis
+    seen = []
+
+    def spy(gens, local, trunc=0):
+        seen.append([type(c) for g in gens for c in g.values()])
+        return real(gens, local, trunc)
+
+    monkeypatch.setattr(_kernel, "std_basis", spy)
+    analyze(make(["x*z + y*z^2", "z^3 + y^2*z"], name="Q2spy"), seed=5)
+    local_calls = len(seen)
+    witness_check(Q2, Q2W, {"s": Fraction(7, 3)}, seed=5)
+    assert local_calls and len(seen) > local_calls
+    assert {t for types in seen for t in types} == {int}

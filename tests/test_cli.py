@@ -459,3 +459,14 @@ def test_cli_entrypoint_subprocess():
                            str(GERMS / "q2.germ")], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "CANDIDATE" in proc.stdout
+
+
+def test_cli_float_scalar_exits_64(capsys, monkeypatch):
+    import germlab.cli as cli
+
+    def floating(germ, **kwargs):
+        return germ.components[0] * 0.5  # a float never becomes a coefficient
+
+    monkeypatch.setattr(cli, "analyze", floating)
+    assert run_cli("analyze", str(GERMS / "q2.germ")) == 64
+    assert "Fraction" in capsys.readouterr().err

@@ -1,10 +1,19 @@
+import math
+from fractions import Fraction
+from pathlib import Path
+
+from germlab.catalog import default_nonsimple_entries, default_simple_entries
+from germlab.germfile import load_germ_file
 from germlab.germs import (EMPTY, ICIS, ORIGIN, VIOLATION, GermCorank1,
                            build_Dk, class_size, expected_dims,
                            marar_mond_check, partitions, sign_of, sigma_sharp)
-from germlab.ideals import colength, germ_is_empty, local_dimension, reduces_to_zero
+from germlab.ideals import colength, germ_is_empty, local_dimension
 from germlab.milnor import milnor_icis
 from germlab.poly import PolyRing, eliminate_linear
 from germlab.parse import parse_polynomial
+from polyref import reduces_to_zero
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 
 def make_germ(n, p, exprs, varnames=("x", "y", "z"), params=(), name=""):
@@ -150,3 +159,37 @@ def test_marar_mond_immersion():
     rep = marar_mond_check(a_k(1))
     assert rep.finite
     assert rep.first_empty_k == 3
+
+
+def _assert_fraction_free(p):
+    """Integer numerators over a positive int denominator, in lowest terms."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+
+
+def test_dk_generators_are_fraction_free():
+    # every space the table and the witness streams build: the catalog germs
+    # of `table all`, and q2, a1, p1 perturbed at s = 7/3
+    # (germ, the germ whose first empty D^k ends the sweep)
+    germs = [(e.germ, e.germ) for e in default_simple_entries() + default_nonsimple_entries()]
+    for name in ("q2", "a1", "p1"):
+        gf = load_germ_file(str(GERMS / f"{name}.germ"))
+        pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(7, 3)})
+        germs.append((pert, gf.base_germ()))
+    dens = set()
+    for germ, base in germs:
+        for k in range(2, 13):
+            for part in partitions(k):
+                gens = build_Dk(germ, k, part).ideal.gens
+                for g in gens:
+                    _assert_fraction_free(g)
+                    dens.add(g.den)
+                for g in eliminate_linear(list(gens)).gens:
+                    _assert_fraction_free(g)
+                    assert g.den == 1 and g == g.primitive()
+            if germ_is_empty(build_Dk(base, k).ideal):
+                break
+        else:
+            raise AssertionError(f"no empty D^k for {germ.name}")
+    assert dens > {1}  # the perturbed germs carry denominators

@@ -9,7 +9,7 @@ from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             local_dimension, minors, singular_locus_ideal)
 from germlab.linalg import rank_q
 from germlab.milnor import EmptyGermError, NonIcisError, milnor_icis, mu_chain
-from germlab.poly import Polynomial, PolyRing, eliminate_linear
+from germlab.poly import PolyError, Polynomial, PolyRing, eliminate_linear
 
 
 def syms(ring):
@@ -37,6 +37,10 @@ def test_standard_basis_unit_and_monomial():
     assert set(leading_exponents(J)) == {(2, 0), (1, 1), (0, 2)}
     assert sorted(standard_basis(J), key=lambda g: sorted(g)) == [
         {(0, 2): 1}, {(1, 1): 1}, {(2, 0): 1}]
+    # the kernel sees variables only: parameters must be substituted first
+    P = PolyRing(("x",), ("s",))
+    with pytest.raises(PolyError):
+        standard_basis(Ideal.of([P.sym("x") ** 2]))
 
 
 def test_colength_examples():
@@ -296,7 +300,7 @@ def _macaulay_colength(gens, nvars, D):
     index = {e: i for i, e in enumerate(cols)}
     rows = []
     for g in gens:
-        terms = g.var_exponents()
+        terms = g.coefficients()
         for a in cols:
             row = {}
             for e, c in terms.items():

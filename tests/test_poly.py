@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 from germlab.germfile import load_germ_file
 from germlab.germs import GermCorank1, GermError
 from germlab.parse import parse_polynomial
-from germlab.poly import (PolyError, PolyRing, Polynomial, divided_difference,
-                          divided_differences, eliminate_linear, h_complete)
+from germlab.poly import PolyError, PolyRing, Polynomial, divided_differences, eliminate_linear
+from polyref import divided_difference, h_complete, reduces_to_zero
 
 
 R3 = PolyRing(("x", "y", "z"), ("s",))
@@ -22,7 +23,6 @@ def test_ring_basics():
     assert (p - p).is_zero()
     assert p.constant_term() == 0
     q = p.subs_params({"s": Fraction(1)})
-    assert not q.uses_params()
     assert q.ring.params == ()
 
 
@@ -46,7 +46,7 @@ def random_poly(ring, rng, maxdeg=4, nterms=5):
 def naive_subs(f, assignment, target):
     """Reference expander: each term is a product with one factor per symbol power."""
     out = target.zero()
-    for e, c in f.terms.items():
+    for e, c in f.coefficients().items():
         term = target.const(c)
         for name, k in zip(f.ring.syms, e):
             if name not in assignment:
@@ -115,7 +115,7 @@ def test_divided_differences_match_h_complete_and_recursion():
         outs = divided_differences(f, "z", fresh, tgt)
         for j, F in enumerate(outs, start=1):
             expect = tgt.zero()
-            for e, c in f.terms.items():
+            for e, c in f.coefficients().items():
                 coeff = tgt.monomial({"x": e[0], "y": e[1], "s": e[3], "t": e[4]}, c)
                 expect = expect + coeff * h_complete(tgt, e[2] - j, fresh[: j + 1])
             assert F == expect
@@ -238,7 +238,7 @@ def test_eliminate_linear_graph():
 
 def test_eliminate_preserves_ideal_membership():
     # substitute-and-check both ways through a Groebner oracle
-    from germlab.ideals import Ideal, reduces_to_zero
+    from germlab.ideals import Ideal
 
     R = PolyRing(("x", "y", "z1", "z2"))
     x, y, z1, z2 = (R.sym(n) for n in R.vars)
@@ -328,3 +328,273 @@ def test_germ_origin_checks():
     assert len(shipped) >= 8
     for g in shipped:
         assert g.is_immersive() == immersive_by_evaluation(g)
+
+
+# -- scalars: only int and Fraction ------------------------------------------
+
+
+def test_float_and_bool_scalars_are_refused():
+    x, y = R3.sym("x"), R3.sym("y")
+    p = x * y + 1
+    e = (1, 0, 0, 0)
+    refused = [
+        lambda: R3.const(0.1),
+        lambda: R3.const(True),
+        lambda: R3.const("1/2"),
+        lambda: R3.monomial({"x": 2}, 0.5),
+        lambda: Polynomial(R3, {e: 0.5}),
+        lambda: Polynomial(R3, {e: False}),
+        lambda: p.subs({"x": 0.5}),
+        lambda: p.subs({"x": True}),
+        lambda: p.subs_params({"s": 0.5}),
+        lambda: p * 0.5,
+        lambda: 0.5 * p,
+        lambda: p * True,
+        lambda: p + 0.5,
+        lambda: 0.5 + p,
+        lambda: p - 0.5,
+        lambda: 0.5 - p,
+    ]
+    for make in refused:
+        with pytest.raises(PolyError):
+            make()
+    # ints and Fractions still work, exactly
+    assert (p * Fraction(1, 2)).coefficients() == {(1, 1, 0, 0): Fraction(1, 2),
+                                                   (0, 0, 0, 0): Fraction(1, 2)}
+    assert R3.const(Fraction(3, 6)) == R3.const(1) * Fraction(1, 2)
+    assert p.subs({"x": Fraction(2, 3)}) == y * Fraction(2, 3) + 1
+
+
+# -- a dict-of-Fraction reference for the fraction-free arithmetic ------------
+
+
+def _clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _r_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _clean(out)
+
+
+def _r_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def _r_pow(a, k, n):
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(k):
+        out = _r_mul(out, a)
+    return out
+
+
+def _r_deriv(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def _r_subs(a, i, value):
+    """Substitute symbol i by a Fraction or a reference polynomial (same ring)."""
+    out = {}
+    n = len(next(iter(a))) if a else 0
+    for e, c in a.items():
+        rest = {e[:i] + (0,) + e[i + 1:]: c}
+        if isinstance(value, dict):
+            term = _r_mul(rest, _r_pow(value, e[i], n))
+        else:
+            term = _clean({m: v * value ** e[i] for m, v in rest.items()})
+        out = _r_add(out, term)
+    return out
+
+
+def _random_ref(rng, nsyms, maxdeg=3, nterms=5, dens=(1, 2, 3, 4, 6)):
+    d = {}
+    for _ in range(rng.randint(1, nterms)):
+        e = tuple(rng.randint(0, maxdeg) for _ in range(nsyms))
+        d[e] = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    return _clean(d)
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c for c in p.terms.values())
+    g = p.den
+    for c in p.terms.values():
+        g = math.gcd(g, c)
+    assert g == 1 or not p.terms
+    assert p.terms or p.den == 1
+
+
+def test_fraction_free_arithmetic_matches_fraction_reference():
+    rng = random.Random(14)
+    n = R3.nsyms
+    small = PolyRing(("x", "y", "z"))
+    wide = PolyRing(("w", "z", "y", "x"), ("t", "s"))
+    for _ in range(150):
+        a, b, v = (_random_ref(rng, n) for _ in range(3))
+        f, g, h = (Polynomial(R3, d) for d in (a, b, v))
+        q = Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.choice([1, 2, 9]))
+        k = rng.randint(0, 3)
+        results = [
+            (f + g, _r_add(a, b)),
+            (f - g, _r_add(a, b, -1)),
+            (f * g, _r_mul(a, b)),
+            (f * q, _clean({e: c * q for e, c in a.items()})),
+            (q - f, _r_add({(0,) * n: q} if q else {}, a, -1)),
+            (f ** k, _r_pow(a, k, n)),
+            (f.deriv("y"), _r_deriv(a, 1)),
+            (f.subs({"z": q}), _r_subs(a, 2, q)),
+            (f.subs({"x": h}), _r_subs(a, 0, v)),
+            # simultaneous: the y of g's image is not replaced by q
+            (f.subs({"s": g, "y": q}), _r_subs(_r_subs(a, 1, q), 3, b)),
+        ]
+        for got, want in results:
+            _assert_canonical(got)
+            assert got.coefficients() == want
+        for s in (Fraction(7, 3), Fraction(-1, 2)):
+            got = f.subs_params({"s": s})
+            assert got.ring == small
+            _assert_canonical(got)
+            assert got.coefficients() == {e[:3]: c for e, c in _r_subs(a, 3, s).items()}
+        # cast to a larger, reordered ring: x y z s -> positions 3 2 1 5
+        got = f.cast(wide)
+        _assert_canonical(got)
+        assert got.coefficients() == {(0, e[2], e[1], e[0], 0, e[3]): c for e, c in a.items()}
+
+
+def test_equal_values_built_by_different_routes_are_one_value():
+    rng = random.Random(1414)
+    x, y, s = R3.sym("x"), R3.sym("y"), R3.sym("s")
+    for _ in range(60):
+        f, g, h = (Polynomial(R3, _random_ref(rng, R3.nsyms)) for _ in range(3))
+        q = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        pairs = [
+            (f * g + f * h, f * (g + h)),
+            ((f * q) * (1 / q), f),
+            ((f + g) - g, f),
+            (f * 3 - f * 3, R3.zero()),
+            (Polynomial(R3, f.coefficients()), f),
+            (f.subs({"x": y * q}), f.subs({"x": Polynomial(R3, {(0, 1, 0, 0): q})})),
+            ((x * q + s) ** 2, x * x * q * q + x * s * (2 * q) + s * s),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert a.den == b.den and a.terms == b.terms
+
+
+def _leibniz(m):
+    from itertools import permutations
+
+    n = len(m)
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = {(0,) * R3.nsyms: Fraction(-1 if inversions % 2 else 1)}
+        for i in range(n):
+            term = _r_mul(term, m[i][perm[i]])
+        total = _r_add(total, term)
+    return total
+
+
+def test_minors_match_leibniz_determinants():
+    from itertools import combinations
+
+    from germlab.ideals import minors
+
+    rng = random.Random(2718)
+    for _ in range(12):
+        rows, cols = rng.choice([(2, 3), (3, 3), (3, 4)])
+        ref = [[_random_ref(rng, R3.nsyms, maxdeg=2, nterms=3) if rng.random() < 0.8 else {}
+                for _ in range(cols)] for _ in range(rows)]
+        mat = [[Polynomial(R3, d) for d in row] for row in ref]
+        for size in range(1, rows + 1):
+            want = []
+            for rs in combinations(range(rows), size):
+                for cs in combinations(range(cols), size):
+                    d = _leibniz([[ref[r][c] for c in cs] for r in rs])
+                    if d:
+                        want.append(d)
+            got = minors(mat, size)
+            for p in got:
+                _assert_canonical(p)
+            assert [p.coefficients() for p in got] == want
+
+
+# -- fraction-free elimination ----------------------------------------------
+
+
+def _r_eliminate(gens, nv):
+    """Reference elimination over Fractions, with eliminate_linear's choice rule."""
+    live = [g for g in gens if g]
+    solved = []
+    while True:
+        pick = None
+        for idx, g in enumerate(live):
+            names = [i for i in range(nv)
+                     if sum(1 for e in g if e[i]) == 1
+                     and any(e[i] == 1 and sum(e) == 1 for e in g)]
+            if names:
+                pick = (idx, max(names))
+                break
+        if pick is None:
+            return live, solved
+        idx, i = pick
+        g = live.pop(idx)
+        coef = next(c for e, c in g.items() if e[i])
+        sol = {e: -c / coef for e, c in g.items() if not e[i]}
+        live = [h for h in (_r_subs(h, i, sol) for h in live) if h]
+        solved.append((i, sol))
+
+
+def _assert_positive_multiples(res, live, solved, ring):
+    dead = {i for i, _ in solved}
+    assert [ring.var_index(v) for v in res.subs] == [i for i, _ in solved]
+    for (i, sol), (name, got) in zip(solved, res.subs.items()):
+        assert got.coefficients() == sol, name  # the exact rational solution
+    assert len(res.gens) == len(live)
+    for G, H in zip(res.gens, live):
+        assert G.den == 1 and math.gcd(*G.terms.values()) == 1  # primitive
+        H = {tuple(a for j, a in enumerate(e) if j not in dead): c for e, c in H.items()}
+        assert H.keys() == G.terms.keys()
+        ratios = {G.terms[e] / c for e, c in H.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_fraction_free_elimination_example():
+    R = PolyRing(("x", "y", "z"))
+    x, y, z = (R.sym(n) for n in R.vars)
+    gens = [-3 * x + y ** 2, x ** 2 + y ** 2 + z ** 2 - 1]
+    res = eliminate_linear(gens)
+    assert res.subs == {"x": y ** 2 * Fraction(1, 3)}
+    r = res.ring
+    ry, rz = r.sym("y"), r.sym("z")
+    # 9 * ((y^2/3)^2 + y^2 + z^2 - 1)
+    assert res.gens == [ry ** 4 + 9 * ry ** 2 + 9 * rz ** 2 - 9]
+    live, solved = _r_eliminate([{e: Fraction(c) for e, c in g.coefficients().items()}
+                                 for g in gens], R.nvars)
+    _assert_positive_multiples(res, live, solved, R)
+
+
+def test_fraction_free_elimination_matches_fraction_reference():
+    rng = random.Random(31)
+    R = PolyRing(("x", "y", "z", "w"), ("s",))
+    n = R.nsyms
+    for _ in range(120):
+        gens = []
+        for i in rng.sample(range(4), rng.randint(1, 3)):
+            tail = _random_ref(rng, n, maxdeg=2, nterms=4)
+            tail = {e: c for e, c in tail.items() if not e[i] and sum(e) != 1}
+            unit = tuple(int(j == i) for j in range(n))
+            tail[unit] = Fraction(rng.choice([-6, -3, -2, 2, 3, 5]), rng.choice([1, 2, 3]))
+            gens.append(tail)
+        gens.append(_random_ref(rng, n, maxdeg=3, nterms=5))
+        rng.shuffle(gens)
+        res = eliminate_linear([Polynomial(R, g) for g in gens])
+        live, solved = _r_eliminate(gens, R.nvars)
+        _assert_positive_multiples(res, live, solved, R)

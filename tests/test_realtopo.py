@@ -86,3 +86,24 @@ def test_quadratic_parts():
     assert const == -3 and lin == {}
     assert quad[0][0] == 1 and quad[0][1] == Fraction(1, 2)
     assert quadratic_parts(y ** 3 + z1) is None
+
+
+def test_classify_after_fraction_free_elimination():
+    # -2w + x^2 - y^2 gives w = (x^2 - y^2)/2; the second generator, of degree
+    # 1 in w, is kept as 2 * (its substituted form), a positive multiple
+    R = PolyRing(("x", "y", "w"))
+    x, y, w = (R.sym(n) for n in R.vars)
+    circle = classify([-2 * w + x ** 2 - y ** 2, w + y ** 2 - 1], 1)
+    # x^2/2 + y^2/2 - 1 = 0
+    assert (circle.kind, circle.dim, circle.signature, circle.chi) == (SPHERE, 1, (2, 0, 0), 0)
+    empty = classify([-2 * w + x ** 2 - y ** 2, -w - y ** 2 - 1], 1)
+    # -x^2/2 - y^2/2 - 1 = 0: a negative definite form with no real point
+    assert (empty.kind, empty.signature, empty.chi) == (EMPTY, (0, 2, 0), 0)
+    R2 = PolyRing(("x", "w"))
+    x, w = R2.sym("x"), R2.sym("w")
+    # w = x^2/3: x*w - x becomes x^3 - 3x, roots 0 and +-sqrt(3)
+    three = classify([-3 * w + x ** 2, x * w - x], 0)
+    assert (three.kind, three.count) == (POINTS, 3)
+    # w^2 - 1 becomes x^4 - 9, roots +-sqrt(3)
+    two = classify([-3 * w + x ** 2, w ** 2 - 1], 0)
+    assert (two.kind, two.count) == (POINTS, 2)
