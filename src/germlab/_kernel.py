@@ -6,10 +6,14 @@ ones, and the Buchberger/Mora completion loop.  One reduction step, `_step`
 (h := c_g*h - c_h*x^a*g, content removed), is the only place two
 polynomials are combined: both normal forms and every S-polynomial go
 through it.  Polynomials cross this boundary as plain dicts mapping
-exponent tuples to Python ints, primitive (content 1) and defined up to a
-positive rational factor -- leading ideals, memberships and colengths are
-all invariant under that scaling.  `std_basis(gens, local, trunc=0)` and
-`normal_form(f, basis, local)` take and return such dicts.
+exponent tuples to nonzero Python ints, defined up to a positive rational
+factor -- leading ideals, memberships and colengths are all invariant under
+that scaling.  Inputs need not be primitive (`ideals.standard_basis` passes
+numerator dicts such as {x: 2, y: 4}): `std_basis(gens, local, trunc=0)`
+divides each generator by its content and fixes its sign on entry, and
+`normal_form(f, basis, local)` divides f by its content and reduces by the
+basis as given, since `_step` removes the content it creates.  Both return
+primitive (content 1) dicts.
 
 Inside, a monomial is one Python int (packed exponent vectors: Bachmann and
 Schoenemann, Monomial representations for Groebner bases computations,

@@ -254,7 +254,9 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     Complex side: the substituted spaces must be smooth (or empty where the
     germ data demands it).  Real side: spaces are classified where decidable
     and compared through chi per class, alternating Betti numbers per k, the
-    odd-dimension pattern and the component-count expectation.
+    odd-dimension pattern and the component-count expectation.  A sweep
+    that `max_k` stops before the first empty D^k cannot confirm: its
+    verdict is at best INCONCLUSIVE, with a note naming the cap.
 
     The base germ's analysis is kept in a bounded LRU keyed by
     (germ, max_k, seed), so a sweep over the parameters of one germ analyzes
@@ -284,10 +286,10 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     notes: list[str] = []
     for grp_row in report.rows:
         k = grp_row.k
+        spaces = build_Dk(pert, k, local=False)
         comparisons: list[ClassComparison] = []
         if grp_row.empty:
-            space = build_Dk(pert, k, local=False)
-            ok = contains_one(space.ideal)
+            ok = contains_one(spaces[(1,) * k])
             comparisons.append(ClassComparison((1,) * k, grp_row.d_k, ok,
                                                "must be empty", RealSpace(EMPTY),
                                                0, 0 if ok else None))
@@ -300,7 +302,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         orbit_ok: bool | None = None
         for ce in grp_row.classes:
             # one emptiness test and one elimination decide both sides
-            I = build_Dk(pert, k, ce.partition, local=False).ideal
+            I = spaces[ce.partition]
             elim = None if contains_one(I) else eliminate_linear(I.gens)
             if ce.status == "empty" or ce.d_sigma < 0:
                 ok, note = elim is None, "must be empty"
@@ -345,8 +347,12 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
                 verdict = REFUTED
         if row.abeta_match is False or row.parity_ok is False or row.orbit_ok is False:
             verdict = REFUTED
+    capped = not rows[-1].germ_empty
+    if capped:
+        notes.append(f"max_k={max_k} stops the sweep before the first empty D^k; "
+                     "the higher multiple point spaces are unchecked")
     if verdict is CONFIRMED:
-        undecided = any(
+        undecided = capped or any(
             cc.chi_match is None for row in rows for cc in row.classes
         ) or any(row.abeta_match is None for row in rows)
         if undecided:

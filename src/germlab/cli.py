@@ -6,6 +6,7 @@
     germlab witness  GERM.germ [PERT.germ] [--param name=value]... [--json]
     germlab simplicial FILE.json {homology,alt,chi,floyd,smith}
                      [--coeff z|q|f2|f3|...] [--i I] [--json]
+                     (--coeff with homology only, --i with smith only)
 
 Exit codes: 0 = CANDIDATE / CONFIRMED / all catalog rows match / verified;
 1 = FAILS / REFUTED / catalog mismatch / inequality violated;
@@ -336,6 +337,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_simplicial(args) -> int:
+    if args.coeff is not None and args.action != "homology":
+        raise UsageError(f"--coeff applies to homology only, not to {args.action}")
+    if args.i is not None and args.action != "smith":
+        raise UsageError(f"--i applies to smith only, not to {args.action}")
     X = validate_or_subdivide(load_json(args.file))
     rc = 0
     if args.action == "homology":

@@ -11,7 +11,8 @@
 Clauses end with ';', '#' starts a comment, expressions follow the shared
 polynomial grammar.  `components` lists only the p-n+1 nonlinear entries of
 (x_1, .., x_{n-1}, g_1, .., g_{p-n+1}); `params` carries default rational
-values; `perturbation` is optional and may use the parameters.
+values; `perturbation` is optional and may use the parameters.  Each clause
+and each parameter name appears at most once.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class GermFile:
 _HEADER = re.compile(r"^\s*germ\s+([A-Za-z_][\w.^-]*)\s*\{(.*)\}\s*$", re.S)
 _NP = re.compile(r"^n\s*=\s*(\d+)\s+p\s*=\s*(\d+)$")
 _RAT = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(-?\d+(?:/\d+)?)$")
+_KEYWORDS = ("vars", "params", "components:", "perturbation:")
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -72,33 +74,33 @@ def parse_germ_file(text: str) -> GermFile:
         raise GermFileError("expected: germ <name> { ... }")
     name, inner = m.group(1), m.group(2)
     clauses = [c.strip() for c in inner.split(";") if c.strip()]
-    n = p = None
-    varnames: tuple[str, ...] | None = None
-    params: dict[str, Fraction] = {}
-    components = perturbation = None
+    found: dict[str, str] = {}  # clause kind -> the text after its keyword
     for clause in clauses:
-        if _NP.match(clause):
-            g = _NP.match(clause)
-            n, p = int(g.group(1)), int(g.group(2))
-        elif clause.startswith("vars"):
-            varnames = tuple(clause[4:].split())
-        elif clause.startswith("params"):
-            for item in clause[6:].split():
-                g = _RAT.match(item)
-                if not g:
-                    raise GermFileError(f"bad parameter declaration {item!r}")
-                try:
-                    params[g.group(1)] = Fraction(g.group(2))
-                except ZeroDivisionError:
-                    raise GermFileError(f"parameter {g.group(1)!r}: zero denominator") from None
-        elif clause.startswith("components:"):
-            components = tuple(s.strip() for s in clause[len("components:"):].split(",") if s.strip())
-        elif clause.startswith("perturbation:"):
-            perturbation = tuple(s.strip() for s in clause[len("perturbation:"):].split(",") if s.strip())
-        else:
+        kind = "n= p=" if _NP.match(clause) else next(
+            (k for k in _KEYWORDS if clause.startswith(k)), None)
+        if kind is None:
             raise GermFileError(f"unrecognized clause {clause!r}")
-    if n is None or varnames is None or components is None:
+        if kind in found:
+            raise GermFileError(f"clause {kind!r} given more than once")
+        found[kind] = clause if kind == "n= p=" else clause[len(kind):]
+    if not {"n= p=", "vars", "components:"} <= found.keys():
         raise GermFileError("germ file needs 'n=.. p=..', 'vars' and 'components'")
+    n, p = map(int, _NP.match(found["n= p="]).groups())
+    varnames = tuple(found["vars"].split())
+    params: dict[str, Fraction] = {}
+    for item in found.get("params", "").split():
+        g = _RAT.match(item)
+        if not g:
+            raise GermFileError(f"bad parameter declaration {item!r}")
+        if g.group(1) in params:
+            raise GermFileError(f"parameter {g.group(1)!r} given more than once")
+        try:
+            params[g.group(1)] = Fraction(g.group(2))
+        except ZeroDivisionError:
+            raise GermFileError(f"parameter {g.group(1)!r}: zero denominator") from None
+    components, perturbation = (
+        tuple(e.strip() for e in found[k].split(",") if e.strip()) if k in found else None
+        for k in ("components:", "perturbation:"))
     gf = GermFile(name, n, p, varnames, params, components, perturbation)
     gf.symbolic_germ()  # validate now: dimensions, vanishing, grammar
     if perturbation is not None:

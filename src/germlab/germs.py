@@ -5,12 +5,16 @@ with dg_i/dz(0) = 0.  The k-th multiple point space lives in the variables
 (x_1..x_{n-1}, z_1..z_k); its ideal is generated by the iterated divided
 differences of every g_i plus, for a permutation of cycle type (r_1..r_m),
 the differences z_a - z_b gluing consecutive entries of each cycle block.
+Only those gluing equations depend on the permutation, so `build_Dk` takes
+the divided differences once per k and returns the ideal of every
+D^k(f)^sigma, one per cycle type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import factorial
 
 from .ideals import (INF, Ideal, colength, germ_is_empty, local_dimension,
@@ -122,58 +126,32 @@ def expected_dims(n: int, p: int, k: int, partition: tuple[int, ...]):
 # -- D^k construction ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplePointSpace:
-    k: int
-    partition: tuple[int, ...]
-    ideal: Ideal
-    expected_dim: int
-    d_k: int
-    sigma_sharp: int
+def build_Dk(germ: GermCorank1, k: int, local: bool = True) -> dict[tuple[int, ...], Ideal]:
+    """Ideal of D^k(f)^sigma for the canonical sigma of every cycle type of k.
 
-
-def dk_ring(germ: GermCorank1, k: int) -> PolyRing:
-    zs = tuple(f"{germ.zvar}{i}" for i in range(1, k + 1))
+    Keyed by partition in `partitions(k)` order, the identity (D^k itself)
+    first.  The divided differences are taken once; each cycle type only
+    adds its gluing equations.  The canonical sigma places its cycles on
+    consecutive index blocks in decreasing length order, so its fixed locus
+    is cut out by the sum(r_i - 1) differences z_a - z_(a+1) inside blocks.
+    """
+    if k < 2:
+        raise GermError("multiple point spaces start at k = 2")
+    zs = [f"{germ.zvar}{i}" for i in range(1, k + 1)]
     clash = set(zs) & set(germ.ring.syms)
     if clash:
         raise GermError(f"variable names {sorted(clash)} collide with z-copies")
-    return PolyRing(germ.xvars + zs, germ.ring.params)
-
-
-def cycle_equations(ring: PolyRing, germ: GermCorank1, k: int,
-                    partition: tuple[int, ...]) -> list[Polynomial]:
-    """z_a - z_b for consecutive indices inside each cycle block.
-
-    The canonical representative permutation places its cycles on consecutive
-    index blocks in decreasing length order, so the fixed locus is cut out by
-    sum(r_i - 1) linear differences.
-    """
-    zs = [f"{germ.zvar}{i}" for i in range(1, k + 1)]
-    eqs = []
-    pos = 0
-    for r in partition:
-        for t in range(r - 1):
-            eqs.append(ring.sym(zs[pos + t]) - ring.sym(zs[pos + t + 1]))
-        pos += r
-    return eqs
-
-
-def build_Dk(germ: GermCorank1, k: int, partition: tuple[int, ...] | None = None,
-             local: bool = True) -> MultiplePointSpace:
-    """Ideal presentation of D^k(f)^sigma for the canonical sigma of the partition."""
-    if k < 2:
-        raise GermError("multiple point spaces start at k = 2")
-    if partition is None:
-        partition = (1,) * k
-    d_k, d_sigma, sharp = expected_dims(germ.n, germ.p, k, partition)
-    ring = dk_ring(germ, k)
-    fresh = [f"{germ.zvar}{i}" for i in range(1, k + 1)]
+    ring = PolyRing(germ.xvars + tuple(zs), germ.ring.params)
+    z = [ring.sym(name) for name in zs]
     gens: list[Polynomial] = []
     for g in germ.components:
-        gens.extend(divided_differences(g, germ.zvar, fresh, ring))
-    gens.extend(cycle_equations(ring, germ, k, partition))
-    ideal = Ideal(ring, tuple(gens), local=local)
-    return MultiplePointSpace(k, tuple(partition), ideal, d_sigma, d_k, sharp)
+        gens.extend(divided_differences(g, germ.zvar, zs, ring))
+    spaces = {}
+    for part in partitions(k):
+        starts = set(accumulate(part))  # z_(a+1) opens a new block
+        glue = [z[a] - z[a + 1] for a in range(k - 1) if a + 1 not in starts]
+        spaces[part] = Ideal(ring, tuple(gens + glue), local=local)
+    return spaces
 
 
 # -- Marar-Mond finiteness criterion ---------------------------------------
@@ -258,8 +236,9 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
     """Status table over k and partitions; finite iff no violation.
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
-    in k); `max_k` caps the sweep and must be at least 2.  Each D^k(f)^sigma
-    is built once; the identity partition comes first and decides emptiness.
+    in k); `max_k` caps the sweep and must be at least 2.  Every D^k(f)^sigma
+    of one k comes from one `build_Dk`; the identity partition comes first
+    and decides emptiness.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
@@ -269,10 +248,10 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
     finite = True
     cap = max_k if max_k is not None else 12
     for k in range(2, cap + 1):
-        for part in partitions(k):
-            space = build_Dk(germ, k, part)
-            st = replace(_isolated_after_reduction(space.ideal, space.expected_dim),
-                         k=k, partition=part, sigma_sharp=space.sigma_sharp)
+        for part, ideal in build_Dk(germ, k).items():
+            _, d_sigma, sharp = expected_dims(germ.n, germ.p, k, part)
+            st = replace(_isolated_after_reduction(ideal, d_sigma),
+                         k=k, partition=part, sigma_sharp=sharp)
             statuses.append(st)
             if st.kind == VIOLATION:
                 finite = False

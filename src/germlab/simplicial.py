@@ -18,13 +18,20 @@ per-dimension index, the group table and elements, goodness, the g-fixed
 subcomplex, and through `GComplex.derived` what other modules compute from
 it (`homology` keeps its elementary divisors and alternating chain complex
 there).  Every kept value is immutable; nothing is cached across complexes.
+
+A fixed locus has one construction, `fixed_subcomplex`: the simplexes fixed
+vertexwise by a permutation, on the fixed vertices renumbered in order,
+with the restricted symmetric action and optionally a residual cyclic one.
+For a prime-order action, Floyd's, Smith's and the special-complex checks
+all read X^g from the kept `g_fixed_subcomplex()`, so each of its matrices
+is eliminated once.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
@@ -304,50 +311,23 @@ class GComplex:
             )
         return GComplex(len(order), facets, self.k, gens, gp, self.p, coords)
 
-    def fixed_subcomplex(self, perms: list[tuple[int, ...]]) -> "GComplex":
-        """Subcomplex of simplexes all of whose vertices are fixed by every perm."""
-        fixed = {v for v in range(self.n_vertices)
-                 if all(p[v] == v for p in perms)}
-        facets = []
-        for f in self.facets:
-            best = tuple(v for v in f if v in fixed)
-            if best:
-                facets.append(best)
-        # keep only maximal ones
-        facets = sorted(set(facets), key=len, reverse=True)
-        keep: list[tuple[int, ...]] = []
-        for f in facets:
-            if not any(set(f) <= set(g) for g in keep):
-                keep.append(f)
-        return replace(self, facets=tuple(sorted(keep)), g_perm=None, p=None)
+    def fixed_subcomplex(self, fixing: tuple[int, ...],
+                         residual: tuple[int, ...] | None = None) -> "GComplex":
+        """Subcomplex of simplexes fixed vertexwise by `fixing`, reindexed.
 
-    def g_fixed_subcomplex(self) -> "GComplex":
-        """Subcomplex fixed by the cyclic action, built once per complex."""
-        return self._g_fixed
-
-    @cached_property
-    def _g_fixed(self) -> "GComplex":
-        if self.g_perm is None:
-            return replace(self, g_perm=None, p=None)
-        return self.fixed_subcomplex([self.g_perm])
-
-    def reindexed_fixed_subcomplex(self, fixing: tuple[int, ...] | None = None,
-                                   residual: tuple[int, ...] | None = None) -> "GComplex":
-        """Fixed subcomplex of `fixing` (default: the cyclic action), reindexed.
-
-        Vertices fixed by `fixing` are renumbered 0..m-1; the symmetric
-        generators restrict (they must commute with `fixing`).  `residual`,
-        when given, is a commuting permutation whose restriction becomes the
-        cyclic action of the subcomplex (its order is recomputed).
+        The fixed vertices are renumbered 0..m-1 in order, so simplexes keep
+        their relative order, and the symmetric generators restrict (they
+        commute with `fixing`).  `residual`, when given, is a commuting
+        permutation whose restriction becomes the cyclic action of the
+        subcomplex (its order is recomputed); otherwise it has none.
         """
-        if fixing is None:
-            fixing = self.g_perm
-        if fixing is None:
-            return replace(self, g_perm=None, p=None)
         keep = [v for v in range(self.n_vertices) if fixing[v] == v]
         new_of = {v: i for i, v in enumerate(keep)}
-        sub = self.fixed_subcomplex([fixing])
-        facets = tuple(tuple(new_of[v] for v in f) for f in sub.facets)
+        faces = {tuple(new_of[v] for v in f if v in new_of) for f in self.facets}
+        facets: list[tuple[int, ...]] = []  # the maximal ones
+        for f in sorted(faces - {()}, key=len, reverse=True):
+            if not any(set(f) <= set(g) for g in facets):
+                facets.append(f)
 
         def restrict(perm):
             return tuple(new_of[perm[v]] for v in keep)
@@ -360,7 +340,16 @@ class GComplex:
             if order == 1:
                 g2 = order = None
         coords = tuple(self.coords[v] for v in keep) if self.coords is not None else None
-        return GComplex(len(keep), facets, self.k, gens, g2, order, coords)
+        return GComplex(len(keep), tuple(sorted(facets)), self.k, gens, g2, order, coords)
+
+    def g_fixed_subcomplex(self) -> "GComplex":
+        """Subcomplex fixed by the cyclic action (all of it when there is
+        none), built once per complex."""
+        return self._g_fixed
+
+    @cached_property
+    def _g_fixed(self) -> "GComplex":
+        return self.fixed_subcomplex(self.g_perm or tuple(range(self.n_vertices)))
 
 
 def _is_prime_power(n: int) -> bool:

@@ -74,8 +74,7 @@ def verify_equivariant_smith(X: GComplex) -> tuple[bool, list[TailLedger]]:
         order = Y.p
         p = smallest_prime_factor(order)
         if order == p:
-            h = Y.g_perm
-            Z = Y
+            Z, fixed = Y, Y.g_fixed_subcomplex()
         else:
             # subgroup of order p generated by g^(order/p); g's own order
             # may be far below `order`, so step only order/p mod that
@@ -83,8 +82,8 @@ def verify_equivariant_smith(X: GComplex) -> tuple[bool, list[TailLedger]]:
             for _ in range(order // p % _perm_order(Y.g_perm)):
                 h = tuple(Y.g_perm[x] for x in h)
             Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p, Y.coords)
+            fixed = Y.fixed_subcomplex(h, residual=Y.g_perm)
         lhs = alternating_homology(Z, fields=(f"F{p}",)).field_ranks[f"F{p}"]
-        fixed = Y.reindexed_fixed_subcomplex(fixing=h, residual=Y.g_perm if order != p else None)
         rhs = alternating_homology(fixed, fields=(f"F{p}",)).field_ranks[f"F{p}"]
         ledgers.append(TailLedger(f"Abeta tails over F{p}", lhs, rhs))
         if order == p:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import germlab.analyzer as analyzer
-from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, REFUTED,
-                              NotAFiniteError, WitnessPreconditionError,
+from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, INCONCLUSIVE,
+                              REFUTED, NotAFiniteError, WitnessPreconditionError,
                               analyze, witness_check, zero_dim_stable_counts)
 from germlab.germs import GermCorank1, GermError, build_Dk, marar_mond_check
 from germlab.parse import parse_polynomial
@@ -111,6 +111,24 @@ def test_witness_p1_good_and_bad_perturbations():
     assert witness_check(p1, bad, {"s": Fraction(1)}).verdict == REFUTED
 
 
+@pytest.mark.parametrize("max_k", [2, 3, 4, None])
+def test_witness_capped_before_the_first_empty_space_is_inconclusive(max_k):
+    # Q2's first empty multiple point space is D^4: a sweep stopped below it
+    # leaves spaces unchecked and cannot confirm; a refutation still stands
+    rep = witness_check(Q2, Q2W, {"s": Fraction(5)}, max_k=max_k)
+    capped = max_k is not None and max_k < 4
+    assert [r.k for r in rep.rows] == list(range(2, 5 if not capped else max_k + 1))
+    assert rep.verdict == (INCONCLUSIVE if capped else CONFIRMED)
+    cap_notes = [note for note in rep.notes if f"max_k={max_k}" in note]
+    assert len(cap_notes) == (1 if capped else 0)
+    # the perturbed cusp loses its node at k = 2 (see the test below)
+    cusp = make(["z^2", "z^3"], varnames=("z",), n=1, p=2, name="cusp")
+    pert = make(["z^2 + s*z - s*z^2", "z^3"], params=("s",), varnames=("z",), n=1, p=2)
+    rep = witness_check(cusp, pert, {"s": Fraction(1)}, max_k=max_k)
+    assert rep.verdict == REFUTED
+    assert rep.rows[-1].germ_empty == (max_k != 2)
+
+
 def test_witness_inconclusive_indefinite_quadric():
     # complexly this is an A1 double point germ, but the chosen real structure
     # perturbs to a hyperboloid: not a decidable shape, so no verdict is forced
@@ -191,9 +209,9 @@ def test_analyze_builds_each_space_once(monkeypatch):
     built = Counter()
     real_build = germs.build_Dk
 
-    def counting_build(germ, k, partition=None, local=True):
-        built[(germ.name, k, partition or (1,) * k)] += 1
-        return real_build(germ, k, partition, local)
+    def counting_build(germ, k, local=True):
+        built[(germ.name, k)] += 1
+        return real_build(germ, k, local)
 
     monkeypatch.setattr(germs, "build_Dk", counting_build)
     row3 = nonsimple_entry("III")
@@ -201,7 +219,43 @@ def test_analyze_builds_each_space_once(monkeypatch):
         rep = analyze(germ)
         assert len(rep.rows) >= 3  # k = 2, 3 and the first empty k
     assert built and max(built.values()) == 1
-    assert {k for _, k, _ in built} >= {2, 3, 4}
+    assert {k for _, k in built} >= {2, 3, 4}
+
+
+def _count_divided_differences(monkeypatch):
+    """Counter of divided_differences calls keyed by (polynomial, k)."""
+    from collections import Counter
+
+    import germlab.poly as poly
+
+    calls = Counter()
+    real = poly.divided_differences
+
+    def counting(f, var, fresh, ring):
+        calls[(f, len(fresh))] += 1
+        return real(f, var, fresh, ring)
+
+    _patch_everywhere(monkeypatch, real, counting)
+    return calls
+
+
+def test_divided_differences_taken_once_per_component_and_k(monkeypatch):
+    # every cycle type of one k shares the divided differences of D^k: an
+    # analysis and a witness take them once per (component, k)
+    from germlab.catalog import nonsimple_entry
+
+    row3 = nonsimple_entry("III").germ
+    witness_check(Q2, Q2W, {"s": Fraction(1)})  # warms the base report
+    calls = _count_divided_differences(monkeypatch)
+    for germ in (Q2, row3):
+        calls.clear()
+        rep = analyze(germ)
+        assert set(calls.values()) == {1}, germ.name
+        assert len(calls) == len(germ.components) * len(rep.rows), germ.name
+    calls.clear()
+    rep = witness_check(Q2, Q2W, {"s": Fraction(7, 3)})
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(Q2W.components) * len(rep.rows)
 
 
 def test_milnor_icis_matches_analyze_on_simple_rows():
@@ -215,8 +269,8 @@ def test_milnor_icis_matches_analyze_on_simple_rows():
         for row in analyze(e.germ).rows:
             for ce in row.classes:
                 if ce.status == "mu":
-                    space = build_Dk(e.germ, row.k, ce.partition)
-                    assert milnor_icis(space.ideal, ce.d_sigma).milnor == ce.mu, \
+                    space = build_Dk(e.germ, row.k)[ce.partition]
+                    assert milnor_icis(space, ce.d_sigma).milnor == ce.mu, \
                         (e.label, row.k, ce.partition)
                     checked += 1
     assert checked >= 50
@@ -303,15 +357,16 @@ def test_witness_asks_each_global_question_once(monkeypatch):
         for s in (Fraction(1), Fraction(-1), Fraction(7, 3)):
             events.clear()
             rep = witness_check(base, pert, {"s": s})
-            classes = sum(len(row.classes) for row in rep.rows)
-            assert sum(e[0] == "build" for e in events) == classes
-            last_ring, elims_since_build = None, 0
+            # one build per k; at most one elimination per class of that k
+            assert sum(e[0] == "build" for e in events) == len(rep.rows)
+            row_classes = iter(len(row.classes) for row in rep.rows)
+            last_ring, elims_in_row, classes = None, 0, 0
             for e in events:
                 if e[0] == "build":
-                    last_ring, elims_since_build = None, 0
+                    last_ring, elims_in_row, classes = None, 0, next(row_classes)
                 elif e[0] == "elim":
-                    last_ring, elims_since_build = e[1], elims_since_build + 1
-                    assert elims_since_build == 1, (pert.name, s)
+                    last_ring, elims_in_row = e[1], elims_in_row + 1
+                    assert elims_in_row <= classes, (pert.name, s)
                 elif e[0] == "minors":
                     seen_minors += 1
                     assert e[2] == last_ring and e[1] == last_ring.nvars, (pert.name, s)

@@ -44,6 +44,41 @@ def test_germfile_errors():
                         " components: x*z + y*z^2, z^3 + y^2*z - s*z; }")
 
 
+_GERM_CLAUSES = {
+    "n= p=": "n=3 p=4;",
+    "vars": "vars x y z;",
+    "params": "params s=1;",
+    "components:": "components: x*z + y*z^2, z^3 + y^2*z;",
+    "perturbation:": "perturbation: x*z + y*z^2, z^3 + y^2*z - s*z;",
+}
+
+
+@pytest.mark.parametrize("repeated", list(_GERM_CLAUSES))
+def test_germfile_rejects_repeated_clauses(capsys, tmp_path, repeated):
+    # a repeat is an error, not "the last one wins"
+    body = " ".join(_GERM_CLAUSES.values())
+    parse_germ_file(f"germ X {{ {body} }}")
+    twice = f"germ X {{ {body} {_GERM_CLAUSES[repeated]} }}"
+    with pytest.raises(GermFileError, match="more than once"):
+        parse_germ_file(twice)
+    path = tmp_path / "twice.germ"
+    path.write_text(twice)
+    assert run_cli("analyze", str(path)) == 64
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_germfile_rejects_repeated_parameter_names(capsys, tmp_path):
+    text = ("germ X { n=3 p=4; vars x y z; params s=1 s=2;"
+            " components: x*z + y*z^2, z^3 + y^2*z;"
+            " perturbation: x*z + y*z^2, z^3 + y^2*z - s*z; }")
+    with pytest.raises(GermFileError, match="'s' given more than once"):
+        parse_germ_file(text)
+    path = tmp_path / "s_twice.germ"
+    path.write_text(text)
+    assert run_cli("witness", str(path)) == 64
+    assert "more than once" in capsys.readouterr().err
+
+
 def test_catalog_roundtrip_through_germfile():
     gf = load_germ_file(str(GERMS / "q2.germ"))
     entry = simple_entry("Q", k=2)
@@ -292,6 +327,14 @@ def test_cli_max_k_below_two_exits_64(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_capped_witness_exits_inconclusive(capsys):
+    q2 = str(GERMS / "q2.germ")
+    for cap, rc in (("2", 2), ("3", 2), ("4", 0)):
+        assert run_cli("witness", q2, "--param", "s=5", "--max-k", cap) == rc, cap
+        out = capsys.readouterr().out
+        assert (f"note: max_k={cap} stops the sweep" in out) == (rc == 2), cap
+
+
 def test_cli_argparse_errors_exit_64(capsys):
     # argparse's own status 2 would read as INCONCLUSIVE
     rp2 = str(COMPLEXES / "rp2.json")
@@ -305,6 +348,20 @@ def test_cli_argparse_errors_exit_64(capsys):
                            "homology", "--coeff"], capture_output=True, text=True)
     assert proc.returncode == 64
     assert "expected one argument" in proc.stderr
+
+
+def test_cli_simplicial_refuses_flags_its_action_ignores(capsys):
+    sphere = str(COMPLEXES / "sphere-swap.json")
+    for argv in (("alt", "--coeff", "f2"), ("chi", "--coeff", "q"), ("floyd", "--coeff", "z"),
+                 ("smith", "--coeff", "f2"), ("smith", "--i", "1", "--coeff", "f2"),
+                 ("homology", "--i", "1"), ("alt", "--i", "0"), ("chi", "--i", "1"),
+                 ("floyd", "--i", "1")):
+        assert run_cli("simplicial", sphere, *argv) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "applies to" in err, argv
+    for argv in (("homology", "--coeff", "f2"), ("smith", "--i", "1"), ("floyd",)):
+        assert run_cli("simplicial", sphere, *argv) == 0, argv
+        capsys.readouterr()
 
 
 def _simplicial_subprocess(*argv):

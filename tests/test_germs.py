@@ -51,21 +51,26 @@ def test_partition_combinatorics():
 
 def test_build_d2_q2_matches_displayed_generators():
     g = q2()
-    space = build_Dk(g, 2)
-    R = space.ideal.ring
+    spaces = build_Dk(g, 2)
+    assert list(spaces) == [(1, 1), (2,)]  # partitions(2), the identity first
+    space = spaces[(1, 1)]
+    R = space.ring
     x, y, z1, z2 = (R.sym(n) for n in ("x", "y", "z1", "z2"))
     want = [x + y * (z1 + z2), z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2]
-    assert list(space.ideal.gens) == want
-    assert space.expected_dim == 2
-    assert local_dimension(space.ideal) == 2
+    assert list(space.gens) == want
+    assert list(spaces[(2,)].gens) == want + [z1 - z2]
+    assert expected_dims(g.n, g.p, 2, (1, 1))[1] == 2
+    assert local_dimension(space) == 2
 
 
 def test_build_d3_q2_matches_displayed_generators():
     g = q2()
-    space = build_Dk(g, 3)
-    R = space.ideal.ring
+    spaces = build_Dk(g, 3)
+    assert list(spaces) == list(partitions(3))
+    space = spaces[(1, 1, 1)]
+    R = space.ring
     x, y, z1, z2, z3 = (R.sym(n) for n in ("x", "y", "z1", "z2", "z3"))
-    gens = list(space.ideal.gens)
+    gens = list(space.gens)
     assert x + y * (z1 + z2) in gens
     assert z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 in gens
     assert y in gens
@@ -73,56 +78,55 @@ def test_build_d3_q2_matches_displayed_generators():
 
 
 def test_d3_of_a_family_is_empty():
-    space = build_Dk(a_k(2), 3)
-    assert germ_is_empty(space.ideal)
+    space = build_Dk(a_k(2), 3)[(1, 1, 1)]
+    assert germ_is_empty(space)
 
 
 def test_a1_d3_empty_via_immersion_logic():
-    space = build_Dk(a_k(1), 3)
-    assert germ_is_empty(space.ideal)
+    space = build_Dk(a_k(1), 3)[(1, 1, 1)]
+    assert germ_is_empty(space)
 
 
 def test_dk_ideal_mu_values_q2():
     g = q2()
-    d2 = build_Dk(g, 2)
-    assert milnor_icis(d2.ideal, 2).milnor == 1
+    d2 = build_Dk(g, 2)[(1, 1)]
+    assert milnor_icis(d2, 2).milnor == 1
     d3 = build_Dk(g, 3)
-    assert milnor_icis(d3.ideal, 1).milnor == 1
-    d3t = build_Dk(g, 3, (2, 1))
-    assert d3t.expected_dim == 0
-    assert milnor_icis(d3t.ideal, 0).milnor == 1
-    assert colength(d3t.ideal) == 2
-    d3c = build_Dk(g, 3, (3,))
-    assert d3c.expected_dim == -1
-    assert not germ_is_empty(d3c.ideal)  # the germ is the origin itself
-    d4 = build_Dk(g, 4)
-    assert germ_is_empty(d4.ideal)
+    assert milnor_icis(d3[(1, 1, 1)], 1).milnor == 1
+    d3t = d3[(2, 1)]
+    assert expected_dims(g.n, g.p, 3, (2, 1))[1] == 0
+    assert milnor_icis(d3t, 0).milnor == 1
+    assert colength(d3t) == 2
+    d3c = d3[(3,)]
+    assert expected_dims(g.n, g.p, 3, (3,))[1] == -1
+    assert not germ_is_empty(d3c)  # the germ is the origin itself
+    d4 = build_Dk(g, 4)[(1, 1, 1, 1)]
+    assert germ_is_empty(d4)
 
 
 def test_ak_reduction_to_normal_form():
     for k in (1, 2, 3):
-        space = build_Dk(a_k(k), 2)
-        elim = eliminate_linear(list(space.ideal.gens))
+        space = build_Dk(a_k(k), 2)[(1, 1)]
+        elim = eliminate_linear(list(space.gens))
         assert len(elim.gens) == 1
         R = elim.ring
         want = R.sym("z1") ** 2 + R.sym("x") ** 2 + R.sym("y") ** (k + 1)
         assert elim.gens[0] == want
-        assert milnor_icis(space.ideal, 2).milnor == k
+        assert milnor_icis(space, 2).milnor == k
 
 
 def test_dk_sigma_contains_dk_ideal():
     g = q2()
-    full = build_Dk(g, 3)
-    fixed = build_Dk(g, 3, (2, 1))
-    for gen in full.ideal.gens:
-        assert gen in fixed.ideal.gens
+    spaces = build_Dk(g, 3)
+    full, fixed = spaces[(1, 1, 1)], spaces[(2, 1)]
+    for gen in full.gens:
+        assert gen in fixed.gens
 
 
 def test_dk_ideal_sigma_invariance():
     # permuted generators of D^k reduce to zero against the D^k ideal
     g = q2()
-    space = build_Dk(g, 3)
-    I = space.ideal
+    I = build_Dk(g, 3)[(1, 1, 1)]
     R = I.ring
     perms = [("z1", "z2"), ("z2", "z3")]
     for a, b in perms:
@@ -180,15 +184,15 @@ def test_dk_generators_are_fraction_free():
     dens = set()
     for germ, base in germs:
         for k in range(2, 13):
-            for part in partitions(k):
-                gens = build_Dk(germ, k, part).ideal.gens
+            for ideal in build_Dk(germ, k).values():
+                gens = ideal.gens
                 for g in gens:
                     _assert_fraction_free(g)
                     dens.add(g.den)
                 for g in eliminate_linear(list(gens)).gens:
                     _assert_fraction_free(g)
                     assert g.den == 1 and g == g.primitive()
-            if germ_is_empty(build_Dk(base, k).ideal):
+            if germ_is_empty(build_Dk(base, k)[(1,) * k]):
                 break
         else:
             raise AssertionError(f"no empty D^k for {germ.name}")

@@ -35,9 +35,9 @@ def test_germ_emptiness_agrees_with_unit_detection():
 
 def test_emptiness_is_monotone_in_k():
     e = simple_entry("A", k=1)
-    assert germ_is_empty(build_Dk(e.germ, 3).ideal)
-    assert germ_is_empty(build_Dk(e.germ, 4).ideal)
-    assert germ_is_empty(build_Dk(e.germ, 5).ideal)
+    assert germ_is_empty(build_Dk(e.germ, 3)[(1, 1, 1)])
+    assert germ_is_empty(build_Dk(e.germ, 4)[(1, 1, 1, 1)])
+    assert germ_is_empty(build_Dk(e.germ, 5)[(1, 1, 1, 1, 1)])
 
 
 def test_dk_sigma_expected_complete_intersection_shape():
@@ -46,13 +46,12 @@ def test_dk_sigma_expected_complete_intersection_shape():
     for family, arg in (("Q", 2), ("R", 3)):
         e = simple_entry(family, k=arg)
         for k in (2, 3):
-            from germlab.germs import partitions
+            from germlab.germs import expected_dims
 
-            for part in partitions(k):
-                sp = build_Dk(e.germ, k, part)
-                n_gens = len(sp.ideal.gens)
+            for part, ideal in build_Dk(e.germ, k).items():
+                n_gens = len(ideal.gens)
                 assert n_gens == 2 * (k - 1) + (k - len(part))
-                codim = sp.ideal.ring.nvars - sp.expected_dim
+                codim = ideal.ring.nvars - expected_dims(e.germ.n, e.germ.p, k, part)[1]
                 assert n_gens == codim
 
 

@@ -249,6 +249,40 @@ def test_equivariant_smith_two_spheres():
     assert ok
 
 
+def test_fixed_subcomplex_is_the_reindexed_fixed_locus():
+    # simplexes fixed vertexwise by g (order 4) or by g^2, read back through
+    # the renumbering, with the symmetric and residual actions restricted
+    rng = random.Random(11)
+    complexes = [random_block_complex(rng, k=2, m=4, n_facets=4, max_dim=2, p=4)
+                 for _ in range(10)]
+    complexes += [validate_or_subdivide(two_spheres_swapped_with_conjugation()),
+                  load_json(str(Path(__file__).resolve().parent.parent / "complexes"
+                                / "sphere-reflection.json")),
+                  GComplex(3, ((0, 1), (1, 2)), 1, (), (2, 1, 0), 2,
+                           tuple((Fraction(x),) for x in (-1, 0, 1)))]
+    for X in complexes:
+        g = X.g_perm
+        g2 = tuple(g[v] for v in g)
+        for fixing, residual in ((g, None), (g2, g)):
+            F = X.fixed_subcomplex(fixing, residual=residual)
+            keep = [v for v in range(X.n_vertices) if fixing[v] == v]
+            assert F.n_vertices == len(keep)
+            back = {tuple(keep[v] for v in s) for lst in F.simplices().values() for s in lst}
+            assert back == {s for lst in X.simplices().values() for s in lst
+                            if all(fixing[v] == v for v in s)}
+            for perm, restricted in zip(X.sigma_gens, F.sigma_gens):
+                assert [keep[w] for w in restricted] == [perm[v] for v in keep]
+            if residual is None or F.g_perm is None:
+                assert F.g_perm is F.p is None
+            else:
+                assert [keep[w] for w in F.g_perm] == [residual[v] for v in keep]
+                assert F.p == 2
+            if X.coords is not None:
+                assert F.coords == tuple(X.coords[v] for v in keep)
+        assert X.g_fixed_subcomplex() is X.g_fixed_subcomplex()
+        assert X.g_fixed_subcomplex() == X.fixed_subcomplex(g)
+
+
 def test_smith_special_ranks_free_orbit():
     # two disjoint segments swapped by g (p=2, free): dim C^rho = dim C/2
     X = GComplex(4, ((0, 1), (2, 3)), 1, (), (2, 3, 0, 1), 2)
@@ -340,14 +374,13 @@ def test_homology_pipeline_eliminates_each_matrix_once(monkeypatch):
         assert X.p is not None and smallest_prime_factor(X.p) == X.p
         eliminated.clear()
         Y = _homology_pipeline(X)
-        fixed = Y.g_fixed_subcomplex()  # Floyd and the special ranks share it
-        reindexed = Y.reindexed_fixed_subcomplex()  # equivariant Smith's right side
-        # H_* over Z and F_p of Y and of its fixed complex; AH_* of Y, of the
-        # fixed complex and of its reindexed copy
-        need = sum(len(boundary_matrices(Z)[1]) for Z in (Y, fixed))
-        need += sum(len(alternating_chain_complex(Z).boundaries)
-                    for Z in (Y, fixed, reindexed))
-        assert need and len(eliminated) == need
+        done = len(eliminated)
+        # Floyd, equivariant Smith and the special ranks share one fixed
+        # complex: H_* over Z and F_p and AH_* of Y and of X^g, nothing else
+        fixed = Y.g_fixed_subcomplex()
+        need = sum(len(boundary_matrices(Z)[1]) + len(alternating_chain_complex(Z).boundaries)
+                   for Z in (Y, fixed))
+        assert need and done == need == len(eliminated)
     assert builds and set(builds.values()) == {1}
 
 
@@ -383,7 +416,7 @@ def test_cached_structure_is_immutable_and_invisible():
     H.torsion[0].append(99)
     assert homology(X, "Z") == homology(twin, "Z")
     for cold in (replace(X, coords=None), X.barycentric_subdivision(),
-                 X.reindexed_fixed_subcomplex(), X.fixed_subcomplex([X.g_perm]),
+                 X.fixed_subcomplex(X.g_perm), X.fixed_subcomplex(X.g_perm, residual=X.g_perm),
                  pickle.loads(pickle.dumps(X)), copy.deepcopy(X)):
         assert not _cached(cold)
     assert pickle.loads(pickle.dumps(X)) == X == copy.deepcopy(X)
