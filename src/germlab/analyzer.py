@@ -30,9 +30,8 @@ from operator import attrgetter
 
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
                     build_Dk, class_size, marar_mond_check)
-from .ideals import affine_is_smooth, contains_one
+from .ideals import affine_elimination, affine_is_smooth
 from .milnor import milnor
-from .poly import eliminate_linear
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
 FAILS = "FAILS"
@@ -289,7 +288,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         spaces = build_Dk(pert, k, local=False)
         comparisons: list[ClassComparison] = []
         if grp_row.empty:
-            ok = contains_one(spaces[(1,) * k])
+            ok = affine_elimination(spaces[(1,) * k]) is None
             comparisons.append(ClassComparison((1,) * k, grp_row.d_k, ok,
                                                "must be empty", RealSpace(EMPTY),
                                                0, 0 if ok else None))
@@ -301,9 +300,9 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         parity_ok: bool | None = True
         orbit_ok: bool | None = None
         for ce in grp_row.classes:
-            # one emptiness test and one elimination decide both sides
+            # one elimination decides emptiness, smoothness and the real class
             I = spaces[ce.partition]
-            elim = None if contains_one(I) else eliminate_linear(I.gens)
+            elim = affine_elimination(I)
             if ce.status == "empty" or ce.d_sigma < 0:
                 ok, note = elim is None, "must be empty"
             else:

@@ -11,8 +11,9 @@
 Clauses end with ';', '#' starts a comment, expressions follow the shared
 polynomial grammar.  `components` lists only the p-n+1 nonlinear entries of
 (x_1, .., x_{n-1}, g_1, .., g_{p-n+1}); `params` carries default rational
-values; `perturbation` is optional and may use the parameters.  Each clause
-and each parameter name appears at most once.
+values; `perturbation` is optional and may use the parameters.  `vars` and
+`params` are followed by whitespace.  Each clause and each parameter name
+appears at most once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class GermFile:
 _HEADER = re.compile(r"^\s*germ\s+([A-Za-z_][\w.^-]*)\s*\{(.*)\}\s*$", re.S)
 _NP = re.compile(r"^n\s*=\s*(\d+)\s+p\s*=\s*(\d+)$")
 _RAT = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(-?\d+(?:/\d+)?)$")
-_KEYWORDS = ("vars", "params", "components:", "perturbation:")
+_KEYWORD = re.compile(r"(?:vars|params)(?=\s)|components:|perturbation:")
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -76,9 +77,9 @@ def parse_germ_file(text: str) -> GermFile:
     clauses = [c.strip() for c in inner.split(";") if c.strip()]
     found: dict[str, str] = {}  # clause kind -> the text after its keyword
     for clause in clauses:
-        kind = "n= p=" if _NP.match(clause) else next(
-            (k for k in _KEYWORDS if clause.startswith(k)), None)
-        if kind is None:
+        keyword = _KEYWORD.match(clause)
+        kind = "n= p=" if _NP.match(clause) else keyword and keyword.group()
+        if not kind:
             raise GermFileError(f"unrecognized clause {clause!r}")
         if kind in found:
             raise GermFileError(f"clause {kind!r} given more than once")

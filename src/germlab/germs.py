@@ -17,8 +17,8 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from math import factorial
 
-from .ideals import (INF, Ideal, colength, germ_is_empty, local_dimension,
-                     singular_locus_ideal)
+from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian_ideal,
+                     local_dimension, singular_locus_ideal)
 from .poly import Polynomial, PolyRing, divided_differences, eliminate_linear
 
 
@@ -166,10 +166,10 @@ VIOLATION = "VIOLATION"
 class SpaceStatus:
     """What the finiteness check found out about one germ of expected dimension.
 
-    The answers are final: an ICIS keeps its reduced ideal (and, in
-    dimension zero, its colength), so the invariant step reads them
-    instead of checking the space again.  The sweep adds the space's place
-    in it: k, the cycle type and sigma^#.
+    The answers are final: an ICIS keeps its reduced ideal and, when the
+    check has measured it, its Milnor number, so the invariant step reads
+    them instead of checking the space again.  The sweep adds the space's
+    place in it: k, the cycle type and sigma^#.
     """
 
     expected_dim: int
@@ -178,8 +178,9 @@ class SpaceStatus:
     reason: str = ""
     # the space after linear elimination; None when empty or smooth
     reduced: Ideal | None = None
-    # colength of `reduced` for an ICIS or ORIGIN with expected_dim <= 0
-    colength: int | None = None
+    # Milnor number, when the check measured it: 0 when smooth, colength - 1
+    # when expected_dim <= 0, the Jacobian colength of a single generator
+    mu: int | None = None
     k: int = 0
     partition: tuple[int, ...] = ()
     sigma_sharp: int = 0
@@ -199,8 +200,11 @@ def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
     """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
     A nonempty, non-smooth space keeps the ideal left after linear
-    elimination and, for expected dimension at most 0, its colength, so the
-    invariant step neither eliminates nor measures it again.
+    elimination and, for expected dimension at most 0 or a single generator
+    g, its mu, so the invariant step neither eliminates nor measures it
+    again.  For g in the maximal ideal, mu = colength(dg) is finite exactly
+    when the singularity is isolated (near 0 the critical locus lies in
+    g = 0, by curve selection); more generators use the singular locus.
     """
     status = partial(SpaceStatus, expected_dim)
     if germ_is_empty(ideal):
@@ -213,7 +217,7 @@ def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
         if expected_dim < 0:
             return status(ORIGIN, 0) if dim == 0 else status(VIOLATION, dim, "positive-dimensional")
         if dim == expected_dim:
-            return status(ICIS, dim, "smooth")
+            return status(ICIS, dim, "smooth", mu=0)
         return status(VIOLATION, dim, f"smooth of dimension {dim}")
     J = Ideal.of(gens, local=True)
     if expected_dim <= 0:
@@ -223,13 +227,15 @@ def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
             dim = local_dimension(J)
             want = "at most the origin" if expected_dim < 0 else "dimension 0"
             return status(VIOLATION, dim, f"dimension {dim}, should be {want}", J)
-        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J, c)
+        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J, c - 1)
     dim = local_dimension(J)
     if dim != expected_dim:
         return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}", J)
-    if colength(singular_locus_ideal(J)) == INF:
+    hypersurface = len(gens) == 1
+    c = colength(jacobian_ideal(gens[0]) if hypersurface else singular_locus_ideal(J))
+    if c == INF:
         return status(VIOLATION, dim, "non-isolated singular locus", J)
-    return status(ICIS, dim, "", J)
+    return status(ICIS, dim, "", J, c if hypersurface else None)
 
 
 def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondReport:

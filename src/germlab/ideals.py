@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from . import _kernel
-from .poly import Elimination, PolyError, Polynomial, PolyRing
+from .poly import Elimination, PolyError, Polynomial, PolyRing, eliminate_linear
 
 INF = float("inf")
 
@@ -194,6 +194,11 @@ def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
     return out
 
 
+def jacobian_ideal(g: Polynomial) -> Ideal:
+    """The local ideal of g's partial derivatives; its colength is g's Milnor number."""
+    return Ideal.of(jacobian([g], g.ring.vars)[0], local=True)
+
+
 def singular_locus_ideal(I: Ideal) -> Ideal:
     """I plus the codimension-size minors of its Jacobian."""
     gens = list(I.gens)
@@ -202,15 +207,27 @@ def singular_locus_ideal(I: Ideal) -> Ideal:
     return I.with_extra(mins)
 
 
+def affine_elimination(I: Ideal) -> Elimination | None:
+    """eliminate_linear(I.gens), or None when the affine zero set of I is empty.
+
+    The elimination is a coordinate change, Q[x]/I = Q[x']/I', so 1 lies in
+    I exactly when it lies in I': emptiness is decided on the smaller ring.
+    """
+    elim = eliminate_linear(I.gens)
+    if elim.gens and contains_one(Ideal.of(elim.gens, local=False)):
+        return None
+    return elim
+
+
 def affine_is_smooth(I: Ideal, elim: Elimination) -> bool:
     """Smoothness of a nonempty affine complete intersection, already eliminated.
 
-    I must not contain 1, and elim = eliminate_linear(I.gens).  I + (c x c
-    Jacobian minors), c = min(#gens, nvars), is the preimage of the Fitting
-    ideal Fitt_{n-c} of the differentials of Q[x]/I, which the presentation
-    does not change: the test runs on elim with c less the eliminated
-    variables.  A dropped generator leaves fewer rows than c, so the Fitting
-    ideal is 0 and the space singular; no generator left is an affine space.
+    elim = affine_elimination(I), not None.  I + (c x c Jacobian minors),
+    c = min(#gens, nvars), is the preimage of the Fitting ideal Fitt_{n-c}
+    of the differentials of Q[x]/I, which the presentation does not change:
+    the test runs on elim with c less the eliminated variables.  A dropped
+    generator leaves fewer rows than c, so the Fitting ideal is 0 and the
+    space singular; no generator left is an affine space.
     """
     size = min(len(I.gens), I.ring.nvars) - len(elim.subs)
     if size > len(elim.gens):

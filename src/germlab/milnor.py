@@ -5,10 +5,10 @@ colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
 minors) recurses down to a hypersurface or to dimension zero, where mu is
 the colength of the ideal minus one (reduced point count of a generic fiber).
-`milnor` is the one map from a certified space to its mu: 0 when smooth,
-the colength minus one in dimension zero, `mu_chain` on the reduced
-generators otherwise.  The analyzer calls it on the spaces the finiteness
-sweep has certified; `milnor_icis` is the entry point for any germ: it
+`milnor` is the one map from a certified space to its mu: the mu the
+finiteness sweep measured (smooth, dimension zero or a hypersurface), else
+`mu_chain` on the reduced generators.  The analyzer calls it on the spaces
+the sweep has certified; `milnor_icis` is the entry point for any germ: it
 classifies the germ with the sweep's own check, then calls `milnor` and
 adds a hypersurface's Tjurina number.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .germs import EMPTY, ICIS, VIOLATION, SpaceStatus, _isolated_after_reduction
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian,
-                     local_dimension, minors)
+                     jacobian_ideal, local_dimension, minors, singular_locus_ideal)
 from .linalg import rank_q
 from .poly import Polynomial, PolyRing
 
@@ -47,18 +47,6 @@ class IcisReport:
     is_A1: bool
 
 
-def _jacobian_colength(g: Polynomial) -> int:
-    ring = g.ring
-    parts = [g.deriv(v) for v in ring.vars]
-    parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        raise NonIsolatedError("vanishing Jacobian")
-    c = colength(Ideal.of(parts, local=True))
-    if c == INF:
-        raise NonIsolatedError("infinite Jacobian colength")
-    return c
-
-
 def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Random,
              depth: int = 0) -> int:
     """Milnor number of the ICIS germ cut out by `gens`, of dimension `dim`.
@@ -72,7 +60,10 @@ def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rando
     if m == 0:
         return 0
     if m == 1 and dim == ring.nvars - 1:
-        return _jacobian_colength(gens[0])
+        c = colength(jacobian_ideal(gens[0]))
+        if c == INF:
+            raise NonIsolatedError("infinite Jacobian colength")
+        return c
     if dim == 0:
         c = colength(Ideal.of(gens, local=True))
         if c == INF:
@@ -122,13 +113,11 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
 def milnor(st: SpaceStatus, rng: random.Random) -> int:
     """Milnor number of a space the finiteness check certified as an ICIS.
 
-    A smooth space has mu 0 and a zero-dimensional one its colength minus
-    one; otherwise the Le-Greuel chain runs on the reduced generators.
+    The check measured mu of a smooth or zero-dimensional space and of a
+    hypersurface; otherwise the Le-Greuel chain runs on the reduced generators.
     """
-    if st.reduced is None:
-        return 0
-    if st.dim == 0:
-        return st.colength - 1
+    if st.mu is not None:
+        return st.mu
     return mu_chain(list(st.reduced.gens), st.reduced.ring, st.dim, rng)
 
 
@@ -151,8 +140,6 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
     J = st.reduced
     tjurina = 0 if J is None else None
     if J is not None and len(J.gens) == 1 and st.dim > 0:
-        g = J.gens[0]
-        tj = colength(J.with_extra([g.deriv(v) for v in J.ring.vars]))
-        tjurina = None if tj == INF else tj
+        tjurina = colength(singular_locus_ideal(J))  # at most mu, so finite
     return IcisReport(dim=st.dim, milnor=mu, tjurina=tjurina, is_smooth=(mu == 0),
                       is_A1=(st.dim > 0 and mu == 1))

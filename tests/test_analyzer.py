@@ -7,7 +7,7 @@ import germlab.analyzer as analyzer
 from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, INCONCLUSIVE,
                               REFUTED, NotAFiniteError, WitnessPreconditionError,
                               analyze, witness_check, zero_dim_stable_counts)
-from germlab.germs import GermCorank1, GermError, build_Dk, marar_mond_check
+from germlab.germs import VIOLATION, GermCorank1, GermError, build_Dk, marar_mond_check
 from germlab.parse import parse_polynomial
 from germlab.poly import PolyRing
 
@@ -278,29 +278,40 @@ def test_milnor_icis_matches_analyze_on_simple_rows():
 
 def test_analyze_asks_each_local_question_once(monkeypatch):
     # the sweep's answers are final: no standard basis is asked for twice in
-    # one analysis, and the checked Milnor entry point is never reached
+    # one analysis, and the checked Milnor entry point is never reached; a
+    # one-generator space is certified by its Jacobian colength, which is
+    # its mu, so no singular-locus ideal is built for it
     import germlab.ideals as ideals
     import germlab.milnor as milnor
     from germlab.catalog import nonsimple_entry, simple_entry
 
-    asked = []
-    real_basis = ideals.standard_basis
+    asked, loci = [], []
+    real_basis, real_locus = ideals.standard_basis, ideals.singular_locus_ideal
 
     def recording_basis(I, trunc=0):
         asked.append((tuple(I.gens), I.local, trunc))
         return real_basis(I, trunc=trunc)
 
+    def recording_locus(I):
+        loci.append(len(I.gens))
+        return real_locus(I)
+
     def refuse(*args, **kwargs):
         raise AssertionError("milnor_icis called during analyze")
 
+    entries = (simple_entry("Q", k=2), simple_entry("S", k=2, j=1), nonsimple_entry("VIII"))
+    assert any(st.dim > 0 and len(st.reduced.gens) == 1
+               for e in entries for st in marar_mond_check(e.germ).statuses
+               if st.reduced is not None)
     monkeypatch.setattr(ideals, "standard_basis", recording_basis)
+    _patch_everywhere(monkeypatch, real_locus, recording_locus)
     _patch_everywhere(monkeypatch, milnor.milnor_icis, refuse)
-    for entry in (simple_entry("Q", k=2), simple_entry("S", k=2, j=1),
-                  nonsimple_entry("VIII")):
+    for entry in entries:
         asked.clear()
         analyze(entry.germ)
         assert asked, entry.label
         assert len(set(asked)) == len(asked), entry.label
+    assert 1 not in loci, loci
 
 
 def _patch_everywhere(monkeypatch, real, fake):
@@ -315,8 +326,10 @@ def _patch_everywhere(monkeypatch, real, fake):
 
 
 def test_witness_asks_each_global_question_once(monkeypatch):
-    # one emptiness test and one linear elimination per class decide both the
-    # complex and the real side; smoothness minors live on the eliminated ring
+    # one linear elimination per class decides emptiness, smoothness and the
+    # real class: every global basis, for emptiness or for the smoothness
+    # minors, is asked on the eliminated ring, never of a D^k(f_s)^sigma as
+    # it was built
     import germlab.ideals as ideals
     import germlab.poly as poly
 
@@ -333,7 +346,7 @@ def test_witness_asks_each_global_question_once(monkeypatch):
     real_elim, real_build = poly.eliminate_linear, analyzer.build_Dk
 
     def basis(I, trunc=0):
-        events.append(("basis", tuple(I.gens), I.local))
+        events.append(("basis", tuple(I.gens), I.local, I.ring))
         return real_basis(I, trunc=trunc)
 
     def minors(matrix, size):
@@ -346,8 +359,9 @@ def test_witness_asks_each_global_question_once(monkeypatch):
         return out
 
     def build(*args, **kwargs):
-        events.append(("build",))
-        return real_build(*args, **kwargs)
+        out = real_build(*args, **kwargs)
+        events.append(("build", {I.gens for I in out.values()}))
+        return out
 
     for real, fake in ((real_basis, basis), (real_minors, minors),
                        (real_elim, eliminate), (real_build, build)):
@@ -360,19 +374,79 @@ def test_witness_asks_each_global_question_once(monkeypatch):
             # one build per k; at most one elimination per class of that k
             assert sum(e[0] == "build" for e in events) == len(rep.rows)
             row_classes = iter(len(row.classes) for row in rep.rows)
-            last_ring, elims_in_row, classes = None, 0, 0
+            last_ring, elims_in_row, classes, built, seen_bases = None, 0, 0, set(), 0
             for e in events:
                 if e[0] == "build":
                     last_ring, elims_in_row, classes = None, 0, next(row_classes)
+                    built |= e[1]
                 elif e[0] == "elim":
                     last_ring, elims_in_row = e[1], elims_in_row + 1
                     assert elims_in_row <= classes, (pert.name, s)
                 elif e[0] == "minors":
                     seen_minors += 1
                     assert e[2] == last_ring and e[1] == last_ring.nvars, (pert.name, s)
+                elif e[0] == "basis":
+                    seen_bases += 1
+                    assert not e[2] and e[3] == last_ring, (pert.name, s)
+                    assert e[1] not in built, (pert.name, s)
+            assert seen_bases, (pert.name, s)
             asked = [e[1:] for e in events if e[0] == "basis"]
             assert len(set(asked)) == len(asked), (pert.name, s)
     assert seen_minors
+
+
+def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
+    # oracle: 1 in I asked of every D^k(f_s)^sigma as it was built, at every
+    # s the witness output is pinned at
+    from pathlib import Path
+
+    from germlab.germfile import load_germ_file
+    from germlab.ideals import affine_elimination, contains_one
+    from test_cli import WITNESS_PINS
+
+    germs = Path(__file__).resolve().parent.parent / "germs"
+    seen = set()
+    for name, s, _, _ in WITNESS_PINS:
+        gf = load_germ_file(str(germs / f"{name}.germ"))
+        pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
+        for row in analyze(gf.base_germ()).rows:
+            for part, I in build_Dk(pert, row.k, local=False).items():
+                empty = contains_one(I)
+                assert (affine_elimination(I) is None) == empty, (name, s, row.k, part)
+                seen.add(empty)
+    assert seen == {True, False}
+
+
+def test_hypersurface_mu_matches_macaulay_rank_oracle():
+    # oracle: the colength of the partial derivatives by Macaulay-matrix
+    # ranks, with no standard basis, against the mu the sweep keeps
+    from germlab.catalog import simple_entry
+    from test_local_algebra import _macaulay_oracle
+
+    checked = 0
+    for family, k in (("A", 3), ("D", 4), ("E", 6)):
+        for st in marar_mond_check(simple_entry(family, k=k).germ).statuses:
+            if st.reduced is None or st.dim <= 0 or len(st.reduced.gens) > 1:
+                continue
+            g = st.reduced.gens[0]
+            parts = [g.deriv(v) for v in g.ring.vars]
+            want, _ = _macaulay_oracle(parts, g.ring.nvars, 1, 12)
+            assert st.mu == want, (family, k, st.partition)
+            checked += 1
+    assert checked == 6
+
+
+@pytest.mark.parametrize("exprs,p,ngens,dim", [
+    (["z^2", "z^3"], 4, 1, 2),
+    (["z^2", "z^3 + x^2*z", "y^2*z^3"], 5, 2, 1),
+])
+def test_non_isolated_singular_locus_is_a_violation(exprs, p, ngens, dim):
+    # a hypersurface (certified by its Jacobian colength) and a two-generator
+    # space (by its singular locus) whose singularities are not isolated
+    mm = marar_mond_check(make(exprs, p=p), max_k=3)
+    st = next(st for st in mm.statuses if (st.k, st.partition) == (2, (1, 1)))
+    assert (st.kind, st.reason, st.dim) == (VIOLATION, "non-isolated singular locus", dim)
+    assert len(st.reduced.gens) == ngens and not mm.finite
 
 
 def test_witness_empty_space_counts_as_smooth():

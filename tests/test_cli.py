@@ -79,6 +79,25 @@ def test_germfile_rejects_repeated_parameter_names(capsys, tmp_path):
     assert "more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clause", ["varsx y z;", "vars;", "params;", "paramss=1;"])
+def test_germfile_keyword_needs_whitespace(capsys, tmp_path, clause):
+    # a keyword glued to its data is not read as that keyword
+    body = dict(_GERM_CLAUSES)
+    body["vars" if clause.startswith("vars") else "params"] = clause
+    text = f"germ X {{ {' '.join(body.values())} }}"
+    with pytest.raises(GermFileError, match="unrecognized clause"):
+        parse_germ_file(text)
+    path = tmp_path / "glued.germ"
+    path.write_text(text)
+    assert run_cli("analyze", str(path)) == 64
+    assert "unrecognized clause" in capsys.readouterr().err
+    # any whitespace separates a keyword from its data
+    spaced = " ".join(_GERM_CLAUSES.values())
+    spaced = spaced.replace("vars ", "vars\t").replace("params ", "params\n")
+    gf = parse_germ_file(f"germ X {{ {spaced} }}")
+    assert gf.varnames == ("x", "y", "z") and gf.params == {"s": 1}
+
+
 def test_catalog_roundtrip_through_germfile():
     gf = load_germ_file(str(GERMS / "q2.germ"))
     entry = simple_entry("Q", k=2)
@@ -509,6 +528,79 @@ def test_cli_table_all_matches_the_catalog(capsys):
     assert len(rows) == 30
     assert all(row["match"] is True for row in rows)
     assert any(row["label"].startswith("II[") for row in rows)
+
+
+# The analyzer's whole output, recorded before the sweep read mu off the
+# Jacobian of a hypersurface and witness_check decided emptiness after
+# elimination: the first 16 hex digits of sha256 of `analyze FILE --json`
+# (with its exit code) per shipped germ, and of the same JSON report for
+# every `table all` germ, named by its label.
+ANALYZE_PINS = {
+    "a1": (0, "bb979d47d30a624f"),
+    "a2": (1, "f8c93630f85cb4ee"),
+    "p1": (0, "a11faf999ac4f794"),
+    "q2": (0, "bbca4f90e260fa9b"),
+}
+
+TABLE_ANALYZE_PINS = {
+    "A1": "bb979d47d30a624f",
+    "A2": "f8c93630f85cb4ee",
+    "A3": "bd7d8f99644cb286",
+    "A4": "df5cac4ad9540083",
+    "D4": "6511b39939c25a2e",
+    "D5": "74c7693a70ca4649",
+    "E6": "3034e3e80e0b3718",
+    "E7": "d2f38d0f22c2cafe",
+    "E8": "8b114b9e34a20abb",
+    "B2": "00174b5b59bbfba7",
+    "B3": "6859cc22c5cea192",
+    "C3": "d37ee7347fcaf98d",
+    "C4": "ac5c122dee486923",
+    "F4": "3c6d743a98fbb0a9",
+    "P1": "a11faf999ac4f794",
+    "P2": "93c9f4f9536cdb41",
+    "P3^2": "3d98290a2f9aa665",
+    "P4^1": "68120ceeb2c1888e",
+    "Q2": "bbca4f90e260fa9b",
+    "Q3": "7472ff52eb2c47e1",
+    "R3": "9205eea1f8ebfc03",
+    "S1,2": "21a142798a285cc4",
+    "I[a=0,b=1]": "b3a527583e27ca99",
+    "II[a=2,b=1,c=2]": "eb211524fc7fd6d7",
+    "III[a=0]": "63eda4b07b0858a6",
+    "IV[a=0]": "a359c16609004d2e",
+    "V[a=0]": "1eced66cf6609776",
+    "VI[a=0]": "c1c8a15761b5e0d0",
+    "VII[a=2]": "60412d7a8346abc9",
+    "VIII[a=0,b=1]": "5f1df0878cda0ea7",
+}
+
+# `table all` text and --json, recorded at the same time
+TABLE_ALL_PINS = ("48a1a0090adfc98f", "7d4aaf62e6f66332")
+
+
+@pytest.mark.parametrize("germ", sorted(ANALYZE_PINS))
+def test_cli_analyze_json_pinned(capsys, germ):
+    code, digest = ANALYZE_PINS[germ]
+    assert run_cli("analyze", str(GERMS / f"{germ}.germ"), "--json") == code
+    out = capsys.readouterr().out
+    assert _digest(out) == digest, out
+
+
+def test_table_all_analyze_reports_pinned(capsys):
+    from germlab.analyzer import analyze
+    from germlab.cli import grp_report_dict
+
+    entries = default_simple_entries() + default_nonsimple_entries()
+    assert [e.label for e in entries] == list(TABLE_ANALYZE_PINS)
+    for e in entries:
+        out = json.dumps(grp_report_dict(analyze(e.germ, name=e.label)), indent=2) + "\n"
+        assert _digest(out) == TABLE_ANALYZE_PINS[e.label], (e.label, out)
+    assert run_cli("table", "all") == 0
+    text = capsys.readouterr().out
+    assert run_cli("table", "all", "--json") == 0
+    js = capsys.readouterr().out
+    assert (_digest(text), _digest(js)) == TABLE_ALL_PINS, text
 
 
 def test_cli_entrypoint_subprocess():
