@@ -29,8 +29,8 @@ from math import factorial
 from operator import attrgetter
 
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
-                    build_Dk, class_size, marar_mond_check)
-from .ideals import affine_elimination, affine_is_smooth
+                    class_size, eliminated_Dk, marar_mond_check)
+from .ideals import affine_is_empty, affine_is_smooth
 from .milnor import milnor
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
@@ -285,10 +285,12 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     notes: list[str] = []
     for grp_row in report.rows:
         k = grp_row.k
-        spaces = build_Dk(pert, k, local=False)
+        # one elimination of D^k, continued per cycle type, decides emptiness,
+        # smoothness and the real class of every space of this k
+        spaces = eliminated_Dk(pert, k, local=False)
         comparisons: list[ClassComparison] = []
         if grp_row.empty:
-            ok = affine_elimination(spaces[(1,) * k]) is None
+            ok = affine_is_empty(next(spaces)[2])
             comparisons.append(ClassComparison((1,) * k, grp_row.d_k, ok,
                                                "must be empty", RealSpace(EMPTY),
                                                0, 0 if ok else None))
@@ -299,10 +301,9 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         real_known = True
         parity_ok: bool | None = True
         orbit_ok: bool | None = None
-        for ce in grp_row.classes:
-            # one elimination decides emptiness, smoothness and the real class
-            I = spaces[ce.partition]
-            elim = affine_elimination(I)
+        for ce, (_, I, elim) in zip(grp_row.classes, spaces, strict=True):
+            if affine_is_empty(elim):
+                elim = None
             if ce.status == "empty" or ce.d_sigma < 0:
                 ok, note = elim is None, "must be empty"
             else:

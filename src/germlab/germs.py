@@ -6,12 +6,14 @@ with dg_i/dz(0) = 0.  The k-th multiple point space lives in the variables
 differences of every g_i plus, for a permutation of cycle type (r_1..r_m),
 the differences z_a - z_b gluing consecutive entries of each cycle block.
 Only those gluing equations depend on the permutation, so `build_Dk` takes
-the divided differences once per k and returns the ideal of every
-D^k(f)^sigma, one per cycle type.
+the divided differences once per k and yields the ideal of every
+D^k(f)^sigma, one per cycle type, and `eliminated_Dk` eliminates D^k once
+and continues that elimination per cycle type.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -19,7 +21,8 @@ from math import factorial
 
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian_ideal,
                      local_dimension, singular_locus_ideal)
-from .poly import Polynomial, PolyRing, divided_differences, eliminate_linear
+from .poly import (Elimination, Polynomial, PolyRing, continue_elimination,
+                   divided_differences, eliminate_linear)
 
 
 class GermError(ValueError):
@@ -126,14 +129,16 @@ def expected_dims(n: int, p: int, k: int, partition: tuple[int, ...]):
 # -- D^k construction ------------------------------------------------------
 
 
-def build_Dk(germ: GermCorank1, k: int, local: bool = True) -> dict[tuple[int, ...], Ideal]:
-    """Ideal of D^k(f)^sigma for the canonical sigma of every cycle type of k.
+def build_Dk(germ: GermCorank1, k: int,
+             local: bool = True) -> Iterator[tuple[tuple[int, ...], Ideal]]:
+    """(partition, ideal of D^k(f)^sigma) for the canonical sigma of every cycle type of k.
 
-    Keyed by partition in `partitions(k)` order, the identity (D^k itself)
-    first.  The divided differences are taken once; each cycle type only
-    adds its gluing equations.  The canonical sigma places its cycles on
-    consecutive index blocks in decreasing length order, so its fixed locus
-    is cut out by the sum(r_i - 1) differences z_a - z_(a+1) inside blocks.
+    In `partitions(k)` order, the identity (D^k itself) first.  The divided
+    differences are taken here, once; each cycle type only adds its gluing
+    equations, built when the iteration reaches it.  The canonical sigma
+    places its cycles on consecutive index blocks in decreasing length
+    order, so its fixed locus is cut out by the sum(r_i - 1) differences
+    z_a - z_(a+1) inside blocks.
     """
     if k < 2:
         raise GermError("multiple point spaces start at k = 2")
@@ -146,12 +151,31 @@ def build_Dk(germ: GermCorank1, k: int, local: bool = True) -> dict[tuple[int, .
     gens: list[Polynomial] = []
     for g in germ.components:
         gens.extend(divided_differences(g, germ.zvar, zs, ring))
-    spaces = {}
-    for part in partitions(k):
-        starts = set(accumulate(part))  # z_(a+1) opens a new block
-        glue = [z[a] - z[a + 1] for a in range(k - 1) if a + 1 not in starts]
-        spaces[part] = Ideal(ring, tuple(gens + glue), local=local)
-    return spaces
+
+    def spaces():
+        for part in partitions(k):
+            starts = set(accumulate(part))  # z_(a+1) opens a new block
+            glue = [z[a] - z[a + 1] for a in range(k - 1) if a + 1 not in starts]
+            yield part, Ideal(ring, tuple(gens + glue), local=local)
+
+    return spaces()
+
+
+def eliminated_Dk(germ: GermCorank1, k: int, local: bool = True
+                  ) -> Iterator[tuple[tuple[int, ...], Ideal, Elimination]]:
+    """`build_Dk` with each space's linear elimination, identity first.
+
+    D^k is eliminated once; every other cycle type continues that
+    elimination with its gluing equations, which gives what eliminating it
+    from scratch gives (`continue_elimination`).  A caller that stops after
+    an empty D^k builds no gluing equation.
+    """
+    spaces = build_Dk(germ, k, local)
+    part, Dk = next(spaces)
+    parent = eliminate_linear(Dk.gens)
+    yield part, Dk, parent
+    for part, ideal in spaces:
+        yield part, ideal, continue_elimination(parent, ideal.gens[len(Dk.gens):])
 
 
 # -- Marar-Mond finiteness criterion ---------------------------------------
@@ -196,21 +220,22 @@ class MararMondReport:
         return [s for s in self.statuses if s.kind == VIOLATION]
 
 
-def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
+def _isolated_after_reduction(ideal: Ideal, elim: Elimination,
+                              expected_dim: int) -> SpaceStatus:
     """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
-    A nonempty, non-smooth space keeps the ideal left after linear
-    elimination and, for expected dimension at most 0 or a single generator
-    g, its mu, so the invariant step neither eliminates nor measures it
-    again.  For g in the maximal ideal, mu = colength(dg) is finite exactly
-    when the singularity is isolated (near 0 the critical locus lies in
-    g = 0, by curve selection); more generators use the singular locus.
+    elim = eliminate_linear(ideal.gens).  A nonempty, non-smooth space keeps
+    the ideal left after linear elimination and, for expected dimension at
+    most 0 or a single generator g, its mu, so the invariant step neither
+    eliminates nor measures it again.  For g in the maximal ideal,
+    mu = colength(dg) is finite exactly when the singularity is isolated
+    (near 0 the critical locus lies in g = 0, by curve selection); more
+    generators use the singular locus.
     """
     status = partial(SpaceStatus, expected_dim)
     if germ_is_empty(ideal):
         return status(EMPTY)
     # substituting solutions without constant term keeps the germ nonempty
-    elim = eliminate_linear(list(ideal.gens))
     gens = elim.gens
     if not gens:
         dim = elim.ring.nvars
@@ -243,8 +268,8 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
     in k); `max_k` caps the sweep and must be at least 2.  Every D^k(f)^sigma
-    of one k comes from one `build_Dk`; the identity partition comes first
-    and decides emptiness.
+    of one k comes from one `eliminated_Dk`; the identity partition comes
+    first and decides emptiness.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
@@ -254,9 +279,9 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondRe
     finite = True
     cap = max_k if max_k is not None else 12
     for k in range(2, cap + 1):
-        for part, ideal in build_Dk(germ, k).items():
+        for part, ideal, elim in eliminated_Dk(germ, k):
             _, d_sigma, sharp = expected_dims(germ.n, germ.p, k, part)
-            st = replace(_isolated_after_reduction(ideal, d_sigma),
+            st = replace(_isolated_after_reduction(ideal, elim, d_sigma),
                          k=k, partition=part, sigma_sharp=sharp)
             statuses.append(st)
             if st.kind == VIOLATION:

@@ -207,31 +207,45 @@ def singular_locus_ideal(I: Ideal) -> Ideal:
     return I.with_extra(mins)
 
 
-def affine_elimination(I: Ideal) -> Elimination | None:
-    """eliminate_linear(I.gens), or None when the affine zero set of I is empty.
+def affine_is_empty(elim: Elimination) -> bool:
+    """Whether the affine zero set of an eliminated presentation is empty.
 
     The elimination is a coordinate change, Q[x]/I = Q[x']/I', so 1 lies in
-    I exactly when it lies in I': emptiness is decided on the smaller ring.
+    I exactly when it lies in I'.  Most presentations settle it: no
+    generator is a whole affine space, a nonzero constant generator makes
+    I' the unit ideal, and a single non-constant generator g is not a unit,
+    so 1 is not in (g).  Only two or more non-constant generators take a
+    standard basis.
     """
+    gens = elim.gens
+    if any(len(g.terms) == 1 and g.constant_term() for g in gens):
+        return True
+    return len(gens) > 1 and contains_one(Ideal.of(gens, local=False))
+
+
+def affine_elimination(I: Ideal) -> Elimination | None:
+    """eliminate_linear(I.gens), or None when the affine zero set of I is empty."""
     elim = eliminate_linear(I.gens)
-    if elim.gens and contains_one(Ideal.of(elim.gens, local=False)):
-        return None
-    return elim
+    return None if affine_is_empty(elim) else elim
 
 
 def affine_is_smooth(I: Ideal, elim: Elimination) -> bool:
     """Smoothness of a nonempty affine complete intersection, already eliminated.
 
-    elim = affine_elimination(I), not None.  I + (c x c Jacobian minors),
-    c = min(#gens, nvars), is the preimage of the Fitting ideal Fitt_{n-c}
-    of the differentials of Q[x]/I, which the presentation does not change:
-    the test runs on elim with c less the eliminated variables.  A dropped
-    generator leaves fewer rows than c, so the Fitting ideal is 0 and the
-    space singular; no generator left is an affine space.
+    elim = eliminate_linear(I.gens), with a nonempty zero set.
+    I + (c x c Jacobian minors), c = min(#gens, nvars), is the preimage of
+    the Fitting ideal Fitt_{n-c} of the differentials of Q[x]/I, which the
+    presentation does not change: the test runs on elim with c less the
+    eliminated variables.  A dropped generator leaves fewer rows than c, so
+    the Fitting ideal is 0 and the space singular; no generator left is an
+    affine space.  Otherwise the space is smooth exactly when its singular
+    locus is empty, which `affine_elimination` decides by the same
+    coordinate-change argument: a quadric's partial derivatives are linear,
+    so its singular locus is settled without a standard basis.
     """
     size = min(len(I.gens), I.ring.nvars) - len(elim.subs)
     if size > len(elim.gens):
         return False
     if not elim.gens:
         return True
-    return contains_one(singular_locus_ideal(Ideal.of(elim.gens, local=False)))
+    return affine_elimination(singular_locus_ideal(Ideal.of(elim.gens, local=False))) is None

@@ -23,7 +23,7 @@ from .germs import EMPTY, ICIS, VIOLATION, SpaceStatus, _isolated_after_reductio
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian,
                      jacobian_ideal, local_dimension, minors, singular_locus_ideal)
 from .linalg import rank_q
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, eliminate_linear
 
 
 class NonIcisError(ValueError):
@@ -129,7 +129,7 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
     """
     if not I.local:
         raise ValueError("milnor_icis works on germs (local ideals)")
-    st = _isolated_after_reduction(I, expected_dim)
+    st = _isolated_after_reduction(I, eliminate_linear(I.gens), expected_dim)
     if st.kind == EMPTY:
         raise EmptyGermError("empty germ")
     if st.kind == VIOLATION and st.dim == expected_dim:

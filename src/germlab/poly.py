@@ -464,21 +464,48 @@ def _linear_candidates(g: Polynomial) -> list[str]:
     return out
 
 
+def _substitute(h: Polynomial, i: int, powers: list[Polynomial], q: int) -> Polynomial:
+    """Primitive positive multiple of h with symbol i replaced by N/q.
+
+    powers[k - 1] is N^k, extended here as needed.  A term c * x_i^k of h,
+    K its top exponent in x_i, becomes c * q^(K-k) * N^k: one expansion per
+    term, with no common denominator kept, since the content goes anyway.
+    """
+    top = max(e[i] for e in h.terms)
+    while len(powers) < top:
+        powers.append(powers[-1] * powers[0])
+    out: dict[tuple, int] = {}
+    for e, c in h.terms.items():
+        k = e[i]
+        if k < top:
+            c *= q ** (top - k)
+        if not k:
+            out[e] = out.get(e, 0) + c
+            continue
+        base = e[:i] + (0,) + e[i + 1:]
+        for f, d in powers[k - 1].terms.items():
+            m = tuple(map(add, base, f))
+            out[m] = out.get(m, 0) + c * d
+    return _make(h.ring, {e: c for e, c in out.items() if c}).primitive()
+
+
 def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
     """Repeatedly solve a generator that is linear in a variable and substitute.
 
     A variable is eliminable from a generator g when it appears in g exactly
     once, to the first power and with a coefficient in Q*, so that solving is
-    an exact polynomial coordinate change.  Generators that become zero are
-    dropped.  The substitution map is left triangular (see `Elimination`):
-    the relations v - subs[v] together with the output generators still cut
-    out the input ideal.
+    an exact polynomial coordinate change.  The first generator with such a
+    variable is solved, for its latest-declared one.  Generators that become
+    zero are dropped.  The substitution map is left triangular (see
+    `Elimination`): the relations v - subs[v] together with the output
+    generators still cut out the input ideal.
 
     Fraction-free (Bareiss): generators are kept primitive.  Solving c*x +
     rest for x gives x = -rest/c, and a generator h of degree d in x becomes
-    |c|^d * h(x = -rest/c) divided by its positive content.  Generators are
-    only ever scaled by positive rationals, so signs of values, quadric
-    signatures and root counts are those of exact substitution.
+    |c|^d * h(x = -rest/c) divided by its positive content, expanded term by
+    term against the cached powers of -rest.  Generators are only ever
+    scaled by positive rationals, so signs of values, quadric signatures and
+    root counts are those of exact substitution.
     """
     gens = [g for g in gens]
     if not gens:
@@ -507,11 +534,36 @@ def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
                 coef = c
             else:
                 rest[e] = c
-        sol = _make(ring, {e: -c for e, c in rest.items()} if coef > 0 else rest, abs(coef))
-        repl = {name: sol}
-        live = [h.subs(repl).primitive() if h.involves(name) else h for h in live]
+        num = _make(ring, {e: -c for e, c in rest.items()} if coef > 0 else rest)
+        powers = [num]
+        live = [_substitute(h, i, powers, abs(coef)) if h.involves(name) else h for h in live]
         live = [h for h in live if not h.is_zero()]
-        subs[name] = sol
+        subs[name] = _make(ring, num.terms, abs(coef))
     out_ring = ring.drop_vars(subs.keys())
     out = [g.cast(out_ring) for g in live]
     return Elimination(out, subs, out_ring)
+
+
+def continue_elimination(parent: Elimination, more: Iterable[Polynomial]) -> Elimination:
+    """eliminate_linear(gens + more), given parent = eliminate_linear(gens).
+
+    `more` is nonempty and in the ring of gens.  It is mapped through the
+    parent's substitutions in the order they were recorded, kept primitive
+    after each step, cast to the parent's ring and eliminated after the
+    parent's generators; the solutions found are cast back and appended to
+    the parent's.  The result equals elimination
+    from scratch field by field: eliminate_linear solves the first generator
+    that has a candidate, so while any of `gens` has one it makes the
+    parent's choices and substitutes into `more` exactly as here.
+    """
+    mapped = [h.primitive() for h in more]
+    ring = mapped[0].ring
+    for name, sol in parent.subs.items():
+        i = ring.index(name)
+        powers = [_make(ring, sol.terms)]
+        mapped = [_substitute(h, i, powers, sol.den) if h.involves(name) else h
+                  for h in mapped]
+    tail = eliminate_linear(parent.gens + [h.cast(parent.ring) for h in mapped])
+    subs = dict(parent.subs)
+    subs.update((name, sol.cast(ring)) for name, sol in tail.subs.items())
+    return Elimination(tail.gens, subs, tail.ring)

@@ -69,8 +69,8 @@ def test_criterion_01_table_milnor_columns(table_reports):
 def test_criterion_02_empty_triple_and_quadruple_points(table_reports):
     for label, (e, rep) in table_reports.items():
         if label[0] in "ADEBCF":
-            assert germ_is_empty(build_Dk(e.germ, 3)[(1, 1, 1)]), label
-        assert germ_is_empty(build_Dk(e.germ, 4)[(1, 1, 1, 1)]), label
+            assert germ_is_empty(dict(build_Dk(e.germ, 3))[(1, 1, 1)]), label
+        assert germ_is_empty(dict(build_Dk(e.germ, 4))[(1, 1, 1, 1)]), label
 
 
 def test_criterion_03_image_milnor_numbers(table_reports):
@@ -227,7 +227,7 @@ def test_criterion_09_milnor_oracles():
     for family, arg, *_ in TABLE_ROWS:
         e = entry_for(family, arg)
         for k in (2, 3):
-            I = build_Dk(e.germ, k)[(1,) * k]
+            I = dict(build_Dk(e.germ, k))[(1,) * k]
             d = expected_dims(e.germ.n, e.germ.p, k, (1,) * k)[1]
             if germ_is_empty(I) or d <= 0:
                 continue

@@ -269,7 +269,7 @@ def test_milnor_icis_matches_analyze_on_simple_rows():
         for row in analyze(e.germ).rows:
             for ce in row.classes:
                 if ce.status == "mu":
-                    space = build_Dk(e.germ, row.k)[ce.partition]
+                    space = dict(build_Dk(e.germ, row.k))[ce.partition]
                     assert milnor_icis(space, ce.d_sigma).milnor == ce.mu, \
                         (e.label, row.k, ce.partition)
                     checked += 1
@@ -326,10 +326,13 @@ def _patch_everywhere(monkeypatch, real, fake):
 
 
 def test_witness_asks_each_global_question_once(monkeypatch):
-    # one linear elimination per class decides emptiness, smoothness and the
-    # real class: every global basis, for emptiness or for the smoothness
-    # minors, is asked on the eliminated ring, never of a D^k(f_s)^sigma as
-    # it was built
+    # per row: D^k is eliminated once, every other class continues that
+    # elimination once, a class that must be smooth eliminates its singular
+    # locus at most once, and a standard basis is taken only of an
+    # eliminated presentation with two or more generators, on its ring
+    import re
+
+    import germlab.germs as germs
     import germlab.ideals as ideals
     import germlab.poly as poly
 
@@ -342,66 +345,77 @@ def test_witness_asks_each_global_question_once(monkeypatch):
         witness_check(base, pert, {"s": Fraction(1)})  # warms the base report
 
     events = []
-    real_basis, real_minors = ideals.standard_basis, ideals.minors
-    real_elim, real_build = poly.eliminate_linear, analyzer.build_Dk
+    real_basis, real_locus = ideals.standard_basis, ideals.singular_locus_ideal
+    real_elim, real_continue = poly.eliminate_linear, poly.continue_elimination
+    real_build = germs.build_Dk
 
     def basis(I, trunc=0):
-        events.append(("basis", tuple(I.gens), I.local, I.ring))
+        events.append(("B", I))
         return real_basis(I, trunc=trunc)
 
-    def minors(matrix, size):
-        events.append(("minors", len(matrix[0]), matrix[0][0].ring))
-        return real_minors(matrix, size)
+    def locus(I):
+        events.append(("L",))
+        return real_locus(I)
 
     def eliminate(gens):
         out = real_elim(gens)
-        events.append(("elim", out.ring))
+        events.append(("E", out))
         return out
+
+    def continued(parent, more):
+        events.append(("C",))
+        return real_continue(parent, more)
 
     def build(*args, **kwargs):
-        out = real_build(*args, **kwargs)
-        events.append(("build", {I.gens for I in out.values()}))
-        return out
+        events.append(("build",))
+        return real_build(*args, **kwargs)
 
-    for real, fake in ((real_basis, basis), (real_minors, minors),
-                       (real_elim, eliminate), (real_build, build)):
+    for real, fake in ((real_basis, basis), (real_locus, locus), (real_elim, eliminate),
+                       (real_continue, continued), (real_build, build)):
         _patch_everywhere(monkeypatch, real, fake)
-    seen_minors = 0
+    loci = 0
     for base, pert in cases:
         for s in (Fraction(1), Fraction(-1), Fraction(7, 3)):
             events.clear()
             rep = witness_check(base, pert, {"s": s})
-            # one build per k; at most one elimination per class of that k
-            assert sum(e[0] == "build" for e in events) == len(rep.rows)
-            row_classes = iter(len(row.classes) for row in rep.rows)
-            last_ring, elims_in_row, classes, built, seen_bases = None, 0, 0, set(), 0
+            rows = []  # per row, the events of each class; a continuation opens a class
             for e in events:
                 if e[0] == "build":
-                    last_ring, elims_in_row, classes = None, 0, next(row_classes)
-                    built |= e[1]
-                elif e[0] == "elim":
-                    last_ring, elims_in_row = e[1], elims_in_row + 1
-                    assert elims_in_row <= classes, (pert.name, s)
-                elif e[0] == "minors":
-                    seen_minors += 1
-                    assert e[2] == last_ring and e[1] == last_ring.nvars, (pert.name, s)
-                elif e[0] == "basis":
-                    seen_bases += 1
-                    assert not e[2] and e[3] == last_ring, (pert.name, s)
-                    assert e[1] not in built, (pert.name, s)
-            assert seen_bases, (pert.name, s)
-            asked = [e[1:] for e in events if e[0] == "basis"]
-            assert len(set(asked)) == len(asked), (pert.name, s)
-    assert seen_minors
+                    rows.append([[]])
+                elif e[0] == "C" and rows[-1][-1]:
+                    rows[-1].append([e])
+                else:
+                    rows[-1][-1].append(e)
+            assert len(rows) == len(rep.rows), (pert.name, s)
+            for row, classes in zip(rep.rows, rows):
+                assert len(classes) == len(row.classes), (pert.name, s, row.k)
+                for i, (cc, seen) in enumerate(zip(row.classes, classes)):
+                    where = (pert.name, s, row.k, cc.partition)
+                    kinds = "".join(e[0] for e in seen)
+                    # D^k itself, or one continuation; then at most one locus
+                    assert re.fullmatch(("C" if i else "") + r"E(B*)(LEB*)?", kinds), where
+                    assert "L" not in kinds or cc.complex_note == "must be smooth", where
+                    loci += kinds.count("L")
+                    last = None
+                    for e in seen:
+                        if e[0] == "E":
+                            last = e[1]
+                        elif e[0] == "B":
+                            I = e[1]
+                            assert not I.local and len(I.gens) >= 2, where
+                            assert I.ring == last.ring and list(I.gens) == last.gens, where
+    assert loci
 
 
 def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
     # oracle: 1 in I asked of every D^k(f_s)^sigma as it was built, at every
-    # s the witness output is pinned at
+    # s the witness output is pinned at, against the answer read off the
+    # elimination of the space and the one witness_check continues
     from pathlib import Path
 
     from germlab.germfile import load_germ_file
-    from germlab.ideals import affine_elimination, contains_one
+    from germlab.germs import eliminated_Dk
+    from germlab.ideals import affine_elimination, affine_is_empty, contains_one
     from test_cli import WITNESS_PINS
 
     germs = Path(__file__).resolve().parent.parent / "germs"
@@ -410,11 +424,103 @@ def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
         gf = load_germ_file(str(germs / f"{name}.germ"))
         pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
         for row in analyze(gf.base_germ()).rows:
-            for part, I in build_Dk(pert, row.k, local=False).items():
+            for part, I, elim in eliminated_Dk(pert, row.k, local=False):
                 empty = contains_one(I)
                 assert (affine_elimination(I) is None) == empty, (name, s, row.k, part)
+                assert affine_is_empty(elim) == empty, (name, s, row.k, part)
                 seen.add(empty)
     assert seen == {True, False}
+
+
+def test_smoothness_after_elimination_matches_the_uneliminated_singular_locus():
+    # oracle: the Jacobian criterion on every nonempty D^k(f_s)^sigma as it
+    # was built, 1 in I + minors, at every pinned s and at s = 0, against
+    # affine_is_smooth on the continued elimination, which eliminates the
+    # singular locus of the eliminated presentation
+    from pathlib import Path
+
+    from germlab.germfile import load_germ_file
+    from germlab.germs import eliminated_Dk
+    from germlab.ideals import (affine_is_empty, affine_is_smooth, contains_one,
+                                singular_locus_ideal)
+    from test_cli import WITNESS_PINS
+
+    germs = Path(__file__).resolve().parent.parent / "germs"
+    seen = set()
+    # the unperturbed germ (s = 0) has singular spaces
+    for name, s in sorted({(name, s) for name, s, _, _ in WITNESS_PINS} | {
+            (name, "0") for name in ("q2", "a1", "p1")}):
+        gf = load_germ_file(str(germs / f"{name}.germ"))
+        pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
+        for row in analyze(gf.base_germ()).rows:
+            for part, I, elim in eliminated_Dk(pert, row.k, local=False):
+                if affine_is_empty(elim):
+                    continue
+                smooth = contains_one(singular_locus_ideal(I))
+                assert affine_is_smooth(I, elim) == smooth, (name, s, row.k, part)
+                seen.add(smooth)
+    assert seen == {True, False}
+
+
+def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch):
+    # the sweep and witness_check stop after an empty D^k, so the other
+    # cycle types of that k are never built
+    import germlab.germs as germs
+    from germlab.catalog import nonsimple_entry
+
+    yielded = []
+    real_build = germs.build_Dk
+
+    def build(germ, k, local=True):
+        for part, ideal in real_build(germ, k, local):
+            yielded.append((k, part))
+            yield part, ideal
+
+    monkeypatch.setattr(germs, "build_Dk", build)
+    witness_check(Q2, Q2W, {"s": Fraction(1)})  # warms the base report
+    runs = (lambda: [(r.k, r.empty) for r in analyze(Q2).rows],
+            lambda: [(r.k, r.empty) for r in analyze(nonsimple_entry("III").germ).rows],
+            lambda: [(r.k, r.germ_empty) for r in
+                     witness_check(Q2, Q2W, {"s": Fraction(-2)}).rows])
+    for run in runs:
+        yielded.clear()
+        rows = run()
+        assert [empty for _, empty in rows] == [False] * (len(rows) - 1) + [True]
+        for k, empty in rows:
+            want = [(1,) * k] if empty else list(germs.partitions(k))
+            assert [part for j, part in yielded if j == k] == want, k
+
+
+# sha256 prefix of the repr of every WitnessReport of the germ at the 40
+# values of witness_s_values(), recorded before D^k's elimination was
+# continued per cycle type and emptiness and smoothness were read off
+# eliminated presentations
+WITNESS_REPR_PINS = {
+    "q2": "8b90ad5fec21399d",
+    "a1": "1d79732498fdb506",
+    "p1": "6970a4a437aba19e",
+}
+
+
+def witness_s_values(seed=17, n=40):
+    """n seeded rationals of alternating sign, numerators up to 200, denominators up to 32."""
+    rng = random.Random(seed)
+    return [Fraction((-1) ** i * rng.randint(1, 200), rng.randint(1, 32)) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_REPR_PINS))
+def test_witness_reports_pinned_over_seeded_parameters(name):
+    import hashlib
+    from pathlib import Path
+
+    from germlab.germfile import load_germ_file
+
+    gf = load_germ_file(str(Path(__file__).resolve().parent.parent / "germs" / f"{name}.germ"))
+    base, pert = gf.base_germ(), gf.symbolic_germ(perturbed=True)
+    reports = [witness_check(base, pert, {"s": s}) for s in witness_s_values()]
+    assert {r.verdict for r in reports} == {CONFIRMED, REFUTED}
+    text = "\n".join(map(repr, reports))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == WITNESS_REPR_PINS[name]
 
 
 def test_hypersurface_mu_matches_macaulay_rank_oracle():

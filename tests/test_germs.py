@@ -51,7 +51,7 @@ def test_partition_combinatorics():
 
 def test_build_d2_q2_matches_displayed_generators():
     g = q2()
-    spaces = build_Dk(g, 2)
+    spaces = dict(build_Dk(g, 2))
     assert list(spaces) == [(1, 1), (2,)]  # partitions(2), the identity first
     space = spaces[(1, 1)]
     R = space.ring
@@ -65,7 +65,7 @@ def test_build_d2_q2_matches_displayed_generators():
 
 def test_build_d3_q2_matches_displayed_generators():
     g = q2()
-    spaces = build_Dk(g, 3)
+    spaces = dict(build_Dk(g, 3))
     assert list(spaces) == list(partitions(3))
     space = spaces[(1, 1, 1)]
     R = space.ring
@@ -78,20 +78,20 @@ def test_build_d3_q2_matches_displayed_generators():
 
 
 def test_d3_of_a_family_is_empty():
-    space = build_Dk(a_k(2), 3)[(1, 1, 1)]
+    space = dict(build_Dk(a_k(2), 3))[(1, 1, 1)]
     assert germ_is_empty(space)
 
 
 def test_a1_d3_empty_via_immersion_logic():
-    space = build_Dk(a_k(1), 3)[(1, 1, 1)]
+    space = dict(build_Dk(a_k(1), 3))[(1, 1, 1)]
     assert germ_is_empty(space)
 
 
 def test_dk_ideal_mu_values_q2():
     g = q2()
-    d2 = build_Dk(g, 2)[(1, 1)]
+    d2 = dict(build_Dk(g, 2))[(1, 1)]
     assert milnor_icis(d2, 2).milnor == 1
-    d3 = build_Dk(g, 3)
+    d3 = dict(build_Dk(g, 3))
     assert milnor_icis(d3[(1, 1, 1)], 1).milnor == 1
     d3t = d3[(2, 1)]
     assert expected_dims(g.n, g.p, 3, (2, 1))[1] == 0
@@ -100,13 +100,13 @@ def test_dk_ideal_mu_values_q2():
     d3c = d3[(3,)]
     assert expected_dims(g.n, g.p, 3, (3,))[1] == -1
     assert not germ_is_empty(d3c)  # the germ is the origin itself
-    d4 = build_Dk(g, 4)[(1, 1, 1, 1)]
+    d4 = dict(build_Dk(g, 4))[(1, 1, 1, 1)]
     assert germ_is_empty(d4)
 
 
 def test_ak_reduction_to_normal_form():
     for k in (1, 2, 3):
-        space = build_Dk(a_k(k), 2)[(1, 1)]
+        space = dict(build_Dk(a_k(k), 2))[(1, 1)]
         elim = eliminate_linear(list(space.gens))
         assert len(elim.gens) == 1
         R = elim.ring
@@ -117,7 +117,7 @@ def test_ak_reduction_to_normal_form():
 
 def test_dk_sigma_contains_dk_ideal():
     g = q2()
-    spaces = build_Dk(g, 3)
+    spaces = dict(build_Dk(g, 3))
     full, fixed = spaces[(1, 1, 1)], spaces[(2, 1)]
     for gen in full.gens:
         assert gen in fixed.gens
@@ -126,7 +126,7 @@ def test_dk_sigma_contains_dk_ideal():
 def test_dk_ideal_sigma_invariance():
     # permuted generators of D^k reduce to zero against the D^k ideal
     g = q2()
-    I = build_Dk(g, 3)[(1, 1, 1)]
+    I = dict(build_Dk(g, 3))[(1, 1, 1)]
     R = I.ring
     perms = [("z1", "z2"), ("z2", "z3")]
     for a, b in perms:
@@ -184,7 +184,7 @@ def test_dk_generators_are_fraction_free():
     dens = set()
     for germ, base in germs:
         for k in range(2, 13):
-            for ideal in build_Dk(germ, k).values():
+            for _, ideal in build_Dk(germ, k):
                 gens = ideal.gens
                 for g in gens:
                     _assert_fraction_free(g)
@@ -192,8 +192,48 @@ def test_dk_generators_are_fraction_free():
                 for g in eliminate_linear(list(gens)).gens:
                     _assert_fraction_free(g)
                     assert g.den == 1 and g == g.primitive()
-            if germ_is_empty(build_Dk(base, k)[(1,) * k]):
+            if germ_is_empty(dict(build_Dk(base, k))[(1,) * k]):
                 break
         else:
             raise AssertionError(f"no empty D^k for {germ.name}")
     assert dens > {1}  # the perturbed germs carry denominators
+
+
+def _assert_same_elimination(got, want, where):
+    assert got.ring == want.ring, where
+    assert got.gens == want.gens, where
+    assert list(got.subs) == list(want.subs), where  # the order solutions were found in
+    for name, sol in want.subs.items():
+        assert got.subs[name] == sol and got.subs[name].ring == sol.ring, (where, name)
+
+
+def test_continued_elimination_equals_elimination_from_scratch():
+    # oracle: every space eliminated_Dk yields carries what eliminate_linear
+    # gives on its generators from scratch; covers every D^k(f_s)^sigma of
+    # q2, a1, p1 at the pinned values of s and every k of a seeded sample of
+    # the `table all` germs up to the first empty D^k
+    import random
+
+    from germlab.germs import eliminated_Dk
+    from test_cli import WITNESS_PINS
+
+    cases = []
+    for name, s, _, _ in WITNESS_PINS:
+        gf = load_germ_file(str(GERMS / f"{name}.germ"))
+        pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
+        cases.append((f"{name} s={s}", pert, False, marar_mond_check(gf.base_germ()).first_empty_k))
+    entries = default_simple_entries() + default_nonsimple_entries()
+    for e in random.Random(11).sample(entries, 10):
+        cases.append((e.label, e.germ, True, marar_mond_check(e.germ).first_empty_k))
+    continued = 0
+    for label, germ, local, last in cases:
+        for k in range(2, last + 1):
+            parent = None
+            for part, I, elim in eliminated_Dk(germ, k, local):
+                assert I.local == local
+                _assert_same_elimination(elim, eliminate_linear(I.gens), (label, k, part))
+                if parent is None:
+                    parent = elim
+                elif parent.subs and len(elim.subs) > len(parent.subs):
+                    continued += 1
+    assert continued > 50

@@ -248,6 +248,105 @@ def test_fitting_rule_matches_jacobian_criterion_on_original_presentation():
     assert all(branches.values()), branches
 
 
+def _counting_kernel(monkeypatch):
+    """Count global standard bases the kernel computes."""
+    import germlab._kernel as kernel
+
+    calls = []
+    real = kernel.std_basis
+
+    def counting(gens, local, trunc=0):
+        calls.append(local)
+        return real(gens, local, trunc)
+
+    monkeypatch.setattr(kernel, "std_basis", counting)
+    return calls
+
+
+def test_quadric_smoothness_is_settled_by_elimination(monkeypatch):
+    # a quadric's partial derivatives are linear: eliminating its singular
+    # locus leaves a constant or nothing, so no standard basis is taken
+    R = PolyRing(("x", "y", "z"))
+    x, y, z = syms(R)
+    cone = x ** 2 + y ** 2 - z ** 2
+    cases = [
+        ([cone], False),                                      # the cone is singular
+        ([cone - 1], True),                                   # a hyperboloid
+        ([x ** 2 + y * z + x + 3], True),                     # linear part, no vertex on it
+        ([x ** 2 + 2 * x + 1 - y ** 2], False),               # the cone moved to (-1, 0)
+        ([x ** 2 - 1], True),                                 # two parallel planes
+    ]
+    rng = random.Random(7)
+    for _ in range(60):
+        g = R.const(rng.randint(-2, 2))
+        for i, j in combinations(range(3), 2):
+            g = g + rng.randint(-2, 2) * syms(R)[i] * syms(R)[j]
+        for v in syms(R):
+            g = g + rng.randint(-1, 1) * v ** 2 + rng.randint(-1, 1) * v
+        if not g.is_zero() and not contains_one(Ideal.of([g], local=False)):
+            cases.append(([g], jacobian_oracle([g])))
+    assert {want for _, want in cases} == {True, False}
+    calls = _counting_kernel(monkeypatch)
+    for gens, want in cases:
+        I = Ideal.of(gens, local=False)
+        assert not contains_one(I)
+        elim = eliminate_linear(gens)
+        calls.clear()
+        assert affine_is_smooth(I, elim) == want, gens
+        assert not calls, gens
+
+
+def test_cubic_singular_locus_falls_back_to_a_standard_basis(monkeypatch):
+    # the partials of a cubic are quadrics: the eliminated singular locus
+    # keeps two or more generators and its emptiness takes a basis
+    from germlab.ideals import affine_elimination
+
+    R = PolyRing(("x", "y", "z"))
+    x, y, z = syms(R)
+    fermat = x ** 3 + y ** 3 + z ** 3
+    calls = _counting_kernel(monkeypatch)
+    for gens, want in (([fermat - 1], True), ([fermat], False),
+                       ([x ** 3 - y ** 2 * z - 2], True)):
+        elim = eliminate_linear(gens)
+        assert affine_elimination(Ideal.of(gens, local=False)) is not None
+        calls.clear()
+        locus = singular_locus_ideal(Ideal.of(elim.gens, local=False))
+        assert len(eliminate_linear(locus.gens).gens) >= 2
+        assert affine_is_smooth(Ideal.of(gens, local=False), elim) == want
+        assert calls == [False], gens
+        assert jacobian_oracle(gens) == want
+    # emptiness of two non-constant generators takes a basis too
+    calls.clear()
+    assert affine_elimination(Ideal.of([x ** 2 + 1, x ** 2 - 1], local=False)) is None
+    assert affine_elimination(Ideal.of([x ** 2 - 1, y ** 2 - 1], local=False)) is not None
+    assert calls == [False, False]
+
+
+def test_one_generator_emptiness_never_reaches_the_kernel(monkeypatch):
+    # no generator, a nonzero constant or a single non-constant generator
+    # settles emptiness: 1 is in (g) only when g is a unit
+    import germlab._kernel as kernel
+    from germlab.ideals import affine_elimination, affine_is_empty
+
+    R = PolyRing(("x", "y", "z"))
+    x, y, z = syms(R)
+    cases = [([x ** 3 + y ** 2 * z - 1], False), ([x ** 2 + y ** 2 + z ** 2 + 1], False),
+             ([x + 1, x - 1], True), ([x - y, x ** 2 - y ** 3], False),
+             ([x - y ** 2, y - z ** 3], False), ([R.const(3)], True)]
+    expected = [contains_one(Ideal.of(gens, local=False)) for gens, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard basis of a presentation with at most one generator")
+
+    monkeypatch.setattr(kernel, "std_basis", refuse)
+    for (gens, want), oracle in zip(cases, expected):
+        elim = eliminate_linear(gens)
+        assert len(elim.gens) <= 1 or any(len(g.terms) == 1 and g.constant_term()
+                                          for g in elim.gens), gens
+        assert affine_is_empty(elim) == want == oracle, gens
+        assert (affine_elimination(Ideal.of(gens, local=False)) is None) == want, gens
+
+
 def test_colength_counts_local_fiber_points():
     # unit factors are invisible to the local ring: z^2(1 - z) has local degree 2
     R = PolyRing(("z",))

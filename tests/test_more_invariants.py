@@ -35,9 +35,9 @@ def test_germ_emptiness_agrees_with_unit_detection():
 
 def test_emptiness_is_monotone_in_k():
     e = simple_entry("A", k=1)
-    assert germ_is_empty(build_Dk(e.germ, 3)[(1, 1, 1)])
-    assert germ_is_empty(build_Dk(e.germ, 4)[(1, 1, 1, 1)])
-    assert germ_is_empty(build_Dk(e.germ, 5)[(1, 1, 1, 1, 1)])
+    assert germ_is_empty(dict(build_Dk(e.germ, 3))[(1, 1, 1)])
+    assert germ_is_empty(dict(build_Dk(e.germ, 4))[(1, 1, 1, 1)])
+    assert germ_is_empty(dict(build_Dk(e.germ, 5))[(1, 1, 1, 1, 1)])
 
 
 def test_dk_sigma_expected_complete_intersection_shape():
@@ -48,7 +48,7 @@ def test_dk_sigma_expected_complete_intersection_shape():
         for k in (2, 3):
             from germlab.germs import expected_dims
 
-            for part, ideal in build_Dk(e.germ, k).items():
+            for part, ideal in build_Dk(e.germ, k):
                 n_gens = len(ideal.gens)
                 assert n_gens == 2 * (k - 1) + (k - len(part))
                 codim = ideal.ring.nvars - expected_dims(e.germ.n, e.germ.p, k, part)[1]
