@@ -4,7 +4,7 @@ Core entry points:
 
 - `germlab.poly`      exact polynomials, divided differences, linear elimination
 - `germlab.ideals`    local/global standard bases, colength, dimension
-- `germlab.milnor`    Milnor and Tjurina numbers of ICIS germs
+- `germlab.milnor`    Milnor and Tjurina numbers of ICIS germs, the ICIS classifier
 - `germlab.germs`     multiple point spaces D^k(f)^sigma, finiteness criterion
 - `germlab.simplicial`, `germlab.homology`, `germlab.smith`
                       simplicial group complexes, (alternating) homology

@@ -20,7 +20,6 @@ CONFIRMED by verifying an explicit real perturbation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +30,6 @@ from operator import attrgetter
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
                     class_size, eliminated_Dk, marar_mond_check)
 from .ideals import affine_is_empty, affine_is_smooth
-from .milnor import milnor
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
 FAILS = "FAILS"
@@ -88,7 +86,7 @@ class GrpReport:
     rows: list[GrpRow]
     violations: list[RuleViolation]
     verdict: str
-    image_betti: dict[int, int]
+    image_betti: dict[int, int] | None  # None when max_k stopped the sweep
     mu_I: int | None
     zero_dim_counts: list[tuple[int, tuple[int, ...], int]]
 
@@ -100,12 +98,13 @@ class GrpReport:
         return None if r is None or r.empty else r.mu
 
 
-def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
+def _analyze_row(statuses: list[SpaceStatus]) -> GrpRow:
     """Invariants of D^k(f) from the finiteness sweep's statuses at one k.
 
     The identity partition comes first: its d^sigma is d_k, and an EMPTY one
-    makes the whole row empty.  The sweep has certified every space, so
-    nothing is checked again: `milnor.milnor` reads mu off each status.
+    makes the whole row empty.  The sweep has certified every space and
+    measured the Milnor number of each one of nonnegative expected
+    dimension, so this only reads mu off the statuses and sums.
     """
     k, d_k = statuses[0].k, statuses[0].expected_dim
     if statuses[0].kind == EMPTY_SPACE:
@@ -122,12 +121,11 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
             classes.append(ClassEntry(part, st.sigma_sharp, d_sigma, "beta0", beta0=1))
             acc -= size * (-1 if d_sigma % 2 else 1)
             continue
-        mu = milnor(st, rng)
-        entry = ClassEntry(part, st.sigma_sharp, d_sigma, "mu", mu=mu)
+        entry = ClassEntry(part, st.sigma_sharp, d_sigma, "mu", mu=st.mu)
         if d_sigma == 0:
-            entry.count = mu + 1  # colength of the zero-dimensional space
+            entry.count = st.mu + 1  # colength of the zero-dimensional space
         classes.append(entry)
-        acc += size * mu
+        acc += size * st.mu
     mu_alt = acc / factorial(k)
     if mu_alt.denominator != 1:
         raise ArithmeticError(f"alternating Milnor number is not an integer at k={k}: {mu_alt}")
@@ -136,12 +134,15 @@ def _analyze_row(statuses: list[SpaceStatus], rng: random.Random) -> GrpRow:
 
 def analyze(germ: GermCorank1, max_k: int | None = None, seed: int = 0,
             name: str | None = None) -> GrpReport:
-    """Full invariant report with rule ledger; raises NotAFiniteError early."""
-    mm = marar_mond_check(germ, max_k)
+    """Full invariant report with rule ledger; raises NotAFiniteError early.
+
+    `seed` seeds the sweep's Le-Greuel chains.  mu_I and the image Betti
+    numbers sum over every k: None when `max_k` stops the sweep early.
+    """
+    mm = marar_mond_check(germ, max_k, seed)
     if not mm.finite:
         raise NotAFiniteError(mm)
-    rng = random.Random(seed)
-    rows = [_analyze_row(list(statuses), rng)
+    rows = [_analyze_row(list(statuses))
             for _, statuses in groupby(mm.statuses, key=attrgetter("k"))]
 
     violations: list[RuleViolation] = []
@@ -169,6 +170,8 @@ def analyze(germ: GermCorank1, max_k: int | None = None, seed: int = 0,
             deg = r.d_k + r.k - 1
             image[deg] = image.get(deg, 0) + r.mu_alt
     mu_I = sum(r.mu_alt or 0 for r in rows if not r.empty) if germ.p == germ.n + 1 else None
+    if mm.first_empty_k is None:
+        image = mu_I = None
 
     zero_dim = [(r.k, ce.partition, ce.count)
                 for r in rows if not r.empty
@@ -362,17 +365,17 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
 
 def mu_alt(germ: GermCorank1, k: int, seed: int = 0) -> int:
     """Alternating Milnor number of D^k(f), k >= 2; 0 for an empty space."""
-    mm = marar_mond_check(germ, k)
+    mm = marar_mond_check(germ, k, seed)
     if not mm.finite:
         raise NotAFiniteError(mm)
     statuses = [st for st in mm.statuses if st.k == k]
     if not statuses or statuses[0].kind == EMPTY_SPACE:  # D^k, or an earlier D^j, is empty
         return 0
-    return _analyze_row(statuses, random.Random(seed)).mu_alt
+    return _analyze_row(statuses).mu_alt
 
 
-def image_betti(germ: GermCorank1, max_k: int | None = None) -> dict[int, int]:
-    """Reduced Betti numbers of the image of a stable perturbation."""
+def image_betti(germ: GermCorank1, max_k: int | None = None) -> dict[int, int] | None:
+    """Reduced Betti numbers of the image of a stable perturbation; None when capped."""
     return analyze(germ, max_k=max_k).image_betti
 
 

@@ -17,7 +17,8 @@ families, e.g. a non-integral alternating Milnor number; its traceback
 follows the message on stderr); 141 = stdout closed by its reader (nothing
 further is printed).
 --max-k or GERMLAB_MAX_K caps the multiplicity sweep (default: run until the
-first empty multiple point space); a cap below 2 is a usage error (64).
+first empty multiple point space); a cap below 2 is a usage error (64).  A
+capped analyze prints mu_I and the image Betti numbers as unknown.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def grp_report_dict(rep) -> dict:
              "observed": str(v.observed)}
             for v in rep.violations
         ],
-        "image_betti": {str(d): r for d, r in sorted(rep.image_betti.items())},
+        "image_betti": (None if rep.image_betti is None else
+                        {str(d): r for d, r in sorted(rep.image_betti.items())}),
         "mu_I": rep.mu_I,
         "zero_dim_stable_counts": [
             {"k": k, "partition": list(part), "count": c}
@@ -170,10 +172,13 @@ def render_grp_report(rep) -> str:
             lines.append(f"  {v.rule} at {where}: {v.observed}")
     else:
         lines.append("rule violations: none")
-    image = ", ".join(f"b{d}={r}" for d, r in sorted(rep.image_betti.items())) or "trivial"
+    # the sums are None only when max_k stopped the sweep at the last row
+    unknown = f"unknown, max_k={rep.rows[-1].k} stops the sweep before the first empty D^k"
+    image = (unknown if rep.image_betti is None else
+             ", ".join(f"b{d}={r}" for d, r in sorted(rep.image_betti.items())) or "trivial")
     lines.append(f"image reduced Betti: {image}")
-    if rep.mu_I is not None:
-        lines.append(f"mu_I: {rep.mu_I}")
+    if rep.p == rep.n + 1:
+        lines.append(f"mu_I: {unknown if rep.mu_I is None else rep.mu_I}")
     if rep.zero_dim_counts:
         zd = ", ".join(f"k={k} {part}: {c}" for k, part, c in rep.zero_dim_counts)
         lines.append(f"zero-dimensional stable counts: {zd}")

@@ -8,19 +8,21 @@ the differences z_a - z_b gluing consecutive entries of each cycle block.
 Only those gluing equations depend on the permutation, so `build_Dk` takes
 the divided differences once per k and yields the ideal of every
 D^k(f)^sigma, one per cycle type, and `eliminated_Dk` eliminates D^k once
-and continues that elimination per cycle type.
+and continues that elimination per cycle type.  `marar_mond_check` sweeps
+k and certifies each space with `milnor`'s classifier, which measures its mu.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian_ideal,
-                     local_dimension, singular_locus_ideal)
+from .ideals import Ideal
+from .milnor import EMPTY, VIOLATION, SpaceStatus, _isolated_after_reduction
 from .poly import (Elimination, Polynomial, PolyRing, continue_elimination,
                    divided_differences, eliminate_linear)
 
@@ -55,9 +57,6 @@ class GermCorank1:
                 raise GermError("component does not vanish at the origin (parameters at 0)")
         # a nonzero dg/dz(0) is allowed: the germ is then immersive (corank 0)
         # and every multiple point space comes out empty.
-
-    def is_immersive(self) -> bool:
-        return any(g.deriv(self.zvar).constant_term() for g in self.components)
 
     @property
     def xvars(self) -> tuple[str, ...]:
@@ -97,11 +96,6 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 def sigma_sharp(partition: tuple[int, ...]) -> int:
     return len(partition)
-
-
-def sign_of(partition: tuple[int, ...]) -> int:
-    k = sum(partition)
-    return -1 if (k - len(partition)) % 2 else 1
 
 
 def class_size(partition: tuple[int, ...]) -> int:
@@ -180,34 +174,7 @@ def eliminated_Dk(germ: GermCorank1, k: int, local: bool = True
 
 # -- Marar-Mond finiteness criterion ---------------------------------------
 
-EMPTY = "EMPTY"
-ICIS = "ICIS"
-ORIGIN = "ORIGIN"
-VIOLATION = "VIOLATION"
-
-
-@dataclass
-class SpaceStatus:
-    """What the finiteness check found out about one germ of expected dimension.
-
-    The answers are final: an ICIS keeps its reduced ideal and, when the
-    check has measured it, its Milnor number, so the invariant step reads
-    them instead of checking the space again.  The sweep adds the space's
-    place in it: k, the cycle type and sigma^#.
-    """
-
-    expected_dim: int
-    kind: str
-    dim: int | None = None
-    reason: str = ""
-    # the space after linear elimination; None when empty or smooth
-    reduced: Ideal | None = None
-    # Milnor number, when the check measured it: 0 when smooth, colength - 1
-    # when expected_dim <= 0, the Jacobian colength of a single generator
-    mu: int | None = None
-    k: int = 0
-    partition: tuple[int, ...] = ()
-    sigma_sharp: int = 0
+SAFETY_CAP = 12  # the last k an uncapped sweep reaches
 
 
 @dataclass
@@ -220,75 +187,37 @@ class MararMondReport:
         return [s for s in self.statuses if s.kind == VIOLATION]
 
 
-def _isolated_after_reduction(ideal: Ideal, elim: Elimination,
-                              expected_dim: int) -> SpaceStatus:
-    """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
-
-    elim = eliminate_linear(ideal.gens).  A nonempty, non-smooth space keeps
-    the ideal left after linear elimination and, for expected dimension at
-    most 0 or a single generator g, its mu, so the invariant step neither
-    eliminates nor measures it again.  For g in the maximal ideal,
-    mu = colength(dg) is finite exactly when the singularity is isolated
-    (near 0 the critical locus lies in g = 0, by curve selection); more
-    generators use the singular locus.
-    """
-    status = partial(SpaceStatus, expected_dim)
-    if germ_is_empty(ideal):
-        return status(EMPTY)
-    # substituting solutions without constant term keeps the germ nonempty
-    gens = elim.gens
-    if not gens:
-        dim = elim.ring.nvars
-        if expected_dim < 0:
-            return status(ORIGIN, 0) if dim == 0 else status(VIOLATION, dim, "positive-dimensional")
-        if dim == expected_dim:
-            return status(ICIS, dim, "smooth", mu=0)
-        return status(VIOLATION, dim, f"smooth of dimension {dim}")
-    J = Ideal.of(gens, local=True)
-    if expected_dim <= 0:
-        # finite colength certifies dimension 0 without a full basis
-        c = colength(J)
-        if c == INF:
-            dim = local_dimension(J)
-            want = "at most the origin" if expected_dim < 0 else "dimension 0"
-            return status(VIOLATION, dim, f"dimension {dim}, should be {want}", J)
-        return status(ORIGIN if expected_dim < 0 else ICIS, 0, "", J, c - 1)
-    dim = local_dimension(J)
-    if dim != expected_dim:
-        return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}", J)
-    hypersurface = len(gens) == 1
-    c = colength(jacobian_ideal(gens[0]) if hypersurface else singular_locus_ideal(J))
-    if c == INF:
-        return status(VIOLATION, dim, "non-isolated singular locus", J)
-    return status(ICIS, dim, "", J, c if hypersurface else None)
-
-
-def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondReport:
+def marar_mond_check(germ: GermCorank1, max_k: int | None = None,
+                     seed: int = 0) -> MararMondReport:
     """Status table over k and partitions; finite iff no violation.
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
     in k); `max_k` caps the sweep and must be at least 2.  Every D^k(f)^sigma
     of one k comes from one `eliminated_Dk`; the identity partition comes
-    first and decides emptiness.
+    first and decides emptiness.  Every ICIS carries its mu; one
+    `random.Random(seed)` serves every Le-Greuel chain.  An uncapped sweep
+    that reaches SAFETY_CAP without an empty D^k raises unless it has found
+    a violation.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
     if max_k is not None and max_k < 2:
         raise GermError(f"max_k must be at least 2, got {max_k}")
+    rng = random.Random(seed)
     statuses: list[SpaceStatus] = []
     finite = True
-    cap = max_k if max_k is not None else 12
+    cap = max_k if max_k is not None else SAFETY_CAP
     for k in range(2, cap + 1):
         for part, ideal, elim in eliminated_Dk(germ, k):
             _, d_sigma, sharp = expected_dims(germ.n, germ.p, k, part)
-            st = replace(_isolated_after_reduction(ideal, elim, d_sigma),
+            st = replace(_isolated_after_reduction(ideal, elim, d_sigma, rng),
                          k=k, partition=part, sigma_sharp=sharp)
             statuses.append(st)
             if st.kind == VIOLATION:
                 finite = False
             if st.kind == EMPTY and part == (1,) * k:
                 return MararMondReport(statuses, finite, k)
-    if max_k is None:
+    if max_k is None and finite:
         raise GermError("no empty multiple point space up to the safety cap; "
                         "is the germ finite?")
     return MararMondReport(statuses, finite, None)

@@ -194,11 +194,6 @@ def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
     return out
 
 
-def jacobian_ideal(g: Polynomial) -> Ideal:
-    """The local ideal of g's partial derivatives; its colength is g's Milnor number."""
-    return Ideal.of(jacobian([g], g.ring.vars)[0], local=True)
-
-
 def singular_locus_ideal(I: Ideal) -> Ideal:
     """I plus the codimension-size minors of its Jacobian."""
     gens = list(I.gens)

@@ -1,16 +1,16 @@
-"""Milnor and Tjurina numbers of isolated complete intersection germs.
+"""Milnor and Tjurina numbers of isolated complete intersection germs, and
+the classifier that certifies a multiple point space as one.
 
 `mu_chain` is the one Milnor computation.  A hypersurface's mu is the
 colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
 minors) recurses down to a hypersurface or to dimension zero, where mu is
 the colength of the ideal minus one (reduced point count of a generic fiber).
-`milnor` is the one map from a certified space to its mu: the mu the
-finiteness sweep measured (smooth, dimension zero or a hypersurface), else
-`mu_chain` on the reduced generators.  The analyzer calls it on the spaces
-the sweep has certified; `milnor_icis` is the entry point for any germ: it
-classifies the germ with the sweep's own check, then calls `milnor` and
-adds a hypersurface's Tjurina number.
+`_isolated_after_reduction` is the finiteness sweep's classifier: it runs the
+chain on every positive-dimensional space of the expected dimension, so each
+ICIS it certifies carries its mu and a finite chain is the certificate of
+isolatedness.  `milnor_icis` is the entry point for any germ: it classifies
+the germ with that classifier and adds a hypersurface's Tjurina number.
 """
 
 from __future__ import annotations
@@ -18,12 +18,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .germs import EMPTY, ICIS, VIOLATION, SpaceStatus, _isolated_after_reduction
-from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian,
-                     jacobian_ideal, local_dimension, minors, singular_locus_ideal)
+from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian, local_dimension,
+                     minors, singular_locus_ideal)
 from .linalg import rank_q
-from .poly import Polynomial, PolyRing, eliminate_linear
+from .poly import Elimination, Polynomial, PolyRing, eliminate_linear
+
+EMPTY = "EMPTY"
+ICIS = "ICIS"
+ORIGIN = "ORIGIN"
+VIOLATION = "VIOLATION"
 
 
 class NonIcisError(ValueError):
@@ -36,6 +41,27 @@ class NonIsolatedError(ValueError):
 
 class EmptyGermError(ValueError):
     pass
+
+
+@dataclass
+class SpaceStatus:
+    """What the finiteness check found out about one germ of expected dimension.
+
+    The answers are final: every ICIS carries its Milnor number, so the
+    invariant step reads it instead of checking the space again.  The sweep
+    adds the space's place in it: k, the cycle type and sigma^#.
+    """
+
+    expected_dim: int
+    kind: str
+    dim: int | None = None
+    reason: str = ""
+    # Milnor number of an ICIS (0 when smooth, colength - 1 in dimension 0,
+    # else the Le-Greuel chain's value); an ORIGIN's colength - 1
+    mu: int | None = None
+    k: int = 0
+    partition: tuple[int, ...] = ()
+    sigma_sharp: int = 0
 
 
 @dataclass
@@ -60,7 +86,7 @@ def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rando
     if m == 0:
         return 0
     if m == 1 and dim == ring.nvars - 1:
-        c = colength(jacobian_ideal(gens[0]))
+        c = colength(Ideal.of(jacobian(gens, ring.vars)[0], local=True))
         if c == INF:
             raise NonIsolatedError("infinite Jacobian colength")
         return c
@@ -72,24 +98,18 @@ def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rando
     if dim != ring.nvars - m:
         raise NonIcisError(f"{m} equations in {ring.nvars} variables cannot have dim {dim}")
     full_minors = minors(jacobian(gens, ring.vars), m)
-    last_error: Exception | None = None
     for j in reversed(range(m)):
         rest = gens[:j] + gens[j + 1:]
+        I_rest = Ideal.of(rest, local=True)
         try:
-            if rest:
-                I_rest = Ideal.of(rest, local=True)
-                if germ_is_empty(I_rest) or local_dimension(I_rest) != dim + 1:
-                    raise NonIcisError("deleted tuple has wrong dimension")
-                c = colength(I_rest.with_extra(full_minors))
-            else:
-                c = colength(Ideal.of(full_minors, local=True))
+            if germ_is_empty(I_rest) or local_dimension(I_rest) != dim + 1:
+                raise NonIcisError("deleted tuple has wrong dimension")
+            c = colength(I_rest.with_extra(full_minors))
             if c == INF:
                 raise NonIsolatedError("Le-Greuel colength infinite")
-            mu_rest = mu_chain(rest, ring, dim + 1, rng, depth + 1)
-            return c - mu_rest
+            return c - mu_chain(rest, ring, dim + 1, rng, depth + 1)
         except (NonIcisError, NonIsolatedError) as exc:
             last_error = exc
-            continue
     if depth == 0:
         # retry after mixing the generator tuple by a random invertible matrix
         for _ in range(4):
@@ -98,7 +118,7 @@ def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rando
                 return mu_chain(mixed, ring, dim, rng, depth + 1)
             except (NonIcisError, NonIsolatedError) as exc:
                 last_error = exc
-    raise last_error if last_error else NonIsolatedError("Le-Greuel chain failed")
+    raise last_error
 
 
 def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
@@ -110,15 +130,50 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
     return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
 
 
-def milnor(st: SpaceStatus, rng: random.Random) -> int:
-    """Milnor number of a space the finiteness check certified as an ICIS.
+def _isolated_after_reduction(ideal: Ideal, elim: Elimination, expected_dim: int,
+                              rng: random.Random) -> SpaceStatus:
+    """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
-    The check measured mu of a smooth or zero-dimensional space and of a
-    hypersurface; otherwise the Le-Greuel chain runs on the reduced generators.
+    elim = eliminate_linear(ideal.gens).  A nonempty, non-smooth space of
+    expected dimension at most 0 is measured by the colength of its
+    eliminated presentation; one of positive expected dimension by
+    `mu_chain`, drawing any mixing matrix from `rng`.  A finite chain bounds
+    the singular locus, so only a failed chain consults it: for a single
+    generator g the chain is colength(dg), which is infinite exactly when the
+    singularity is not isolated (near 0 the critical locus lies in g = 0, by
+    curve selection); with more generators an infinite singular-locus
+    colength is a violation and a finite one re-raises the chain's error.
     """
-    if st.mu is not None:
-        return st.mu
-    return mu_chain(list(st.reduced.gens), st.reduced.ring, st.dim, rng)
+    status = partial(SpaceStatus, expected_dim)
+    if germ_is_empty(ideal):
+        return status(EMPTY)
+    # substituting solutions without constant term keeps the germ nonempty
+    gens = elim.gens
+    if not gens:
+        dim = elim.ring.nvars
+        if expected_dim < 0:
+            return status(ORIGIN, 0) if dim == 0 else status(VIOLATION, dim, "positive-dimensional")
+        if dim == expected_dim:
+            return status(ICIS, dim, "smooth", mu=0)
+        return status(VIOLATION, dim, f"smooth of dimension {dim}")
+    J = Ideal.of(gens, local=True)
+    if expected_dim <= 0:
+        # finite colength certifies dimension 0 without a full basis
+        c = colength(J)
+        if c == INF:
+            dim = local_dimension(J)
+            want = "at most the origin" if expected_dim < 0 else "dimension 0"
+            return status(VIOLATION, dim, f"dimension {dim}, should be {want}")
+        return status(ORIGIN if expected_dim < 0 else ICIS, 0, mu=c - 1)
+    dim = local_dimension(J)
+    if dim != expected_dim:
+        return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}")
+    try:
+        return status(ICIS, dim, mu=mu_chain(gens, elim.ring, dim, rng))
+    except (NonIcisError, NonIsolatedError):
+        if len(gens) == 1 or colength(singular_locus_ideal(J)) == INF:
+            return status(VIOLATION, dim, "non-isolated singular locus")
+        raise
 
 
 def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -> IcisReport:
@@ -129,17 +184,17 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
     """
     if not I.local:
         raise ValueError("milnor_icis works on germs (local ideals)")
-    st = _isolated_after_reduction(I, eliminate_linear(I.gens), expected_dim)
+    elim = eliminate_linear(I.gens)
+    st = _isolated_after_reduction(I, elim, expected_dim,
+                                   rng if rng is not None else random.Random(0))
     if st.kind == EMPTY:
         raise EmptyGermError("empty germ")
     if st.kind == VIOLATION and st.dim == expected_dim:
         raise NonIsolatedError(st.reason)
     if st.kind != ICIS:
         raise NonIcisError(st.reason or f"expected dimension {expected_dim} is negative")
-    mu = milnor(st, rng if rng is not None else random.Random(0))
-    J = st.reduced
-    tjurina = 0 if J is None else None
-    if J is not None and len(J.gens) == 1 and st.dim > 0:
-        tjurina = colength(singular_locus_ideal(J))  # at most mu, so finite
-    return IcisReport(dim=st.dim, milnor=mu, tjurina=tjurina, is_smooth=(mu == 0),
-                      is_A1=(st.dim > 0 and mu == 1))
+    tjurina = 0 if not elim.gens else None
+    if len(elim.gens) == 1 and st.dim > 0:
+        tjurina = colength(singular_locus_ideal(Ideal.of(elim.gens)))  # at most mu, so finite
+    return IcisReport(dim=st.dim, milnor=st.mu, tjurina=tjurina, is_smooth=(st.mu == 0),
+                      is_A1=(st.dim > 0 and st.mu == 1))

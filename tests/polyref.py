@@ -1,6 +1,6 @@
 """Reference helpers for the tests: symmetric polynomials, first divided
-differences and ideal membership, written on top of the library's public
-entry points.
+differences, ideal membership, the sign of a cycle type and immersivity of
+a germ, written on top of the library's public entry points.
 """
 
 from collections import Counter
@@ -34,3 +34,14 @@ def reduces_to_zero(f: Polynomial, I: Ideal) -> bool:
     if f.is_zero():
         return True
     return not _kernel.normal_form(f.terms, standard_basis(I), I.local)
+
+
+def sign_of(partition: tuple[int, ...]) -> int:
+    """Sign of a permutation of this cycle type."""
+    k = sum(partition)
+    return -1 if (k - len(partition)) % 2 else 1
+
+
+def is_immersive(germ) -> bool:
+    """True iff some component has a nonzero dg/dz at 0 (the germ has corank 0)."""
+    return any(g.deriv(germ.zvar).constant_term() for g in germ.components)

@@ -1,4 +1,4 @@
-"""Randomized good complexes for the property suite.
+"""Randomized good complexes for the property suite and the acceptance tests.
 
 Vertices come in k blocks of m; the symmetric group permutes blocks, the
 optional cyclic action permutes inner labels the same way in every block
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .simplicial import GComplex, validate_or_subdivide
+from germlab.simplicial import GComplex, validate_or_subdivide
 
 
 def _block_perm(k: int, m: int, a: int, b: int) -> tuple[int, ...]:

@@ -13,16 +13,16 @@ import pytest
 from germlab.analyzer import CANDIDATE, CONFIRMED, FAILS, REFUTED, analyze, witness_check
 from germlab.catalog import (default_nonsimple_entries, default_simple_entries,
                              simple_entry)
-from germlab.germs import (build_Dk, class_size, expected_dims, partitions,
-                           sign_of, sigma_sharp)
+from germlab.germs import build_Dk, class_size, expected_dims, partitions, sigma_sharp
 from germlab.homology import alternating_homology, chi_alt_fixed_point_formula, homology, chi_top
 from germlab.homology import induced_homology_action_ranks
 from germlab.ideals import Ideal, germ_is_empty
 from germlab.milnor import milnor_icis, mu_chain
 from germlab.parse import parse_polynomial
 from germlab.poly import PolyRing, divided_differences
-from germlab.randoms import random_block_complex
 from germlab.smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
+from polyref import sign_of
+from randoms import random_block_complex
 
 # criterion 1 rows: (family, args, expected muD2, expected muD3)
 TABLE_ROWS = [

@@ -278,15 +278,19 @@ def test_milnor_icis_matches_analyze_on_simple_rows():
 
 def test_analyze_asks_each_local_question_once(monkeypatch):
     # the sweep's answers are final: no standard basis is asked for twice in
-    # one analysis, and the checked Milnor entry point is never reached; a
-    # one-generator space is certified by its Jacobian colength, which is
-    # its mu, so no singular-locus ideal is built for it
+    # one analysis, and the checked Milnor entry point is never reached.  The
+    # sweep runs one Le-Greuel chain on the eliminated presentation of every
+    # positive-dimensional ICIS that elimination leaves generators for, and a
+    # chain that succeeds certifies isolatedness, so no singular-locus ideal
+    # is built
     import germlab.ideals as ideals
     import germlab.milnor as milnor
     from germlab.catalog import nonsimple_entry, simple_entry
+    from germlab.poly import eliminate_linear
 
-    asked, loci = [], []
+    asked, loci, chains = [], [], []
     real_basis, real_locus = ideals.standard_basis, ideals.singular_locus_ideal
+    real_chain = milnor.mu_chain
 
     def recording_basis(I, trunc=0):
         asked.append((tuple(I.gens), I.local, trunc))
@@ -296,22 +300,39 @@ def test_analyze_asks_each_local_question_once(monkeypatch):
         loci.append(len(I.gens))
         return real_locus(I)
 
+    def recording_chain(gens, ring, dim, rng, depth=0):
+        if depth == 0:
+            chains.append(list(gens))
+        return real_chain(gens, ring, dim, rng, depth)
+
     def refuse(*args, **kwargs):
         raise AssertionError("milnor_icis called during analyze")
 
     entries = (simple_entry("Q", k=2), simple_entry("S", k=2, j=1), nonsimple_entry("VIII"))
-    assert any(st.dim > 0 and len(st.reduced.gens) == 1
-               for e in entries for st in marar_mond_check(e.germ).statuses
-               if st.reduced is not None)
+    # the presentations a chain must run on, in sweep order
+    expected = {}
+    for e in entries:
+        expected[e.label] = want = []
+        for row in analyze(e.germ).rows:
+            spaces = dict(build_Dk(e.germ, row.k))
+            for ce in row.classes:
+                gens = eliminate_linear(spaces[ce.partition].gens).gens
+                if ce.status == "mu" and ce.d_sigma > 0 and gens:
+                    want.append(gens)
+    assert any(len(gens) == 1 for want in expected.values() for gens in want)
+    assert any(len(gens) >= 2 for want in expected.values() for gens in want)
     monkeypatch.setattr(ideals, "standard_basis", recording_basis)
     _patch_everywhere(monkeypatch, real_locus, recording_locus)
+    _patch_everywhere(monkeypatch, real_chain, recording_chain)
     _patch_everywhere(monkeypatch, milnor.milnor_icis, refuse)
     for entry in entries:
         asked.clear()
+        chains.clear()
         analyze(entry.germ)
         assert asked, entry.label
         assert len(set(asked)) == len(asked), entry.label
-    assert 1 not in loci, loci
+        assert chains == expected[entry.label], entry.label
+    assert not loci, loci
 
 
 def _patch_everywhere(monkeypatch, real, fake):
@@ -529,12 +550,19 @@ def test_hypersurface_mu_matches_macaulay_rank_oracle():
     from germlab.catalog import simple_entry
     from test_local_algebra import _macaulay_oracle
 
+    from germlab.milnor import ICIS
+    from germlab.poly import eliminate_linear
+
     checked = 0
     for family, k in (("A", 3), ("D", 4), ("E", 6)):
-        for st in marar_mond_check(simple_entry(family, k=k).germ).statuses:
-            if st.reduced is None or st.dim <= 0 or len(st.reduced.gens) > 1:
+        germ = simple_entry(family, k=k).germ
+        for st in marar_mond_check(germ).statuses:
+            if st.kind != ICIS or st.dim <= 0:
                 continue
-            g = st.reduced.gens[0]
+            gens = eliminate_linear(dict(build_Dk(germ, st.k))[st.partition].gens).gens
+            if len(gens) != 1:
+                continue
+            g = gens[0]
             parts = [g.deriv(v) for v in g.ring.vars]
             want, _ = _macaulay_oracle(parts, g.ring.nvars, 1, 12)
             assert st.mu == want, (family, k, st.partition)
@@ -547,12 +575,89 @@ def test_hypersurface_mu_matches_macaulay_rank_oracle():
     (["z^2", "z^3 + x^2*z", "y^2*z^3"], 5, 2, 1),
 ])
 def test_non_isolated_singular_locus_is_a_violation(exprs, p, ngens, dim):
-    # a hypersurface (certified by its Jacobian colength) and a two-generator
-    # space (by its singular locus) whose singularities are not isolated
-    mm = marar_mond_check(make(exprs, p=p), max_k=3)
+    # a hypersurface (whose Le-Greuel chain is its Jacobian colength) and a
+    # two-generator space (whose failed chain sends the sweep to its singular
+    # locus) whose singularities are not isolated
+    from germlab.poly import eliminate_linear
+
+    germ = make(exprs, p=p)
+    mm = marar_mond_check(germ, max_k=3)
     st = next(st for st in mm.statuses if (st.k, st.partition) == (2, (1, 1)))
     assert (st.kind, st.reason, st.dim) == (VIOLATION, "non-isolated singular locus", dim)
-    assert len(st.reduced.gens) == ngens and not mm.finite
+    assert len(eliminate_linear(dict(build_Dk(germ, 2))[(1, 1)].gens).gens) == ngens
+    assert not mm.finite
+
+
+# D^2 of this germ eliminates to (x^2 + z1^2, x^3 + y^2 + z1^2): four lines
+# through 0 in general position in C^3, so delta = 4 and mu = 2 delta - 4 + 1 = 5
+FOUR_LINES = (["z^2", "z^3 + x^2*z", "y^2*z + x^3*z + z^3"], 5)
+
+
+def test_two_generator_icis_whose_first_deletion_order_fails():
+    # the first generator alone is singular along the y-axis, so the chain's
+    # first deletion order fails inside the sweep and the second one gives mu
+    from germlab.milnor import ICIS, NonIsolatedError, milnor_icis, mu_chain
+    from germlab.poly import eliminate_linear
+
+    exprs, p = FOUR_LINES
+    germ = make(exprs, p=p)
+    space = dict(build_Dk(germ, 2))[(1, 1)]
+    gens = eliminate_linear(space.gens).gens
+    assert len(gens) == 2
+    with pytest.raises(NonIsolatedError):
+        mu_chain(gens[:1], gens[0].ring, 2, random.Random(0))
+    mm = marar_mond_check(germ)
+    st = mm.statuses[0]
+    assert (st.partition, st.kind, st.dim, st.mu) == ((1, 1), ICIS, 1, 5)
+    assert milnor_icis(space, 1).milnor == st.mu == 5
+    assert mm.finite and mm.first_empty_k == 3
+
+
+def test_failed_chain_on_an_isolated_space_raises_from_the_sweep(monkeypatch):
+    # with two generators a failed chain consults the singular locus: a
+    # finite colength is not a violation, so the chain's error surfaces
+    import germlab.milnor as milnor
+    from germlab.milnor import NonIsolatedError
+
+    def failing(*args, **kwargs):
+        raise NonIsolatedError("Le-Greuel chain failed")
+
+    monkeypatch.setattr(milnor, "mu_chain", failing)
+    exprs, p = FOUR_LINES
+    with pytest.raises(NonIsolatedError, match="chain failed"):
+        marar_mond_check(make(exprs, p=p))
+
+
+def test_safety_cap_reports_a_non_finite_germ_and_refuses_a_clean_sweep(monkeypatch):
+    # the uncapped sweep stops at SAFETY_CAP: with violations found its
+    # report says not finite, as the same explicit cap does; without any, no
+    # verdict can be given
+    import germlab.germs as germs
+
+    zero = make(["0", "0"], name="Z")
+    mm = marar_mond_check(zero)
+    assert not mm.finite and mm.first_empty_k is None
+    assert mm.statuses[-1].k == germs.SAFETY_CAP
+    assert mm.statuses == marar_mond_check(zero, max_k=germs.SAFETY_CAP).statuses
+    with pytest.raises(NotAFiniteError, match=r"\(k=2, \(1, 1\)\)"):
+        analyze(zero)
+    monkeypatch.setattr(germs, "SAFETY_CAP", 3)  # Q2's first empty D^k is D^4
+    with pytest.raises(GermError, match="safety cap"):
+        marar_mond_check(Q2)
+    with pytest.raises(GermError, match="safety cap"):
+        analyze(Q2)
+
+
+def test_capped_analyze_leaves_the_image_sums_unknown():
+    # mu_I and the image Betti numbers sum over every k; a sweep stopped
+    # before the first empty D^k does not know them.  Rows and verdict stay
+    full = analyze(Q2)
+    for cap in (2, 3):
+        rep = analyze(Q2, max_k=cap)
+        assert rep.mu_I is None and rep.image_betti is None, cap
+        assert rep.rows == full.rows[:cap - 1] and rep.verdict == full.verdict, cap
+    rep = analyze(Q2, max_k=4)
+    assert (rep.mu_I, rep.image_betti) == (full.mu_I, full.image_betti) == (2, {3: 2})
 
 
 def test_witness_empty_space_counts_as_smooth():
@@ -700,3 +805,49 @@ def test_kernel_sees_only_int_coefficients(monkeypatch):
     witness_check(Q2, Q2W, {"s": Fraction(7, 3)}, seed=5)
     assert local_calls and len(seen) > local_calls
     assert {t for types in seen for t in types} == {int}
+
+
+# sha256 prefix of the repr of the analyze() reports of the 40 germs of
+# table_germs() at rng seeds 0 and 5, recorded before the finiteness sweep
+# measured every Milnor number
+ANALYZE_REPR_PIN = "2a34403247e5ef27"
+
+TABLE_FAMILIES = {"A": (1, 30), "C": (3, 30), "D": (4, 30), "E": (6, 8), "B": (2, 6),
+                  "P": (1, 5), "Q": (2, 12), "R": (3, 6)}
+
+
+def table_germs(seed=23, n=40):
+    """n seeded catalog germs: simple-family members at drawn indices, and one
+    in four a nonsimple row at parameters a/b (|a| <= 8, b <= 4) within its guard."""
+    from germlab.catalog import CatalogError, nonsimple_entry, simple_entry
+
+    rng = random.Random(seed)
+    labels, germs = set(), []
+    while len(germs) < n:
+        if rng.random() < 0.25:
+            row = rng.choice(("I", "III", "IV", "V", "VI", "VII", "VIII"))
+            values = {q: Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                      for q in ("ab" if row in ("I", "VIII") else "a")}
+            try:
+                entry = nonsimple_entry(row, values)
+            except CatalogError:
+                continue
+        else:
+            fam = rng.choice(sorted(TABLE_FAMILIES))
+            lo, hi = TABLE_FAMILIES[fam]
+            k = rng.randint(lo, hi)
+            if fam == "P" and k % 3 == 0:
+                continue
+            entry = simple_entry(fam, k=k)
+        if entry.label not in labels:
+            labels.add(entry.label)
+            germs.append(entry.germ)
+    return germs
+
+
+def test_analyze_reports_pinned_over_seeded_table_germs():
+    import hashlib
+
+    germs = table_germs()
+    text = "\n".join(repr(analyze(g, seed=seed)) for seed in (0, 5) for g in germs)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == ANALYZE_REPR_PIN

@@ -354,6 +354,34 @@ def test_cli_capped_witness_exits_inconclusive(capsys):
         assert (f"note: max_k={cap} stops the sweep" in out) == (rc == 2), cap
 
 
+def test_cli_non_finite_germ_at_the_safety_cap_exits_3(capsys, tmp_path):
+    # a germ whose multiple point spaces are never empty reaches the safety
+    # cap with violations found: an analysis error, as with the same cap given
+    f = tmp_path / "z.germ"
+    f.write_text("germ Z { n=3 p=4; vars x y z; components: 0, 0; }")
+    errs = []
+    for cap in ((), ("--max-k", "12")):
+        assert run_cli("analyze", str(f), *cap) == 3, cap
+        out, err = capsys.readouterr()
+        assert out == "" and "not A-finite: (k=2, (1, 1))" in err, cap
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+def test_cli_capped_analyze_names_the_cap(capsys):
+    q2 = str(GERMS / "q2.germ")
+    assert run_cli("analyze", q2, "--max-k", "2") == 0
+    out = capsys.readouterr().out
+    unknown = "unknown, max_k=2 stops the sweep before the first empty D^k"
+    assert f"image reduced Betti: {unknown}\nmu_I: {unknown}" in out
+    assert run_cli("analyze", q2, "--max-k", "2", "--json") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mu_I"] is None and rep["image_betti"] is None
+    assert run_cli("analyze", q2, "--max-k", "4") == 0
+    out = capsys.readouterr().out
+    assert "image reduced Betti: b3=2\nmu_I: 2" in out and "unknown" not in out
+
+
 def test_cli_argparse_errors_exit_64(capsys):
     # argparse's own status 2 would read as INCONCLUSIVE
     rp2 = str(COMPLEXES / "rp2.json")

@@ -4,14 +4,13 @@ from pathlib import Path
 
 from germlab.catalog import default_nonsimple_entries, default_simple_entries
 from germlab.germfile import load_germ_file
-from germlab.germs import (EMPTY, ICIS, ORIGIN, VIOLATION, GermCorank1,
-                           build_Dk, class_size, expected_dims,
-                           marar_mond_check, partitions, sign_of, sigma_sharp)
+from germlab.germs import (GermCorank1, build_Dk, class_size, expected_dims,
+                           marar_mond_check, partitions, sigma_sharp)
 from germlab.ideals import colength, germ_is_empty, local_dimension
-from germlab.milnor import milnor_icis
+from germlab.milnor import EMPTY, ICIS, ORIGIN, VIOLATION, milnor_icis
 from germlab.poly import PolyRing, eliminate_linear
 from germlab.parse import parse_polynomial
-from polyref import reduces_to_zero
+from polyref import is_immersive, reduces_to_zero, sign_of
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -155,7 +154,7 @@ def test_marar_mond_violation():
 
 def test_marar_mond_immersion():
     g = make_germ(3, 4, ["z", "0"])  # the immersion (x, y, z, 0)
-    assert g.is_immersive()
+    assert is_immersive(g)
     rep = marar_mond_check(g)
     assert rep.finite
     assert rep.first_empty_k == 2

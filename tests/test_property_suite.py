@@ -15,7 +15,7 @@ import pytest
 
 from germlab.homology import (alternating_homology, chi_alt_fixed_point_formula,
                               chi_top, homology, induced_homology_action_ranks)
-from germlab.randoms import random_block_complex
+from randoms import random_block_complex
 from germlab.simplicial import GComplex
 from germlab.smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
 

@@ -12,7 +12,7 @@ import pytest
 from germlab.homology import (alternating_chain_complex, alternating_homology,
                               boundary_matrices, chi_alt_fixed_point_formula, chi_top,
                               homology, induced_homology_action_ranks)
-from germlab.randoms import random_block_complex
+from randoms import random_block_complex
 from germlab.simplicial import (ActionError, GComplex, from_json_dict, load_json,
                                 smallest_prime_factor, to_json_dict,
                                 validate_or_subdivide)
