@@ -39,6 +39,19 @@ width) is built and kept.  Conversion happens once at each boundary; the
 staircase, the highest corner and the pair degrees stay on exponent
 tuples, since there are few leads.
 
+The completion loop skips a pair whose leads are coprime (Buchberger's
+product criterion) in both orders, and a pair whose lcm another lead divides
+once both its pairs with that element are treated (chain criterion).  The
+product criterion holds in the local order because negdegrevlex compares
+degrees first: the lead of f is the degrevlex lead of its lowest-degree form
+in(f).  Coprime leads of f and g are then coprime leads of in(f) and in(g),
+which makes in(f), in(g) a regular sequence; so the tangent cone of (f, g) is
+(in(f), in(g)), {f, g} is a standard basis of (f, g), also modulo m^D, and
+spoly(f, g) has Mora normal form 0 with respect to {f, g}.  A zero normal
+form with respect to a subset of the basis satisfies Buchberger's criterion
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, Thm 1.7.3).
+The argument needs a degree-compatible local order; the kernel has no other.
+
 Local completions watch the highest corner (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra, 1.7; Singular's `noether` bound).
 Once every axis carries a pure-power lead, the staircase of the leads found
@@ -411,8 +424,8 @@ def _std_basis(gens, trunc, lay):
         ei, ej = gi[0], gj[0]
         lcm = lay.pack(tuple(map(max, gi[3], gj[3])))
         treated.add((i, j))
-        if not local and lcm == ei + ej:
-            continue  # product criterion (global orders)
+        if lcm == ei + ej:
+            continue  # product criterion (both orders, see the module docstring)
         lg = lcm | guard
         skip = False
         for k in range(len(G)):

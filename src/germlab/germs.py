@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .ideals import Ideal
+from .ideals import Ideal, germ_is_empty
 from .milnor import EMPTY, VIOLATION, SpaceStatus, _isolated_after_reduction
 from .poly import (Elimination, Polynomial, PolyRing, continue_elimination,
                    divided_differences, eliminate_linear)
@@ -156,16 +156,21 @@ def build_Dk(germ: GermCorank1, k: int,
 
 
 def eliminated_Dk(germ: GermCorank1, k: int, local: bool = True
-                  ) -> Iterator[tuple[tuple[int, ...], Ideal, Elimination]]:
+                  ) -> Iterator[tuple[tuple[int, ...], Ideal, Elimination | None]]:
     """`build_Dk` with each space's linear elimination, identity first.
 
     D^k is eliminated once; every other cycle type continues that
     elimination with its gluing equations, which gives what eliminating it
     from scratch gives (`continue_elimination`).  A caller that stops after
-    an empty D^k builds no gluing equation.
+    an empty D^k builds no gluing equation.  An empty local D^k (a germ with
+    a nonzero constant term) is yielded with None instead of an elimination,
+    and nothing follows it: every D^k(f)^sigma lies in it.
     """
     spaces = build_Dk(germ, k, local)
     part, Dk = next(spaces)
+    if local and germ_is_empty(Dk):
+        yield part, Dk, None
+        return
     parent = eliminate_linear(Dk.gens)
     yield part, Dk, parent
     for part, ideal in spaces:

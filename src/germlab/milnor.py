@@ -130,11 +130,12 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
     return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
 
 
-def _isolated_after_reduction(ideal: Ideal, elim: Elimination, expected_dim: int,
+def _isolated_after_reduction(ideal: Ideal, elim: Elimination | None, expected_dim: int,
                               rng: random.Random) -> SpaceStatus:
     """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
-    elim = eliminate_linear(ideal.gens).  A nonempty, non-smooth space of
+    elim = eliminate_linear(ideal.gens), or None for an empty germ, whose
+    elimination is never read.  A nonempty, non-smooth space of
     expected dimension at most 0 is measured by the colength of its
     eliminated presentation; one of positive expected dimension by
     `mu_chain`, drawing any mixing matrix from `rng`.  A finite chain bounds

@@ -210,7 +210,8 @@ def test_continued_elimination_equals_elimination_from_scratch():
     # oracle: every space eliminated_Dk yields carries what eliminate_linear
     # gives on its generators from scratch; covers every D^k(f_s)^sigma of
     # q2, a1, p1 at the pinned values of s and every k of a seeded sample of
-    # the `table all` germs up to the first empty D^k
+    # the `table all` germs up to the first empty D^k.  A local germ's empty
+    # D^k, at its first_empty_k, is yielded alone and without an elimination.
     import random
 
     from germlab.germs import eliminated_Dk
@@ -224,15 +225,21 @@ def test_continued_elimination_equals_elimination_from_scratch():
     entries = default_simple_entries() + default_nonsimple_entries()
     for e in random.Random(11).sample(entries, 10):
         cases.append((e.label, e.germ, True, marar_mond_check(e.germ).first_empty_k))
-    continued = 0
+    continued = skipped = 0
     for label, germ, local, last in cases:
         for k in range(2, last + 1):
             parent = None
-            for part, I, elim in eliminated_Dk(germ, k, local):
+            spaces = list(eliminated_Dk(germ, k, local))
+            if local and k == last:
+                [(part, I, elim)] = spaces
+                assert part == (1,) * k and germ_is_empty(I) and elim is None, (label, k)
+                skipped += 1
+                continue
+            for part, I, elim in spaces:
                 assert I.local == local
                 _assert_same_elimination(elim, eliminate_linear(I.gens), (label, k, part))
                 if parent is None:
                     parent = elim
                 elif parent.subs and len(elim.subs) > len(parent.subs):
                     continued += 1
-    assert continued > 50
+    assert continued > 50 and skipped == 10

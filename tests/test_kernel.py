@@ -188,9 +188,9 @@ def test_std_basis_corpus_digest():
     assert h.hexdigest() == CORPUS_DIGEST
 
 
-def _s_polynomial(f, g):
+def _s_polynomial(f, g, local=False):
     # written out here, apart from the kernel's reduction step
-    fe, ge = _kernel.lead_exp(f, False), _kernel.lead_exp(g, False)
+    fe, ge = _kernel.lead_exp(f, local), _kernel.lead_exp(g, local)
     lcm = tuple(map(max, fe, ge))
     out = {}
     for h, he, c in ((f, fe, g[ge]), (g, ge, -f[fe])):
@@ -213,6 +213,30 @@ def test_global_bases_meet_buchberger_criterion():
             for j in range(i):
                 s = _s_polynomial(basis[i], basis[j])
                 assert _kernel.normal_form(s, basis, False) == {}, seed
+
+
+# seeds of the corpus whose untruncated local basis runs for seconds (the
+# kernel bounds neither coefficient growth nor the length of a Mora run)
+SLOW_LOCAL_SEEDS = {0, 9, 16, 17, 27, 38, 45, 50}
+
+
+def test_local_bases_meet_mora_criterion():
+    # a local standard basis reduces every element of the ideal to zero under
+    # Mora's normal form, every S-polynomial included -- also those of coprime
+    # leads, which the kernel skips without reducing them
+    coprime = 0
+    for seed in sorted(set(range(64)) - SLOW_LOCAL_SEEDS):
+        gens = _seeded_ideal(seed)
+        basis = _kernel.std_basis([dict(g) for g in gens], True, 0)
+        leads = [_kernel.lead_exp(g, True) for g in basis]
+        for g in gens:
+            assert _kernel.normal_form(g, basis, True) == {}, seed
+        for i in range(len(basis)):
+            for j in range(i):
+                coprime += not any(map(min, leads[i], leads[j]))
+                s = _s_polynomial(basis[i], basis[j], True)
+                assert _kernel.normal_form(s, basis, True) == {}, seed
+    assert coprime >= 20
 
 
 def _spy_widths(monkeypatch):

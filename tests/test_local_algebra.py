@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -6,7 +7,7 @@ import pytest
 
 from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
-                            local_dimension, minors, singular_locus_ideal)
+                            local_dimension, minors, singular_locus_ideal, standard_basis)
 from germlab.linalg import rank_q
 from germlab.milnor import EmptyGermError, NonIcisError, milnor_icis, mu_chain
 from germlab.poly import PolyError, Polynomial, PolyRing, eliminate_linear
@@ -498,6 +499,36 @@ def test_colength_matches_macaulay_rank_oracle():
         want, _ = _macaulay_oracle(base, 2, 1, a + b + 2)
         assert want != INF
         assert colength(Ideal.of(gens)) == want, (a, c, d, b)
+
+
+def test_coprime_leads_colength_matches_macaulay_oracle_without_their_s_polynomials(monkeypatch):
+    # Row I's quadruple point space, eliminated to four variables, has
+    # colength 24 and basis leads z1, z2^2, z3^3, z4^4, each lead with a long
+    # tail (positive ecart).  The kernel skips every S-pair of coprime leads
+    # (product criterion); the rank oracle checks the colength that results.
+    from germlab import _kernel
+    from germlab.catalog import nonsimple_entry
+    from germlab.germs import build_Dk
+
+    germ = nonsimple_entry("I", {"a": Fraction(0), "b": Fraction(1)}).germ
+    elim = eliminate_linear(dict(build_Dk(germ, 4))[(1, 1, 1, 1)].gens)
+    J = Ideal.of(elim.gens)
+    reduced = []
+    nf_local = _kernel._nf_local
+
+    def spy(h, reducers, *rest):
+        pair = sys._getframe(1).f_locals  # the completion loop's S-pair
+        reduced.append((pair["gi"][3], pair["gj"][3]))
+        return nf_local(h, reducers, *rest)
+
+    monkeypatch.setattr(_kernel, "_nf_local", spy)
+    assert colength(J) == 24
+    basis = standard_basis(J)
+    leads = [_kernel.lead_exp(g, True) for g in basis]
+    assert sorted(leads, reverse=True) == [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 4)]
+    assert all(max(map(sum, g)) > sum(e) for g, e in zip(basis, leads))  # positive ecart
+    assert reduced and all(any(map(min, a, b)) for a, b in reduced)
+    assert _macaulay_oracle(elim.gens, 4, 6, 8) == (24, 6)
 
 
 def test_colength_infinite_matches_growing_macaulay_dimension():
