@@ -28,8 +28,8 @@ from math import factorial
 from operator import attrgetter
 
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
-                    class_size, eliminated_Dk, marar_mond_check)
-from .ideals import affine_is_empty, affine_is_smooth
+                    build_Dk, class_size, marar_mond_check)
+from .ideals import affine_elimination, affine_is_smooth
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
 FAILS = "FAILS"
@@ -288,12 +288,12 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     notes: list[str] = []
     for grp_row in report.rows:
         k = grp_row.k
-        # one elimination of D^k, continued per cycle type, decides emptiness,
-        # smoothness and the real class of every space of this k
-        spaces = eliminated_Dk(pert, k, local=False)
+        # one elimination of each space, from its own generators, decides its
+        # emptiness, smoothness and real class
+        spaces = build_Dk(pert, k, local=False)
         comparisons: list[ClassComparison] = []
         if grp_row.empty:
-            ok = affine_is_empty(next(spaces)[2])
+            ok = affine_elimination(next(spaces)[1]) is None
             comparisons.append(ClassComparison((1,) * k, grp_row.d_k, ok,
                                                "must be empty", RealSpace(EMPTY),
                                                0, 0 if ok else None))
@@ -304,9 +304,8 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         real_known = True
         parity_ok: bool | None = True
         orbit_ok: bool | None = None
-        for ce, (_, I, elim) in zip(grp_row.classes, spaces, strict=True):
-            if affine_is_empty(elim):
-                elim = None
+        for ce, (_, I) in zip(grp_row.classes, spaces, strict=True):
+            elim = affine_elimination(I)
             if ce.status == "empty" or ce.d_sigma < 0:
                 ok, note = elim is None, "must be empty"
             else:

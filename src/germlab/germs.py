@@ -7,9 +7,9 @@ differences of every g_i plus, for a permutation of cycle type (r_1..r_m),
 the differences z_a - z_b gluing consecutive entries of each cycle block.
 Only those gluing equations depend on the permutation, so `build_Dk` takes
 the divided differences once per k and yields the ideal of every
-D^k(f)^sigma, one per cycle type, and `eliminated_Dk` eliminates D^k once
-and continues that elimination per cycle type.  `marar_mond_check` sweeps
-k and certifies each space with `milnor`'s classifier, which measures its mu.
+D^k(f)^sigma, one per cycle type.  `marar_mond_check` sweeps k and certifies
+each space with `milnor`'s classifier, which eliminates a nonempty space
+from its own generators and measures its mu.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .ideals import Ideal, germ_is_empty
+from .ideals import Ideal
 from .milnor import EMPTY, VIOLATION, SpaceStatus, _isolated_after_reduction
-from .poly import (Elimination, Polynomial, PolyRing, continue_elimination,
-                   divided_differences, eliminate_linear)
+from .poly import Polynomial, PolyRing, divided_differences
 
 
 class GermError(ValueError):
@@ -155,28 +154,6 @@ def build_Dk(germ: GermCorank1, k: int,
     return spaces()
 
 
-def eliminated_Dk(germ: GermCorank1, k: int, local: bool = True
-                  ) -> Iterator[tuple[tuple[int, ...], Ideal, Elimination | None]]:
-    """`build_Dk` with each space's linear elimination, identity first.
-
-    D^k is eliminated once; every other cycle type continues that
-    elimination with its gluing equations, which gives what eliminating it
-    from scratch gives (`continue_elimination`).  A caller that stops after
-    an empty D^k builds no gluing equation.  An empty local D^k (a germ with
-    a nonzero constant term) is yielded with None instead of an elimination,
-    and nothing follows it: every D^k(f)^sigma lies in it.
-    """
-    spaces = build_Dk(germ, k, local)
-    part, Dk = next(spaces)
-    if local and germ_is_empty(Dk):
-        yield part, Dk, None
-        return
-    parent = eliminate_linear(Dk.gens)
-    yield part, Dk, parent
-    for part, ideal in spaces:
-        yield part, ideal, continue_elimination(parent, ideal.gens[len(Dk.gens):])
-
-
 # -- Marar-Mond finiteness criterion ---------------------------------------
 
 SAFETY_CAP = 12  # the last k an uncapped sweep reaches
@@ -198,11 +175,11 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None,
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
     in k); `max_k` caps the sweep and must be at least 2.  Every D^k(f)^sigma
-    of one k comes from one `eliminated_Dk`; the identity partition comes
-    first and decides emptiness.  Every ICIS carries its mu; one
-    `random.Random(seed)` serves every Le-Greuel chain.  An uncapped sweep
-    that reaches SAFETY_CAP without an empty D^k raises unless it has found
-    a violation.
+    of one k comes from one `build_Dk`; the identity partition comes first
+    and decides emptiness, so no gluing equation of an empty D^k is built.
+    Every ICIS carries its mu; one `random.Random(seed)` serves every
+    Le-Greuel chain.  An uncapped sweep that reaches SAFETY_CAP without an
+    empty D^k raises unless it has found a violation.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
@@ -213,9 +190,9 @@ def marar_mond_check(germ: GermCorank1, max_k: int | None = None,
     finite = True
     cap = max_k if max_k is not None else SAFETY_CAP
     for k in range(2, cap + 1):
-        for part, ideal, elim in eliminated_Dk(germ, k):
+        for part, ideal in build_Dk(germ, k):
             _, d_sigma, sharp = expected_dims(germ.n, germ.p, k, part)
-            st = replace(_isolated_after_reduction(ideal, elim, d_sigma, rng),
+            st = replace(_isolated_after_reduction(ideal, d_sigma, rng),
                          k=k, partition=part, sigma_sharp=sharp)
             statuses.append(st)
             if st.kind == VIOLATION:

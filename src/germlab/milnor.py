@@ -6,11 +6,11 @@ colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
 minors) recurses down to a hypersurface or to dimension zero, where mu is
 the colength of the ideal minus one (reduced point count of a generic fiber).
-`_isolated_after_reduction` is the finiteness sweep's classifier: it runs the
-chain on every positive-dimensional space of the expected dimension, so each
-ICIS it certifies carries its mu and a finite chain is the certificate of
-isolatedness.  `milnor_icis` is the entry point for any germ: it classifies
-the germ with that classifier and adds a hypersurface's Tjurina number.
+`_isolated_after_reduction`, the finiteness sweep's classifier, eliminates
+a nonempty space once and runs the chain on every positive-dimensional one
+of the expected dimension, so each ICIS it certifies carries its mu and a
+finite chain certifies isolatedness.  `milnor_icis` classifies any germ
+with that classifier and adds a hypersurface's Tjurina number.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import partial
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian, local_dimension,
                      minors, singular_locus_ideal)
 from .linalg import rank_q
-from .poly import Elimination, Polynomial, PolyRing, eliminate_linear
+from .poly import Polynomial, PolyRing, eliminate_linear
 
 EMPTY = "EMPTY"
 ICIS = "ICIS"
@@ -130,14 +130,14 @@ def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
     return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
 
 
-def _isolated_after_reduction(ideal: Ideal, elim: Elimination | None, expected_dim: int,
+def _isolated_after_reduction(ideal: Ideal, expected_dim: int,
                               rng: random.Random) -> SpaceStatus:
     """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
-    elim = eliminate_linear(ideal.gens), or None for an empty germ, whose
-    elimination is never read.  A nonempty, non-smooth space of
-    expected dimension at most 0 is measured by the colength of its
-    eliminated presentation; one of positive expected dimension by
+    An empty germ is never eliminated; a nonempty one is eliminated once,
+    from its own generators.  A non-smooth space of expected dimension at
+    most 0 is measured by the colength of its eliminated presentation; one
+    of positive expected dimension by
     `mu_chain`, drawing any mixing matrix from `rng`.  A finite chain bounds
     the singular locus, so only a failed chain consults it: for a single
     generator g the chain is colength(dg), which is infinite exactly when the
@@ -149,6 +149,7 @@ def _isolated_after_reduction(ideal: Ideal, elim: Elimination | None, expected_d
     if germ_is_empty(ideal):
         return status(EMPTY)
     # substituting solutions without constant term keeps the germ nonempty
+    elim = eliminate_linear(ideal.gens)
     gens = elim.gens
     if not gens:
         dim = elim.ring.nvars
@@ -185,8 +186,7 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
     """
     if not I.local:
         raise ValueError("milnor_icis works on germs (local ideals)")
-    elim = eliminate_linear(I.gens)
-    st = _isolated_after_reduction(I, elim, expected_dim,
+    st = _isolated_after_reduction(I, expected_dim,
                                    rng if rng is not None else random.Random(0))
     if st.kind == EMPTY:
         raise EmptyGermError("empty germ")
@@ -194,6 +194,7 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
         raise NonIsolatedError(st.reason)
     if st.kind != ICIS:
         raise NonIcisError(st.reason or f"expected dimension {expected_dim} is negative")
+    elim = eliminate_linear(I.gens)  # for the Tjurina step only
     tjurina = 0 if not elim.gens else None
     if len(elim.gens) == 1 and st.dim > 0:
         tjurina = colength(singular_locus_ideal(Ideal.of(elim.gens)))  # at most mu, so finite

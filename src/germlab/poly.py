@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add
@@ -50,18 +50,13 @@ class PolyRing:
         syms = self.vars + self.params
         if len(set(syms)) != len(syms):
             raise PolyError(f"duplicate symbol in ring {syms}")
-
-    @cached_property
-    def syms(self) -> tuple[str, ...]:
-        return self.vars + self.params
+        # set once here, as attributes, not fields: == and hash see (vars, params) only
+        object.__setattr__(self, "syms", syms)
+        object.__setattr__(self, "nsyms", len(syms))
 
     @property
     def nvars(self) -> int:
         return len(self.vars)
-
-    @cached_property
-    def nsyms(self) -> int:
-        return len(self.vars) + len(self.params)
 
     def index(self, name: str) -> int:
         try:
@@ -543,27 +538,3 @@ def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
     out = [g.cast(out_ring) for g in live]
     return Elimination(out, subs, out_ring)
 
-
-def continue_elimination(parent: Elimination, more: Iterable[Polynomial]) -> Elimination:
-    """eliminate_linear(gens + more), given parent = eliminate_linear(gens).
-
-    `more` is nonempty and in the ring of gens.  It is mapped through the
-    parent's substitutions in the order they were recorded, kept primitive
-    after each step, cast to the parent's ring and eliminated after the
-    parent's generators; the solutions found are cast back and appended to
-    the parent's.  The result equals elimination
-    from scratch field by field: eliminate_linear solves the first generator
-    that has a candidate, so while any of `gens` has one it makes the
-    parent's choices and substitutes into `more` exactly as here.
-    """
-    mapped = [h.primitive() for h in more]
-    ring = mapped[0].ring
-    for name, sol in parent.subs.items():
-        i = ring.index(name)
-        powers = [_make(ring, sol.terms)]
-        mapped = [_substitute(h, i, powers, sol.den) if h.involves(name) else h
-                  for h in mapped]
-    tail = eliminate_linear(parent.gens + [h.cast(parent.ring) for h in mapped])
-    subs = dict(parent.subs)
-    subs.update((name, sol.cast(ring)) for name, sol in tail.subs.items())
-    return Elimination(tail.gens, subs, tail.ring)

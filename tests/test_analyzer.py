@@ -347,10 +347,10 @@ def _patch_everywhere(monkeypatch, real, fake):
 
 
 def test_witness_asks_each_global_question_once(monkeypatch):
-    # per row: D^k is eliminated once, every other class continues that
-    # elimination once, a class that must be smooth eliminates its singular
-    # locus at most once, and a standard basis is taken only of an
-    # eliminated presentation with two or more generators, on its ring
+    # per row: every class is eliminated once, from its own generators, a
+    # class that must be smooth eliminates its singular locus at most once,
+    # and a standard basis is taken only of an eliminated presentation with
+    # two or more generators, on its ring
     import re
 
     import germlab.germs as germs
@@ -367,8 +367,7 @@ def test_witness_asks_each_global_question_once(monkeypatch):
 
     events = []
     real_basis, real_locus = ideals.standard_basis, ideals.singular_locus_ideal
-    real_elim, real_continue = poly.eliminate_linear, poly.continue_elimination
-    real_build = germs.build_Dk
+    real_elim, real_build = poly.eliminate_linear, germs.build_Dk
 
     def basis(I, trunc=0):
         events.append(("B", I))
@@ -379,42 +378,42 @@ def test_witness_asks_each_global_question_once(monkeypatch):
         return real_locus(I)
 
     def eliminate(gens):
+        gens = list(gens)
         out = real_elim(gens)
-        events.append(("E", out))
+        events.append(("E", out, gens))
         return out
-
-    def continued(parent, more):
-        events.append(("C",))
-        return real_continue(parent, more)
 
     def build(*args, **kwargs):
         events.append(("build",))
-        return real_build(*args, **kwargs)
+        for part, I in real_build(*args, **kwargs):
+            events.append(("space", I))
+            yield part, I
 
     for real, fake in ((real_basis, basis), (real_locus, locus), (real_elim, eliminate),
-                       (real_continue, continued), (real_build, build)):
+                       (real_build, build)):
         _patch_everywhere(monkeypatch, real, fake)
     loci = 0
     for base, pert in cases:
         for s in (Fraction(1), Fraction(-1), Fraction(7, 3)):
             events.clear()
             rep = witness_check(base, pert, {"s": s})
-            rows = []  # per row, the events of each class; a continuation opens a class
+            rows = []  # per row, each class's space and the events that follow it
             for e in events:
                 if e[0] == "build":
-                    rows.append([[]])
-                elif e[0] == "C" and rows[-1][-1]:
-                    rows[-1].append([e])
+                    rows.append([])
+                elif e[0] == "space":
+                    rows[-1].append((e[1], []))
                 else:
-                    rows[-1][-1].append(e)
+                    rows[-1][-1][1].append(e)
             assert len(rows) == len(rep.rows), (pert.name, s)
             for row, classes in zip(rep.rows, rows):
                 assert len(classes) == len(row.classes), (pert.name, s, row.k)
-                for i, (cc, seen) in enumerate(zip(row.classes, classes)):
+                for cc, (I, seen) in zip(row.classes, classes):
                     where = (pert.name, s, row.k, cc.partition)
                     kinds = "".join(e[0] for e in seen)
-                    # D^k itself, or one continuation; then at most one locus
-                    assert re.fullmatch(("C" if i else "") + r"E(B*)(LEB*)?", kinds), where
+                    # one elimination of the space itself; then at most one locus
+                    assert re.fullmatch(r"E(B*)(LEB*)?", kinds), where
+                    assert seen[0][2] == list(I.gens), where
                     assert "L" not in kinds or cc.complex_note == "must be smooth", where
                     loci += kinds.count("L")
                     last = None
@@ -431,12 +430,11 @@ def test_witness_asks_each_global_question_once(monkeypatch):
 def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
     # oracle: 1 in I asked of every D^k(f_s)^sigma as it was built, at every
     # s the witness output is pinned at, against the answer read off the
-    # elimination of the space and the one witness_check continues
+    # elimination of the space, as witness_check reads it
     from pathlib import Path
 
     from germlab.germfile import load_germ_file
-    from germlab.germs import eliminated_Dk
-    from germlab.ideals import affine_elimination, affine_is_empty, contains_one
+    from germlab.ideals import affine_elimination, contains_one
     from test_cli import WITNESS_PINS
 
     germs = Path(__file__).resolve().parent.parent / "germs"
@@ -445,10 +443,9 @@ def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
         gf = load_germ_file(str(germs / f"{name}.germ"))
         pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
         for row in analyze(gf.base_germ()).rows:
-            for part, I, elim in eliminated_Dk(pert, row.k, local=False):
+            for part, I in build_Dk(pert, row.k, local=False):
                 empty = contains_one(I)
                 assert (affine_elimination(I) is None) == empty, (name, s, row.k, part)
-                assert affine_is_empty(elim) == empty, (name, s, row.k, part)
                 seen.add(empty)
     assert seen == {True, False}
 
@@ -456,13 +453,12 @@ def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
 def test_smoothness_after_elimination_matches_the_uneliminated_singular_locus():
     # oracle: the Jacobian criterion on every nonempty D^k(f_s)^sigma as it
     # was built, 1 in I + minors, at every pinned s and at s = 0, against
-    # affine_is_smooth on the continued elimination, which eliminates the
+    # affine_is_smooth on the space's elimination, which eliminates the
     # singular locus of the eliminated presentation
     from pathlib import Path
 
     from germlab.germfile import load_germ_file
-    from germlab.germs import eliminated_Dk
-    from germlab.ideals import (affine_is_empty, affine_is_smooth, contains_one,
+    from germlab.ideals import (affine_elimination, affine_is_smooth, contains_one,
                                 singular_locus_ideal)
     from test_cli import WITNESS_PINS
 
@@ -474,8 +470,9 @@ def test_smoothness_after_elimination_matches_the_uneliminated_singular_locus():
         gf = load_germ_file(str(germs / f"{name}.germ"))
         pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
         for row in analyze(gf.base_germ()).rows:
-            for part, I, elim in eliminated_Dk(pert, row.k, local=False):
-                if affine_is_empty(elim):
+            for part, I in build_Dk(pert, row.k, local=False):
+                elim = affine_elimination(I)
+                if elim is None:
                     continue
                 smooth = contains_one(singular_locus_ideal(I))
                 assert affine_is_smooth(I, elim) == smooth, (name, s, row.k, part)
@@ -497,7 +494,7 @@ def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch):
             yielded.append((k, part))
             yield part, ideal
 
-    monkeypatch.setattr(germs, "build_Dk", build)
+    _patch_everywhere(monkeypatch, real_build, build)
     witness_check(Q2, Q2W, {"s": Fraction(1)})  # warms the base report
     runs = (lambda: [(r.k, r.empty) for r in analyze(Q2).rows],
             lambda: [(r.k, r.empty) for r in analyze(nonsimple_entry("III").germ).rows],
@@ -511,6 +508,43 @@ def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch):
             want = [(1,) * k] if empty else list(germs.partitions(k))
             assert [part for j, part in yielded if j == k] == want, k
 
+
+def test_the_sweep_eliminates_every_nonempty_space_once_and_no_empty_one(monkeypatch):
+    # the local D^k at the first empty k is never eliminated; every other
+    # D^k(f)^sigma of the sweep is eliminated exactly once, from its own
+    # generators
+    import germlab.germs as germs
+    import germlab.poly as poly
+    from germlab.catalog import nonsimple_entry
+    from germlab.ideals import germ_is_empty
+
+    spaces, eliminated = [], []
+    real_build, real_elim = germs.build_Dk, poly.eliminate_linear
+
+    def build(germ, k, local=True):
+        for part, ideal in real_build(germ, k, local):
+            spaces.append((k, part, ideal))
+            yield part, ideal
+
+    def eliminate(gens):
+        gens = list(gens)
+        eliminated.append(gens)
+        return real_elim(gens)
+
+    _patch_everywhere(monkeypatch, real_build, build)
+    _patch_everywhere(monkeypatch, real_elim, eliminate)
+    immersive = make(["z + x*z^2", "y*z"], name="immersive")
+    for germ in (Q2, nonsimple_entry("III").germ, immersive):
+        spaces.clear()
+        eliminated.clear()
+        last = marar_mond_check(germ).first_empty_k
+        assert spaces[-1][:2] == (last, (1,) * last), germ.name
+        for k, part, ideal in spaces:
+            empty = germ_is_empty(ideal)
+            assert empty == ((k, part) == (last, (1,) * last)), (germ.name, k, part)
+            assert eliminated.count(list(ideal.gens)) == (0 if empty else 1), (germ.name, k, part)
+        assert len(eliminated) == len(spaces) - 1, germ.name
+    assert spaces == [(2, (1, 1), spaces[0][2])]  # the immersive germ: D^2 is empty
 
 # sha256 prefix of the repr of every WitnessReport of the germ at the 40
 # values of witness_s_values(), recorded before D^k's elimination was

@@ -197,49 +197,3 @@ def test_dk_generators_are_fraction_free():
             raise AssertionError(f"no empty D^k for {germ.name}")
     assert dens > {1}  # the perturbed germs carry denominators
 
-
-def _assert_same_elimination(got, want, where):
-    assert got.ring == want.ring, where
-    assert got.gens == want.gens, where
-    assert list(got.subs) == list(want.subs), where  # the order solutions were found in
-    for name, sol in want.subs.items():
-        assert got.subs[name] == sol and got.subs[name].ring == sol.ring, (where, name)
-
-
-def test_continued_elimination_equals_elimination_from_scratch():
-    # oracle: every space eliminated_Dk yields carries what eliminate_linear
-    # gives on its generators from scratch; covers every D^k(f_s)^sigma of
-    # q2, a1, p1 at the pinned values of s and every k of a seeded sample of
-    # the `table all` germs up to the first empty D^k.  A local germ's empty
-    # D^k, at its first_empty_k, is yielded alone and without an elimination.
-    import random
-
-    from germlab.germs import eliminated_Dk
-    from test_cli import WITNESS_PINS
-
-    cases = []
-    for name, s, _, _ in WITNESS_PINS:
-        gf = load_germ_file(str(GERMS / f"{name}.germ"))
-        pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
-        cases.append((f"{name} s={s}", pert, False, marar_mond_check(gf.base_germ()).first_empty_k))
-    entries = default_simple_entries() + default_nonsimple_entries()
-    for e in random.Random(11).sample(entries, 10):
-        cases.append((e.label, e.germ, True, marar_mond_check(e.germ).first_empty_k))
-    continued = skipped = 0
-    for label, germ, local, last in cases:
-        for k in range(2, last + 1):
-            parent = None
-            spaces = list(eliminated_Dk(germ, k, local))
-            if local and k == last:
-                [(part, I, elim)] = spaces
-                assert part == (1,) * k and germ_is_empty(I) and elim is None, (label, k)
-                skipped += 1
-                continue
-            for part, I, elim in spaces:
-                assert I.local == local
-                _assert_same_elimination(elim, eliminate_linear(I.gens), (label, k, part))
-                if parent is None:
-                    parent = elim
-                elif parent.subs and len(elim.subs) > len(parent.subs):
-                    continued += 1
-    assert continued > 50 and skipped == 10

@@ -26,6 +26,19 @@ def test_ring_basics():
     assert q.ring.params == ()
 
 
+def test_equal_rings_compare_and_hash_equal_and_keep_their_symbol_table():
+    import dataclasses
+    import pickle
+
+    a, b = PolyRing(("x", "y", "z"), ("s",)), PolyRing(tuple("xyz"), ("s",))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PolyRing(("x", "y", "z", "s")) and a != PolyRing(("x", "y"), ("z", "s"))
+    for ring in (dataclasses.replace(a), pickle.loads(pickle.dumps(a))):
+        assert ring == a and hash(ring) == hash(a)
+        assert ring.syms == ("x", "y", "z", "s") and ring.nsyms == 4
+    ring = dataclasses.replace(a, params=())
+    assert ring.syms == ("x", "y", "z") and ring.nsyms == 3
+
 def test_pow_and_mul():
     x = R3.sym("x")
     y = R3.sym("y")
