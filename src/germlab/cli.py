@@ -16,9 +16,9 @@ argument included); 70 = internal error (an exception outside these
 families, e.g. a non-integral alternating Milnor number; its traceback
 follows the message on stderr); 141 = stdout closed by its reader (nothing
 further is printed).
---max-k or GERMLAB_MAX_K caps the multiplicity sweep (default: run until the
-first empty multiple point space); a cap below 2 is a usage error (64).  A
-capped analyze prints mu_I and the image Betti numbers as unknown.
+--max-k caps the multiplicity sweep (default: run until the first empty
+multiple point space); a cap below 2 is a usage error (64).  A capped
+analyze prints mu_I and the image Betti numbers as unknown.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ EX_PIPE = 141     # 128 + SIGPIPE, as a shell reports a pipe closed by its reade
 
 
 class UsageError(Exception):
-    """A command-line argument or environment value that cannot be read."""
+    """A command-line argument that cannot be read."""
 
 
 def _fractions(pairs: list[str]) -> dict[str, Fraction]:
@@ -67,16 +67,6 @@ def _fractions(pairs: list[str]) -> dict[str, Fraction]:
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--param {name}: not a rational number: {val!r}") from None
     return out
-
-
-def _max_k(args) -> int | None:
-    if getattr(args, "max_k", None) is not None:
-        return args.max_k
-    env = os.environ.get("GERMLAB_MAX_K")
-    try:
-        return int(env) if env else None
-    except ValueError:
-        raise UsageError(f"GERMLAB_MAX_K must be an integer, got {env!r}") from None
 
 
 def _row_entry(label: str):
@@ -256,7 +246,7 @@ def render_witness_report(rep, params: dict[str, Fraction]) -> str:
 def cmd_analyze(args) -> int:
     gf = load_germ_file(args.file)
     germ = gf.base_germ(_fractions(args.param))
-    rep = analyze(germ, max_k=_max_k(args), seed=args.seed, name=gf.name)
+    rep = analyze(germ, max_k=args.max_k, seed=args.seed, name=gf.name)
     if args.rules_only:
         for v in rep.violations:
             where = f"k={v.k}" + (f", {v.partition}" if v.partition else "")
@@ -277,7 +267,7 @@ def cmd_table(args) -> int:
         entries += default_nonsimple_entries()
     if args.row:
         entries = [_row_entry(label) for label in dict.fromkeys(r.upper() for r in args.row)]
-    reports = [analyze(e.germ, max_k=_max_k(args), seed=args.seed, name=e.label)
+    reports = [analyze(e.germ, max_k=args.max_k, seed=args.seed, name=e.label)
                for e in entries]
     mismatches = 0
     out_rows = []
@@ -332,7 +322,7 @@ def cmd_witness(args) -> int:
         defaults = gf.params
     values = dict(defaults)
     values.update(_fractions(args.param))
-    rep = witness_check(germ, pert, values, max_k=_max_k(args), seed=args.seed,
+    rep = witness_check(germ, pert, values, max_k=args.max_k, seed=args.seed,
                         name=gf.name)
     if args.json:
         print(json.dumps(witness_report_dict(rep, values), indent=2))

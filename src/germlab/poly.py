@@ -256,100 +256,30 @@ class Polynomial:
                 res[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return _make(self.ring, res, self.den)
 
-    def subs(self, assignment: Mapping[str, Union["Polynomial", Scalar]],
-             ring: PolyRing | None = None) -> "Polynomial":
-        """Substitute symbols by polynomials or scalars (exact expansion).
-
-        `ring` is the target ring; defaults to this one.  Symbols of the
-        source ring missing from the target must be assigned.
-
-        Works on the term dict directly: an unassigned symbol keeps its
-        exponent at its index in the target ring, a scalar value v folds
-        into the coefficient as c * v^k, and only polynomial values are
-        expanded.  Terms are grouped by their exponents in the polynomial-
-        valued symbols, so each group costs one product of cached powers.
-        Numerators stay integers: a value N/q assigned to a symbol whose top
-        exponent is K puts N^k * q^(K-k) on a term of exponent k, and q^K on
-        the common denominator.
-        """
-        target = ring if ring is not None else self.ring
-        keep: list[tuple[int, int]] = []     # (source index, target index)
-        scalars: list[tuple[int, int]] = []  # (source index, numerator)
-        polys: list[tuple[int, Polynomial]] = []  # (source index, numerator)
-        raised: list[tuple[int, int, int]] = []  # (source index, q > 1, K)
-        for i, name in enumerate(self.ring.syms):
-            if name not in assignment:
-                keep.append((i, target.index(name)))
-                continue
-            v = assignment[name]
-            if isinstance(v, Polynomial):
-                v = v if v.ring == target else v.cast(target)
-                polys.append((i, _make(target, v.terms)))
-                q = v.den
-            else:
-                num, q = _scalar(v)
-                scalars.append((i, num))
-            if q != 1 and self.terms:
-                raised.append((i, q, max(e[i] for e in self.terms)))
-        den = self.den
-        for _, q, top in raised:
-            den *= q ** top
-        n = target.nsyms
-        groups: dict[tuple, dict[tuple, int]] = {}
-        for e, c in self.terms.items():
-            for i, v in scalars:
-                if e[i]:
-                    c *= v ** e[i]
-            for i, q, top in raised:
-                if top > e[i]:
-                    c *= q ** (top - e[i])
-            if not c:
-                continue
-            moved = [0] * n
-            for i, j in keep:
-                moved[j] = e[i]
-            moved = tuple(moved)
-            group = groups.setdefault(tuple(e[i] for i, _ in polys), {})
-            s = group.get(moved)
-            group[moved] = c if s is None else s + c
-        powers = [[v] for _, v in polys]  # powers[slot][k - 1] = value ** k
-
-        def power(slot: int, k: int) -> Polynomial:
-            cached = powers[slot]
-            while len(cached) < k:
-                cached.append(cached[-1] * cached[0])
-            return cached[k - 1]
-
-        out: dict[tuple, int] = {}
-        for key, group in groups.items():
-            factor = None
-            for slot, k in enumerate(key):
-                if k:
-                    factor = power(slot, k) if factor is None else factor * power(slot, k)
-            if factor is None:
-                for e, c in group.items():
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
-                continue
-            for f, d in factor.terms.items():
-                for e, c in group.items():
-                    e = tuple(map(add, e, f))
-                    c *= d
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
-        return _make(target, {e: c for e, c in out.items() if c}, den)
-
     def subs_params(self, assignment: Mapping[str, Scalar]) -> "Polynomial":
-        """Substitute every parameter by a rational; result is parameter-free."""
-        missing = [q for q in self.ring.params if q not in assignment]
+        """Substitute every parameter by a rational; result is parameter-free.
+
+        A parameter left unassigned must not occur.  Numerators stay
+        integers: a value N/q for a parameter whose top exponent is K puts
+        N^k * q^(K-k) on a term of exponent k, and q^K on the common
+        denominator.
+        """
+        ring = self.ring
+        missing = [q for q in ring.params if q not in assignment and self.involves(q)]
         if missing:
-            have = {q for q in self.ring.params if self.involves(q)}
-            missing = [q for q in missing if q in have]
-            if missing:
-                raise PolyError(f"unassigned parameters {missing}")
-        target = PolyRing(self.ring.vars, ())
-        full = {q: assignment.get(q, 0) for q in self.ring.params}
-        return self.subs(full, ring=target)
+            raise PolyError(f"unassigned parameters {missing}")
+        nv = ring.nvars
+        values = [_scalar(assignment.get(q, 0)) for q in ring.params]
+        tops = [max((e[i] for e in self.terms), default=0) for i in range(nv, ring.nsyms)]
+        den = self.den
+        for (_, q), top in zip(values, tops):
+            den *= q ** top
+        out: dict[tuple, int] = {}
+        for e, c in self.terms.items():
+            for (num, q), k, top in zip(values, e[nv:], tops):
+                c *= num ** k * q ** (top - k)
+            out[e[:nv]] = out.get(e[:nv], 0) + c
+        return _make(PolyRing(ring.vars, ()), {e: c for e, c in out.items() if c}, den)
 
     def cast(self, ring: PolyRing) -> "Polynomial":
         """Re-express in another ring; every used symbol must exist there."""
@@ -437,8 +367,8 @@ class Elimination:
     `subs` is triangular: each solution is recorded as it was solved, so it
     may involve variables eliminated after it, never ones eliminated before.
     `gens` holds no zero polynomial: zeros are dropped at every step, and
-    casting to the smaller ring cannot cancel terms, so callers need not
-    filter them again.  Every generator is primitive (integer coefficients
+    the eliminated variables no longer occur, so dropping their coordinates
+    cannot merge terms and callers need not filter them again.  Every generator is primitive (integer coefficients
     of content 1), a positive multiple of what exact substitution gives.
     """
 
@@ -534,7 +464,9 @@ def eliminate_linear(gens: Iterable[Polynomial]) -> Elimination:
         live = [_substitute(h, i, powers, abs(coef)) if h.involves(name) else h for h in live]
         live = [h for h in live if not h.is_zero()]
         subs[name] = _make(ring, num.terms, abs(coef))
-    out_ring = ring.drop_vars(subs.keys())
-    out = [g.cast(out_ring) for g in live]
+    out_ring = ring.drop_vars(subs)
+    keep = [i for i, name in enumerate(ring.syms) if name not in subs]
+    out = [_make(out_ring, {tuple(e[i] for i in keep): c for e, c in g.terms.items()})
+           for g in live]
     return Elimination(out, subs, out_ring)
 

@@ -1,6 +1,6 @@
-"""Reference helpers for the tests: symmetric polynomials, first divided
-differences, ideal membership, the sign of a cycle type and immersivity of
-a germ, written on top of the library's public entry points.
+"""Reference helpers for the tests: substitution, symmetric polynomials,
+first divided differences, ideal membership, the sign of a cycle type and
+immersivity of a germ, written on top of the library's public entry points.
 """
 
 from collections import Counter
@@ -9,6 +9,30 @@ from itertools import combinations_with_replacement
 from germlab import _kernel
 from germlab.ideals import Ideal, standard_basis
 from germlab.poly import Polynomial, PolyRing, divided_differences
+
+
+def subs(f: Polynomial, assignment, ring: PolyRing | None = None) -> Polynomial:
+    """Substitute symbols by polynomials or scalars, all at once, into `ring`.
+
+    Reference expander: each term is a product with one factor per symbol
+    power.  `ring` defaults to f's ring; a symbol of f missing from it must
+    be assigned.
+    """
+    target = f.ring if ring is None else ring
+    out = target.zero()
+    for e, c in f.coefficients().items():
+        term = target.const(c)
+        for name, k in zip(f.ring.syms, e):
+            if name not in assignment:
+                value = target.sym(name)
+            elif isinstance(assignment[name], Polynomial):
+                value = assignment[name].cast(target)
+            else:
+                value = target.const(assignment[name])
+            for _ in range(k):
+                term = term * value
+        out = out + term
+    return out
 
 
 def h_complete(ring: PolyRing, degree: int, names) -> Polynomial:

@@ -10,6 +10,7 @@ from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, INCONCLUSIVE,
 from germlab.germs import VIOLATION, GermCorank1, GermError, build_Dk, marar_mond_check
 from germlab.parse import parse_polynomial
 from germlab.poly import PolyRing
+from polyref import subs
 
 
 def make(exprs, params=(), name="", varnames=("x", "y", "z"), n=3, p=4):
@@ -62,7 +63,7 @@ def test_analyze_verdict_coordinate_invariance():
         imgs = {"x": R.sym("x") * a + R.sym("y") * b,
                 "y": R.sym("x") * c + R.sym("y") * d,
                 "z": R.sym("z") * u}
-        moved = GermCorank1(3, 4, R, tuple(g.subs(imgs) for g in base.components), "Q2'")
+        moved = GermCorank1(3, 4, R, tuple(subs(g, imgs) for g in base.components), "Q2'")
         rep = analyze(moved)
         assert rep.verdict == rep0.verdict
         assert rep.mu_of(2) == rep0.mu_of(2) and rep.mu_of(3) == rep0.mu_of(3)

@@ -290,7 +290,7 @@ def test_cli_witness_at_the_germ_itself_exits_64(capsys):
     assert "verdict" not in captured.out
 
 
-def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
+def test_cli_usage_errors_exit_64(capsys, tmp_path):
     q2 = str(GERMS / "q2.germ")
     assert run_cli("analyze", q2, "--param", "s=abc") == 64
     assert run_cli("analyze", q2, "--param", "s=1/0") == 64
@@ -323,22 +323,13 @@ def test_cli_usage_errors_exit_64(capsys, monkeypatch, tmp_path):
     for coeff in ("f4", "f1", "fx"):
         assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology",
                        "--coeff", coeff) == 64
-    monkeypatch.setenv("GERMLAB_MAX_K", "x")
-    assert run_cli("analyze", q2) == 64
-    err = capsys.readouterr().err
-    assert "GERMLAB_MAX_K" in err and "internal error" not in err
 
 
-def test_cli_max_k_below_two_exits_64(capsys, monkeypatch):
+def test_cli_max_k_below_two_exits_64(capsys):
     # no multiplicity is checked below k = 2, so there is no verdict to give
     q2 = str(GERMS / "q2.germ")
     for argv in (("witness", q2, "--max-k", "1", "--param", "s=1"),
                  ("analyze", q2, "--max-k", "1"), ("analyze", q2, "--max-k", "-3")):
-        assert run_cli(*argv) == 64, argv
-        out, err = capsys.readouterr()
-        assert out == "" and "max_k must be at least 2" in err, argv
-    monkeypatch.setenv("GERMLAB_MAX_K", "1")
-    for argv in (("witness", q2, "--param", "s=1"), ("analyze", q2)):
         assert run_cli(*argv) == 64, argv
         out, err = capsys.readouterr()
         assert out == "" and "max_k must be at least 2" in err, argv

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from germlab.ideals import colength, germ_is_empty, local_dimension
 from germlab.milnor import EMPTY, ICIS, ORIGIN, VIOLATION, milnor_icis
 from germlab.poly import PolyRing, eliminate_linear
 from germlab.parse import parse_polynomial
-from polyref import is_immersive, reduces_to_zero, sign_of
+from polyref import is_immersive, reduces_to_zero, sign_of, subs
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -131,7 +133,7 @@ def test_dk_ideal_sigma_invariance():
     for a, b in perms:
         swap = {a: R.sym(b), b: R.sym(a)}
         for gen in I.gens:
-            assert reduces_to_zero(gen.subs(swap), I)
+            assert reduces_to_zero(subs(gen, swap), I)
 
 
 def test_marar_mond_q2_finite():
@@ -197,3 +199,25 @@ def test_dk_generators_are_fraction_free():
             raise AssertionError(f"no empty D^k for {germ.name}")
     assert dens > {1}  # the perturbed germs carry denominators
 
+
+def test_catalog_parameter_values_match_the_template_with_rational_literals():
+    # rows I and VIII at seeded (a, b) inside the row's guard: the catalog
+    # germ equals the row's template parsed with each value written in as a
+    # rational literal such as (-5/3), a path that substitutes nothing
+    from germlab import catalog
+
+    rng = random.Random(2022)
+    ring = PolyRing(("x", "y", "z"))
+    for row in ("I", "VIII"):
+        templates, guard = catalog._NONSIMPLE[row][:2], catalog._NONSIMPLE[row][-1]
+        checked = set()
+        while len(checked) < 6:
+            values = {name: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                      for name in "ab"}
+            if not guard(values):
+                continue
+            want = tuple(parse_polynomial(re.sub(r"\b[ab]\b", lambda m: f"({values[m[0]]})", t),
+                                          ring) for t in templates)
+            assert catalog.nonsimple_entry(row, values).germ.components == want, (row, values)
+            # six of the eight kinds: both signs of a and of b, with and without a denominator
+            checked.add((values["a"] > 0, values["b"] > 0, values["a"].denominator > 1))
