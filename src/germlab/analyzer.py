@@ -132,14 +132,14 @@ def _analyze_row(statuses: list[SpaceStatus]) -> GrpRow:
     return GrpRow(k, d_k, False, classes[0].mu, int(mu_alt), classes)
 
 
-def analyze(germ: GermCorank1, max_k: int | None = None, seed: int = 0,
+def analyze(germ: GermCorank1, max_k: int | None = None,
             name: str | None = None) -> GrpReport:
     """Full invariant report with rule ledger; raises NotAFiniteError early.
 
-    `seed` seeds the sweep's Le-Greuel chains.  mu_I and the image Betti
-    numbers sum over every k: None when `max_k` stops the sweep early.
+    mu_I and the image Betti numbers sum over every k: None when `max_k`
+    stops the sweep early.
     """
-    mm = marar_mond_check(germ, max_k, seed)
+    mm = marar_mond_check(germ, max_k)
     if not mm.finite:
         raise NotAFiniteError(mm)
     rows = [_analyze_row(list(statuses))
@@ -239,18 +239,18 @@ BASE_REPORTS = 32  # base analyses kept by witness_check
 
 
 @lru_cache(maxsize=BASE_REPORTS)
-def _base_report(germ: GermCorank1, max_k: int | None, seed: int) -> GrpReport:
+def _base_report(germ: GermCorank1, max_k: int | None) -> GrpReport:
     """analyze() of a witness's base germ, shared by every witness of it.
 
     The report is mutable and never leaves witness_check.  A germ that
     analyze() refuses raises on every call: exceptions are not cached.
     """
-    return analyze(germ, max_k=max_k, seed=seed)
+    return analyze(germ, max_k=max_k)
 
 
 def witness_check(germ: GermCorank1, perturbation: GermCorank1,
                   assignment: dict[str, Fraction], max_k: int | None = None,
-                  seed: int = 0, name: str | None = None) -> WitnessReport:
+                  name: str | None = None) -> WitnessReport:
     """Verify a real perturbation witness against the candidate germ.
 
     Complex side: the substituted spaces must be smooth (or empty where the
@@ -261,7 +261,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     verdict is at best INCONCLUSIVE, with a note naming the cap.
 
     The base germ's analysis is kept in a bounded LRU keyed by
-    (germ, max_k, seed), so a sweep over the parameters of one germ analyzes
+    (germ, max_k), so a sweep over the parameters of one germ analyzes
     it once; the CANDIDATE precondition is checked on every call, and the
     returned report holds only scalars and tuples copied out of it.
     """
@@ -278,7 +278,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     pert = perturbation.at_params(assignment)
     if pert.components == base.components:
         raise WitnessPreconditionError("the assigned perturbation is the germ itself")
-    report = _base_report(germ, max_k, seed)
+    report = _base_report(germ, max_k)
     if report.verdict != CANDIDATE:
         raise WitnessPreconditionError(
             "witness verification requires a CANDIDATE germ; analyze() said "
@@ -362,9 +362,9 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     return WitnessReport(name or pert.name or germ.name, verdict, rows, notes)
 
 
-def mu_alt(germ: GermCorank1, k: int, seed: int = 0) -> int:
+def mu_alt(germ: GermCorank1, k: int) -> int:
     """Alternating Milnor number of D^k(f), k >= 2; 0 for an empty space."""
-    mm = marar_mond_check(germ, k, seed)
+    mm = marar_mond_check(germ, k)
     if not mm.finite:
         raise NotAFiniteError(mm)
     statuses = [st for st in mm.statuses if st.k == k]
@@ -372,12 +372,3 @@ def mu_alt(germ: GermCorank1, k: int, seed: int = 0) -> int:
         return 0
     return _analyze_row(statuses).mu_alt
 
-
-def image_betti(germ: GermCorank1, max_k: int | None = None) -> dict[int, int] | None:
-    """Reduced Betti numbers of the image of a stable perturbation; None when capped."""
-    return analyze(germ, max_k=max_k).image_betti
-
-
-def zero_dim_stable_counts(germ: GermCorank1, max_k: int | None = None) -> list[tuple]:
-    """Colengths of the D^k(f)^sigma with expected dimension zero."""
-    return analyze(germ, max_k=max_k).zero_dim_counts

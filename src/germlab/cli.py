@@ -1,6 +1,6 @@
 """The germlab command line.
 
-    germlab analyze  FILE.germ [--json] [--max-k N] [--rules-only] [--seed S]
+    germlab analyze  FILE.germ [--json] [--max-k N] [--rules-only]
                      [--param name=value]...
     germlab table    {simple,nonsimple,all} [--json] [--row LABEL]...
     germlab witness  GERM.germ [PERT.germ] [--param name=value]... [--json]
@@ -18,7 +18,10 @@ follows the message on stderr); 141 = stdout closed by its reader (nothing
 further is printed).
 --max-k caps the multiplicity sweep (default: run until the first empty
 multiple point space); a cap below 2 is a usage error (64).  A capped
-analyze prints mu_I and the image Betti numbers as unknown.
+analyze prints mu_I and the image Betti numbers as unknown.  A --param
+value is read like a germ file's params, as -?N or -?N/D: float syntax
+(0.5, 1e-3) and integers of more digits than Python converts are usage
+errors (64).  Every answer depends on the input alone.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .analyzer import (CANDIDATE, CONFIRMED, NotAFiniteError, REFUTED,
                        WitnessPreconditionError, analyze, witness_check)
 from .catalog import (CatalogError, default_nonsimple_entries,
                       default_simple_entries, nonsimple_entry, simple_entry)
-from .germfile import GermFileError, load_germ_file
+from .germfile import GermFileError, load_germ_file, parse_rational
 from .germs import GermError
 from .homology import alternating_homology, chi_alt_fixed_point_formula, homology
 from .milnor import NonIcisError, NonIsolatedError
@@ -63,8 +66,8 @@ def _fractions(pairs: list[str]) -> dict[str, Fraction]:
         if name in out:
             raise UsageError(f"--param {name} given more than once")
         try:
-            out[name] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError):
+            out[name] = parse_rational(val.strip())
+        except ValueError:
             raise UsageError(f"--param {name}: not a rational number: {val!r}") from None
     return out
 
@@ -246,7 +249,7 @@ def render_witness_report(rep, params: dict[str, Fraction]) -> str:
 def cmd_analyze(args) -> int:
     gf = load_germ_file(args.file)
     germ = gf.base_germ(_fractions(args.param))
-    rep = analyze(germ, max_k=args.max_k, seed=args.seed, name=gf.name)
+    rep = analyze(germ, max_k=args.max_k, name=gf.name)
     if args.rules_only:
         for v in rep.violations:
             where = f"k={v.k}" + (f", {v.partition}" if v.partition else "")
@@ -267,8 +270,7 @@ def cmd_table(args) -> int:
         entries += default_nonsimple_entries()
     if args.row:
         entries = [_row_entry(label) for label in dict.fromkeys(r.upper() for r in args.row)]
-    reports = [analyze(e.germ, max_k=args.max_k, seed=args.seed, name=e.label)
-               for e in entries]
+    reports = [analyze(e.germ, max_k=args.max_k, name=e.label) for e in entries]
     mismatches = 0
     out_rows = []
     candidates = []
@@ -322,8 +324,7 @@ def cmd_witness(args) -> int:
         defaults = gf.params
     values = dict(defaults)
     values.update(_fractions(args.param))
-    rep = witness_check(germ, pert, values, max_k=args.max_k, seed=args.seed,
-                        name=gf.name)
+    rep = witness_check(germ, pert, values, max_k=args.max_k, name=gf.name)
     if args.json:
         print(json.dumps(witness_report_dict(rep, values), indent=2))
     else:
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--rules-only", action="store_true")
     pa.add_argument("--max-k", type=int, default=None)
-    pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     pa.set_defaults(fn=cmd_analyze)
 
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="LABEL", help="restrict to rows, e.g. A3, Q2, S1,2, VII")
     pt.add_argument("--json", action="store_true")
     pt.add_argument("--max-k", type=int, default=None)
-    pt.add_argument("--seed", type=int, default=0)
     pt.set_defaults(fn=cmd_table)
 
     pw = sub.add_parser("witness", help="verify a real perturbation witness")
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("perturbation", nargs="?", default=None)
     pw.add_argument("--json", action="store_true")
     pw.add_argument("--max-k", type=int, default=None)
-    pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     pw.set_defaults(fn=cmd_witness)
 

@@ -64,8 +64,23 @@ class GermFile:
 
 _HEADER = re.compile(r"^\s*germ\s+([A-Za-z_][\w.^-]*)\s*\{(.*)\}\s*$", re.S)
 _NP = re.compile(r"^n\s*=\s*(\d+)\s+p\s*=\s*(\d+)$")
-_RAT = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(-?\d+(?:/\d+)?)$")
+_RATIONAL = r"-?\d+(?:/\d+)?"
+_RAT = re.compile(rf"^([A-Za-z_]\w*)\s*=\s*({_RATIONAL})$")
 _KEYWORD = re.compile(r"(?:vars|params)(?=\s)|components:|perturbation:")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational from outside the program, in the germ-file grammar -?N or -?N/D.
+
+    Anything else raises ValueError: float syntax, a zero denominator, or an
+    integer longer than Python converts from a string.
+    """
+    if not re.fullmatch(_RATIONAL, text):
+        raise ValueError(f"not a rational number: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -96,9 +111,9 @@ def parse_germ_file(text: str) -> GermFile:
         if g.group(1) in params:
             raise GermFileError(f"parameter {g.group(1)!r} given more than once")
         try:
-            params[g.group(1)] = Fraction(g.group(2))
-        except ZeroDivisionError:
-            raise GermFileError(f"parameter {g.group(1)!r}: zero denominator") from None
+            params[g.group(1)] = parse_rational(g.group(2))
+        except ValueError as exc:
+            raise GermFileError(f"parameter {g.group(1)!r}: {exc}") from None
     components, perturbation = (
         tuple(e.strip() for e in found[k].split(",") if e.strip()) if k in found else None
         for k in ("components:", "perturbation:"))

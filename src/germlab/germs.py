@@ -14,7 +14,6 @@ from its own generators and measures its mu.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -169,30 +168,28 @@ class MararMondReport:
         return [s for s in self.statuses if s.kind == VIOLATION]
 
 
-def marar_mond_check(germ: GermCorank1, max_k: int | None = None,
-                     seed: int = 0) -> MararMondReport:
+def marar_mond_check(germ: GermCorank1, max_k: int | None = None) -> MararMondReport:
     """Status table over k and partitions; finite iff no violation.
 
     Iterates k = 2, 3, ... until the first empty D^k (emptiness is monotone
     in k); `max_k` caps the sweep and must be at least 2.  Every D^k(f)^sigma
     of one k comes from one `build_Dk`; the identity partition comes first
     and decides emptiness, so no gluing equation of an empty D^k is built.
-    Every ICIS carries its mu; one `random.Random(seed)` serves every
-    Le-Greuel chain.  An uncapped sweep that reaches SAFETY_CAP without an
+    Every ICIS carries its mu, and each status depends on that space's
+    ideal alone.  An uncapped sweep that reaches SAFETY_CAP without an
     empty D^k raises unless it has found a violation.
     """
     if germ.ring.params:
         raise GermError("substitute parameters before analysis")
     if max_k is not None and max_k < 2:
         raise GermError(f"max_k must be at least 2, got {max_k}")
-    rng = random.Random(seed)
     statuses: list[SpaceStatus] = []
     finite = True
     cap = max_k if max_k is not None else SAFETY_CAP
     for k in range(2, cap + 1):
         for part, ideal in build_Dk(germ, k):
             _, d_sigma, sharp = expected_dims(germ.n, germ.p, k, part)
-            st = replace(_isolated_after_reduction(ideal, d_sigma, rng),
+            st = replace(_isolated_after_reduction(ideal, d_sigma),
                          k=k, partition=part, sigma_sharp=sharp)
             statuses.append(st)
             if st.kind == VIOLATION:

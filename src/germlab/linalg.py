@@ -10,9 +10,9 @@ order of lowest Markowitz cost (Dumas, Saunders and Villard 2001); each
 is a divisor 1 and changes no other divisor.  Only the core left without a
 unit entry, usually empty, goes through the dense gcd loop.
 
-`rank_q` is the one elimination over Q.  The sign-isotype oracle in
-`homology` uses it so that it shares no code with the Smith normal form,
-and `milnor` uses it to test that a random mixing matrix is invertible.
+`rank_q` is the one elimination over Q.  Its one user, the sign-isotype
+oracle in `homology`, calls it so that it shares no code with the Smith
+normal form.
 `rank_mod` is the same elimination over F_p; with the matrix products and
 powers mod p it gives the ranks of the Smith-theory special complexes.
 """

@@ -9,20 +9,21 @@ the colength of the ideal minus one (reduced point count of a generic fiber).
 `_isolated_after_reduction`, the finiteness sweep's classifier, eliminates
 a nonempty space once and runs the chain on every positive-dimensional one
 of the expected dimension, so each ICIS it certifies carries its mu and a
-finite chain certifies isolatedness.  `milnor_icis` classifies any germ
-with that classifier and adds a hypersurface's Tjurina number.
+finite chain certifies isolatedness.  mu does not depend on the generators
+that cut the germ out, so when every deletion order fails on an isolated
+singularity the classifier retries on four fixed invertible recombinations
+of them; a space's status depends on its ideal alone.  `milnor_icis`
+classifies any germ with that classifier and adds a hypersurface's Tjurina
+number.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .ideals import (INF, Ideal, colength, germ_is_empty, jacobian, local_dimension,
                      minors, singular_locus_ideal)
-from .linalg import rank_q
 from .poly import Polynomial, PolyRing, eliminate_linear
 
 EMPTY = "EMPTY"
@@ -73,14 +74,12 @@ class IcisReport:
     is_A1: bool
 
 
-def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Random,
-             depth: int = 0) -> int:
+def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int) -> int:
     """Milnor number of the ICIS germ cut out by `gens`, of dimension `dim`.
 
     The caller vouches that the germ is nonempty and of that dimension.  A
-    deletion order that fails is skipped; if all fail, the tuple is mixed by
-    random invertible matrices drawn from `rng`, so a seeded rng gives the
-    same answer.
+    deletion order that fails is skipped; if all fail, the last error is
+    raised.
     """
     m = len(gens)
     if m == 0:
@@ -107,43 +106,27 @@ def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int, rng: random.Rando
             c = colength(I_rest.with_extra(full_minors))
             if c == INF:
                 raise NonIsolatedError("Le-Greuel colength infinite")
-            return c - mu_chain(rest, ring, dim + 1, rng, depth + 1)
+            return c - mu_chain(rest, ring, dim + 1)
         except (NonIcisError, NonIsolatedError) as exc:
             last_error = exc
-    if depth == 0:
-        # retry after mixing the generator tuple by a random invertible matrix
-        for _ in range(4):
-            mixed = _random_mix(gens, ring, rng)
-            try:
-                return mu_chain(mixed, ring, dim, rng, depth + 1)
-            except (NonIcisError, NonIsolatedError) as exc:
-                last_error = exc
     raise last_error
 
 
-def _random_mix(gens: list[Polynomial], ring: PolyRing, rng: random.Random):
-    m = len(gens)
-    while True:
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-        if rank_q(rows) == m:
-            break
-    return [sum((gens[j] * rows[i][j] for j in range(m)), ring.zero()) for i in range(m)]
-
-
-def _isolated_after_reduction(ideal: Ideal, expected_dim: int,
-                              rng: random.Random) -> SpaceStatus:
+def _isolated_after_reduction(ideal: Ideal, expected_dim: int) -> SpaceStatus:
     """Classify the germ of a local ideal: EMPTY / ICIS / ORIGIN / VIOLATION.
 
     An empty germ is never eliminated; a nonempty one is eliminated once,
     from its own generators.  A non-smooth space of expected dimension at
     most 0 is measured by the colength of its eliminated presentation; one
-    of positive expected dimension by
-    `mu_chain`, drawing any mixing matrix from `rng`.  A finite chain bounds
-    the singular locus, so only a failed chain consults it: for a single
+    of positive expected dimension by `mu_chain`.  A finite chain bounds the
+    singular locus, so only a failed chain consults it: for a single
     generator g the chain is colength(dg), which is infinite exactly when the
     singularity is not isolated (near 0 the critical locus lies in g = 0, by
     curve selection); with more generators an infinite singular-locus
-    colength is a violation and a finite one re-raises the chain's error.
+    colength is a violation.  Only an isolated singularity is retried, on
+    four Vandermonde recombinations of its generators (rows a^0 .. a^(m-1)
+    on the nodes a = t*m + 1 .. t*m + m, t = 0..3); if all four fail, the
+    last chain's error is raised.
     """
     status = partial(SpaceStatus, expected_dim)
     if germ_is_empty(ideal):
@@ -171,14 +154,25 @@ def _isolated_after_reduction(ideal: Ideal, expected_dim: int,
     if dim != expected_dim:
         return status(VIOLATION, dim, f"dimension {dim} instead of {expected_dim}")
     try:
-        return status(ICIS, dim, mu=mu_chain(gens, elim.ring, dim, rng))
-    except (NonIcisError, NonIsolatedError):
+        return status(ICIS, dim, mu=mu_chain(gens, elim.ring, dim))
+    except (NonIcisError, NonIsolatedError) as exc:
         if len(gens) == 1 or colength(singular_locus_ideal(J)) == INF:
             return status(VIOLATION, dim, "non-isolated singular locus")
-        raise
+        error = exc
+    # mu does not depend on the generators chosen: retry on Vandermonde
+    # recombinations, invertible since their nodes t*m + 1 .. t*m + m differ
+    m = len(gens)
+    for t in range(4):
+        mixed = [sum((g * a ** j for j, g in enumerate(gens)), elim.ring.zero())
+                 for a in range(t * m + 1, t * m + m + 1)]
+        try:
+            return status(ICIS, dim, mu=mu_chain(mixed, elim.ring, dim))
+        except (NonIcisError, NonIsolatedError) as exc:
+            error = exc
+    raise error
 
 
-def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -> IcisReport:
+def milnor_icis(I: Ideal, expected_dim: int) -> IcisReport:
     """Invariants of the germ defined by I, checked against its expected dimension.
 
     The check is the finiteness sweep's own classifier; a hypersurface left
@@ -186,8 +180,7 @@ def milnor_icis(I: Ideal, expected_dim: int, rng: random.Random | None = None) -
     """
     if not I.local:
         raise ValueError("milnor_icis works on germs (local ideals)")
-    st = _isolated_after_reduction(I, expected_dim,
-                                   rng if rng is not None else random.Random(0))
+    st = _isolated_after_reduction(I, expected_dim)
     if st.kind == EMPTY:
         raise EmptyGermError("empty germ")
     if st.kind == VIOLATION and st.dim == expected_dim:

@@ -6,7 +6,7 @@ import pytest
 import germlab.analyzer as analyzer
 from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, INCONCLUSIVE,
                               REFUTED, NotAFiniteError, WitnessPreconditionError,
-                              analyze, witness_check, zero_dim_stable_counts)
+                              analyze, witness_check)
 from germlab.germs import VIOLATION, GermCorank1, GermError, build_Dk, marar_mond_check
 from germlab.parse import parse_polynomial
 from germlab.poly import PolyRing
@@ -167,7 +167,7 @@ def test_zero_dim_counts_cross_cap_analog():
     # (x, z^2, z^3 + x^2 z) for source dimension 2: the transposition space of
     # D^2 has expected dimension 0 and length 2
     g = make(["z^2", "z^3 + x^2*z"], varnames=("x", "z"), n=2, p=3, name="S1")
-    counts = zero_dim_stable_counts(g)
+    counts = analyze(g).zero_dim_counts
     assert (2, (2,), 2) in counts
 
 
@@ -186,10 +186,10 @@ def test_plane_curve_cusp_node_perturbation():
 
 
 def test_mu_alt_and_image_betti_helpers():
-    from germlab.analyzer import image_betti, mu_alt
+    from germlab.analyzer import mu_alt
 
     assert mu_alt(Q2, 2) == 1 and mu_alt(Q2, 3) == 1 and mu_alt(Q2, 4) == 0
-    assert image_betti(Q2) == {3: 2}
+    assert analyze(Q2).image_betti == {3: 2}
 
 
 def test_mu_alt_examples_from_tables():
@@ -301,10 +301,16 @@ def test_analyze_asks_each_local_question_once(monkeypatch):
         loci.append(len(I.gens))
         return real_locus(I)
 
-    def recording_chain(gens, ring, dim, rng, depth=0):
-        if depth == 0:
+    open_calls = []
+
+    def recording_chain(gens, ring, dim):
+        if not open_calls:  # a top call, not one down the chain
             chains.append(list(gens))
-        return real_chain(gens, ring, dim, rng, depth)
+        open_calls.append(gens)
+        try:
+            return real_chain(gens, ring, dim)
+        finally:
+            open_calls.pop()
 
     def refuse(*args, **kwargs):
         raise AssertionError("milnor_icis called during analyze")
@@ -623,6 +629,31 @@ def test_non_isolated_singular_locus_is_a_violation(exprs, p, ngens, dim):
     assert not mm.finite
 
 
+def test_non_isolated_space_builds_no_recombined_chain(monkeypatch):
+    # the failed chain sends the sweep to the singular locus, whose infinite
+    # colength settles the space: no recombination of its generators is
+    # tried, so every chain runs on a space's eliminated generators or on a
+    # deletion from them
+    import germlab.milnor as milnor
+    from germlab.poly import eliminate_linear
+
+    germ = make(["z^2", "z^3 + x^2*z", "y^2*z^3"], p=5)
+    presentations = [set(eliminate_linear(I.gens).gens)
+                     for k in (2, 3) for _, I in build_Dk(germ, k)]
+    real_chain, chains = milnor.mu_chain, []
+
+    def recording_chain(gens, ring, dim):
+        chains.append(set(gens))
+        return real_chain(gens, ring, dim)
+
+    _patch_everywhere(monkeypatch, real_chain, recording_chain)
+    mm = marar_mond_check(germ, max_k=3)
+    assert [(st.k, st.partition, st.reason) for st in mm.violations()] == [
+        (2, (1, 1), "non-isolated singular locus"),
+        (2, (2,), "dimension 1, should be dimension 0")]
+    assert chains and all(any(c <= p for p in presentations) for c in chains), chains
+
+
 # D^2 of this germ eliminates to (x^2 + z1^2, x^3 + y^2 + z1^2): four lines
 # through 0 in general position in C^3, so delta = 4 and mu = 2 delta - 4 + 1 = 5
 FOUR_LINES = (["z^2", "z^3 + x^2*z", "y^2*z + x^3*z + z^3"], 5)
@@ -640,7 +671,7 @@ def test_two_generator_icis_whose_first_deletion_order_fails():
     gens = eliminate_linear(space.gens).gens
     assert len(gens) == 2
     with pytest.raises(NonIsolatedError):
-        mu_chain(gens[:1], gens[0].ring, 2, random.Random(0))
+        mu_chain(gens[:1], gens[0].ring, 2)
     mm = marar_mond_check(germ)
     st = mm.statuses[0]
     assert (st.partition, st.kind, st.dim, st.mu) == ((1, 1), ICIS, 1, 5)
@@ -748,15 +779,15 @@ SWEEP += [-s for s in SWEEP]
 
 @pytest.fixture
 def analyze_calls(monkeypatch):
-    """Counts analyze() calls by (germ name, max_k, seed), on an empty memo."""
+    """Counts analyze() calls by (germ name, max_k), on an empty memo."""
     from collections import Counter
 
     calls = Counter()
     real_analyze = analyzer.analyze
 
-    def counting_analyze(germ, max_k=None, seed=0, name=None):
-        calls[(germ.name, max_k, seed)] += 1
-        return real_analyze(germ, max_k=max_k, seed=seed, name=name)
+    def counting_analyze(germ, max_k=None, name=None):
+        calls[(germ.name, max_k)] += 1
+        return real_analyze(germ, max_k=max_k, name=name)
 
     monkeypatch.setattr(analyzer, "analyze", counting_analyze)
     analyzer._base_report.cache_clear()
@@ -768,11 +799,10 @@ def test_witness_sweep_analyzes_base_once_per_key(analyze_calls):
     for s in SWEEP:
         w = witness_check(Q2, Q2W, {"s": s})
         assert w.verdict == (CONFIRMED if s > 0 else REFUTED), s
-    assert analyze_calls == {("Q2", None, 0): 1}
-    witness_check(Q2, Q2W, {"s": Fraction(5)}, seed=1)
+    assert analyze_calls == {("Q2", None): 1}
     witness_check(Q2, Q2W, {"s": Fraction(5)}, max_k=3)
     witness_check(Q2, Q2W, {"s": Fraction(-5)}, max_k=3)
-    assert analyze_calls == {("Q2", None, 0): 1, ("Q2", None, 1): 1, ("Q2", 3, 0): 1}
+    assert analyze_calls == {("Q2", None): 1, ("Q2", 3): 1}
 
 
 def test_witness_sweep_matches_uncached_answers(analyze_calls):
@@ -782,7 +812,7 @@ def test_witness_sweep_matches_uncached_answers(analyze_calls):
         analyzer._base_report.cache_clear()
         fresh.append(witness_check(Q2, Q2W, {"s": s}))
     assert cached == fresh  # names, verdicts, rows and notes
-    assert analyze_calls[("Q2", None, 0)] == 1 + len(SWEEP)
+    assert analyze_calls[("Q2", None)] == 1 + len(SWEEP)
 
 
 def test_witness_preconditions_checked_on_every_call(analyze_calls):
@@ -795,17 +825,19 @@ def test_witness_preconditions_checked_on_every_call(analyze_calls):
             witness_check(a2, a2w, {"s": Fraction(1)})
         with pytest.raises(NotAFiniteError):
             witness_check(nonfinite, nonfinite_w, {"s": Fraction(1)})
-    assert analyze_calls[("NF", None, 0)] == 3  # a refusal is not remembered
+    assert analyze_calls[("NF", None)] == 3  # a refusal is not remembered
 
 
 def test_base_report_memo_is_bounded(analyze_calls):
+    from dataclasses import replace
+
     cap = analyzer.BASE_REPORTS
-    for seed in range(cap + 3):
-        witness_check(Q2, Q2W, {"s": Fraction(1)}, seed=seed)
-        assert analyzer._base_report.cache_info().currsize == min(seed + 1, cap)
+    for i in range(cap + 3):  # the name is part of the key
+        witness_check(replace(Q2, name=f"Q2.{i}"), Q2W, {"s": Fraction(1)})
+        assert analyzer._base_report.cache_info().currsize == min(i + 1, cap)
     assert analyzer._base_report.cache_info().maxsize == cap
-    witness_check(Q2, Q2W, {"s": Fraction(1)}, seed=0)  # evicted, analyzed again
-    assert analyze_calls[("Q2", None, 0)] == 2
+    witness_check(replace(Q2, name="Q2.0"), Q2W, {"s": Fraction(1)})  # evicted, analyzed again
+    assert analyze_calls[("Q2.0", None)] == 2
     assert analyzer._base_report.cache_info().currsize == cap
 
 
@@ -820,7 +852,7 @@ def test_mutating_a_witness_report_does_not_leak(analyze_calls):
     first.notes.append("tampered")
     again = witness_check(Q2, Q2W, {"s": Fraction(1)})
     assert again == expected and again.verdict == CONFIRMED
-    assert analyze_calls[("Q2", None, 0)] == 1
+    assert analyze_calls[("Q2", None)] == 1
 
 
 def test_kernel_sees_only_int_coefficients(monkeypatch):
@@ -835,15 +867,16 @@ def test_kernel_sees_only_int_coefficients(monkeypatch):
         return real(gens, local, trunc)
 
     monkeypatch.setattr(_kernel, "std_basis", spy)
-    analyze(make(["x*z + y*z^2", "z^3 + y^2*z"], name="Q2spy"), seed=5)
+    analyze(make(["x*z + y*z^2", "z^3 + y^2*z"], name="Q2spy"))
     local_calls = len(seen)
-    witness_check(Q2, Q2W, {"s": Fraction(7, 3)}, seed=5)
+    witness_check(Q2, Q2W, {"s": Fraction(7, 3)})
     assert local_calls and len(seen) > local_calls
     assert {t for types in seen for t in types} == {int}
 
 
 # sha256 prefix of the repr of the analyze() reports of the 40 germs of
-# table_germs() at rng seeds 0 and 5, recorded before the finiteness sweep
+# table_germs(), each analyzed twice; recorded (at seeds 0 and 5, when the
+# sweep's Le-Greuel chains still took one) before the finiteness sweep
 # measured every Milnor number
 ANALYZE_REPR_PIN = "2a34403247e5ef27"
 
@@ -884,5 +917,5 @@ def test_analyze_reports_pinned_over_seeded_table_germs():
     import hashlib
 
     germs = table_germs()
-    text = "\n".join(repr(analyze(g, seed=seed)) for seed in (0, 5) for g in germs)
+    text = "\n".join(repr(analyze(g)) for _ in range(2) for g in germs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == ANALYZE_REPR_PIN

@@ -325,6 +325,34 @@ def test_cli_usage_errors_exit_64(capsys, tmp_path):
                        "--coeff", coeff) == 64
 
 
+def test_cli_param_in_float_syntax_exits_64(capsys):
+    # a --param value is read like a germ file's params, as -?N or -?N/D, so
+    # 1e-20000 is refused before it becomes a Fraction too long to print
+    q2 = str(GERMS / "q2.germ")
+    for value in ("1e-20000", "0.5", "1e-3"):
+        assert run_cli("witness", q2, "--param", f"s={value}") == 64, value
+        out, err = capsys.readouterr()
+        assert out == "" and "not a rational number" in err, value
+
+
+def test_germfile_param_too_long_to_convert_exits_64(capsys, tmp_path):
+    long = tmp_path / "long.germ"
+    long.write_text((GERMS / "q2.germ").read_text().replace("s=1", "s=1/" + "7" * 5000))
+    assert run_cli("witness", str(long)) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("germlab: error: parameter 's':")
+
+
+def test_cli_takes_no_seed(capsys):
+    # every answer depends on the input alone, so no subcommand takes a seed
+    q2 = str(GERMS / "q2.germ")
+    for argv in (("analyze", q2), ("table", "simple"), ("witness", q2, "--param", "s=1")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", "0")
+        assert exc.value.code == 64, argv
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err, argv
+
+
 def test_cli_max_k_below_two_exits_64(capsys):
     # no multiplicity is checked below k = 2, so there is no verdict to give
     q2 = str(GERMS / "q2.germ")

@@ -9,7 +9,8 @@ from germlab.ideals import (INF, Ideal, affine_is_smooth, colength,
                             contains_one, germ_is_empty, leading_exponents,
                             local_dimension, minors, singular_locus_ideal, standard_basis)
 from germlab.linalg import rank_q
-from germlab.milnor import EmptyGermError, NonIcisError, milnor_icis, mu_chain
+from germlab.milnor import (EmptyGermError, NonIcisError, NonIsolatedError, milnor_icis,
+                            mu_chain)
 from germlab.poly import PolyError, Polynomial, PolyRing, eliminate_linear
 from polyref import subs
 
@@ -146,8 +147,29 @@ def test_milnor_chain_route_matches_hypersurface_route():
     x, y, z1, z2 = syms(R)
     gens = [z1 + z2, z1 ** 2 + z1 * z2 + z2 ** 2 + x ** 2 + y ** 4]
     a = milnor_icis(Ideal.of(gens), 2).milnor
-    b = mu_chain(gens, R, 2, random.Random(0))
+    b = mu_chain(gens, R, 2)
     assert a == b == 3
+
+
+@pytest.mark.parametrize("exprs,mu", [
+    (("x^2 + y^3", "z^2 + x^3"), 12),
+    (("x^2 + y^2", "y^2 + z^3"), 9),
+])
+def test_icis_curve_whose_every_deletion_order_fails(exprs, mu):
+    # each generator alone is singular along a coordinate axis, so both
+    # deletion orders of the chain fail and the classifier must recombine
+    # the generators; the oracle is the chain on the recombination
+    # (g1 + g2, g2), whose first deletion leaves an isolated hypersurface
+    from germlab.parse import parse_polynomial
+
+    R = PolyRing(("x", "y", "z"))
+    g1, g2 = (parse_polynomial(e, R) for e in exprs)
+    for order in ([g1, g2], [g2, g1]):
+        with pytest.raises(NonIsolatedError):
+            mu_chain(order, R, 1)
+    assert mu_chain([g1 + g2, g2], R, 1) == mu
+    rep = milnor_icis(Ideal.of([g1, g2]), 1)
+    assert (rep.dim, rep.milnor, rep.tjurina) == (1, mu, None)
 
 
 def test_milnor_errors():
