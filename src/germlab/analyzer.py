@@ -361,14 +361,3 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
             verdict = INCONCLUSIVE
     return WitnessReport(name or pert.name or germ.name, verdict, rows, notes)
 
-
-def mu_alt(germ: GermCorank1, k: int) -> int:
-    """Alternating Milnor number of D^k(f), k >= 2; 0 for an empty space."""
-    mm = marar_mond_check(germ, k)
-    if not mm.finite:
-        raise NotAFiniteError(mm)
-    statuses = [st for st in mm.statuses if st.k == k]
-    if not statuses or statuses[0].kind == EMPTY_SPACE:  # D^k, or an earlier D^j, is empty
-        return 0
-    return _analyze_row(statuses).mu_alt
-

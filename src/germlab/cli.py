@@ -12,10 +12,10 @@ Exit codes: 0 = CANDIDATE / CONFIRMED / all catalog rows match / verified;
 1 = FAILS / REFUTED / catalog mismatch / inequality violated;
 2 = INCONCLUSIVE; 3 = analysis error (non-finite germ, non-isolated data);
 64 = usage, parse or validation error (a missing or malformed command-line
-argument included); 70 = internal error (an exception outside these
-families, e.g. a non-integral alternating Milnor number; its traceback
-follows the message on stderr); 141 = stdout closed by its reader (nothing
-further is printed).
+argument included, and an input path that cannot be read, such as a
+directory); 70 = internal error (an exception outside these families, e.g. a
+non-integral alternating Milnor number; its traceback follows the message on
+stderr); 141 = stdout closed by its reader (nothing further is printed).
 --max-k caps the multiplicity sweep (default: run until the first empty
 multiple point space); a cap below 2 is a usage error (64).  A capped
 analyze prints mu_I and the image Betti numbers as unknown.  A --param
@@ -466,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         return EX_PIPE
     except (UsageError, ParseError, GermFileError, PolyError, GermError,
             CatalogError, ActionError, WitnessPreconditionError, NotAFiniteError,
-            NonIcisError, NonIsolatedError, FileNotFoundError) as exc:
+            NonIcisError, NonIsolatedError, OSError) as exc:
         if isinstance(exc, (NotAFiniteError, NonIcisError, NonIsolatedError)):
             print(f"germlab: analysis error: {exc}", file=sys.stderr)
             return EX_ERROR

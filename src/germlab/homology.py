@@ -92,27 +92,25 @@ def _field_prime(field: str) -> int | None:
     raise ActionError(f"coefficients must be Z, Q or F<p> with p prime, got {field!r}")
 
 
-def _rank(divisors: tuple[int, ...], p: int | None) -> int:
-    """Rank over Q (p None) or F_p of a matrix with these elementary divisors."""
-    if p is None:
-        return len(divisors)
-    return sum(1 for d in divisors if d % p)
+def _betti(sizes: list[int], divisors: Mapping[int, tuple[int, ...]], p: int | None) -> list[int]:
+    """Betti numbers over Q (p None) or F_p of a chain complex with sizes[q]
+    generators in degree q and these elementary divisors of each d_q."""
+    rank = {q: sum(1 for d in ds if p is None or d % p) for q, ds in divisors.items()}
+    return [n - rank.get(q, 0) - rank.get(q + 1, 0) for q, n in enumerate(sizes)]
+
+
+def _torsion(divisors: Mapping[int, tuple[int, ...]], degrees: int) -> list[list[int]]:
+    """The torsion summands of H_q, q < degrees: the divisors of d_{q+1} above 1."""
+    return [[d for d in divisors.get(q + 1, ()) if d > 1] for q in range(degrees)]
 
 
 def homology(X: GComplex, coeff="Z") -> HomologyResult:
     """H_*(X) with Z, Q or F_p coefficients (unreduced); p must be prime."""
     p = None if coeff == "Z" else _field_prime(coeff)
-    simp = X.simplices()
     divs = X.derived(_boundary_divisors)
-    topdim = max(simp) if simp else -1
-    betti: list[int] = []
-    torsion: list[list[int]] = []
-    for q in range(topdim + 1):
-        down, up = divs.get(q, ()), divs.get(q + 1, ())
-        betti.append(len(simp.get(q, ())) - _rank(down, p) - _rank(up, p))
-        torsion.append([d for d in up if d > 1])
+    betti = _betti([len(s) for s in X.simplices().values()], divs, p)
     if coeff == "Z":
-        return HomologyResult("Z", betti, torsion)
+        return HomologyResult("Z", betti, _torsion(divs, len(betti)))
     return HomologyResult(coeff, betti)
 
 
@@ -208,27 +206,14 @@ def alternating_homology(X: GComplex, fields: tuple[str, ...] = ()) -> AltHomolo
     """AH_*(X; Z) with torsion, plus ranks over requested fields ("Q", "F2", ...)."""
     if not X.is_good():
         raise ActionError("action is not simplicially good; subdivide first")
-    return _alternating_homology(X, fields)
-
-
-def _alternating_homology(X: GComplex, fields: tuple[str, ...]) -> AltHomologyResult:
-    """`alternating_homology` of a complex already known to be good."""
     primes = {f: _field_prime(f) for f in fields}
     alt = alternating_chain_complex(X)
-    divs = alt.divisors
-    top = max(alt.reps, default=-1)
-    ranks = []
-    torsion = []
-    field_ranks = {f: [] for f in fields}
-    for q in range(top + 1):
-        nq = len(alt.reps.get(q, ()))
-        down, up = divs.get(q, ()), divs.get(q + 1, ())
-        ranks.append(nq - len(down) - len(up))
-        torsion.append([d for d in up if d > 1])
-        for f, p in primes.items():
-            field_ranks[f].append(nq - _rank(down, p) - _rank(up, p))
+    sizes = [len(r) for r in alt.reps.values()]
+    ranks = _betti(sizes, alt.divisors, None)
+    field_ranks = {f: _betti(sizes, alt.divisors, p) for f, p in primes.items()}
     chi_alt = sum((-1) ** q * r for q, r in enumerate(ranks))
-    return AltHomologyResult(ranks, torsion, field_ranks, chi_top(X), chi_alt)
+    return AltHomologyResult(ranks, _torsion(alt.divisors, len(sizes)), field_ranks,
+                             chi_top(X), chi_alt)
 
 
 # -- Euler characteristics and the fixed-point formula -------------------------

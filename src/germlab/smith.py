@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import (AltChainComplex, _alternating_homology, _sorted_with_sign,
-                       alternating_chain_complex, alternating_homology, homology)
+from .homology import (AltChainComplex, _sorted_with_sign, alternating_chain_complex,
+                       alternating_homology, homology)
 from .linalg import mat_mul_mod, mat_pow_mod, rank_mod
 from .simplicial import ActionError, GComplex, _perm_order, smallest_prime_factor
 
@@ -64,7 +64,10 @@ def verify_equivariant_smith(X: GComplex) -> tuple[bool, list[TailLedger]]:
     """Equivariant Smith inequality; prime powers reduce along the subgroup chain.
 
     For |G| = p^e the tails chain through X >= X^{G'} >= ... >= X^G where G'
-    is the order-p subgroup, each step a prime-order comparison.
+    is the order-p subgroup, each step a prime-order comparison.  Each step
+    reads AH of the complex Y it starts from: alternating homology depends
+    on the symmetric action alone, and Y good under its whole group is good
+    under Sigma_k x G'.  X must be good under its whole group.
     """
     if X.g_perm is None:
         raise ActionError("no cyclic action on this complex")
@@ -74,21 +77,18 @@ def verify_equivariant_smith(X: GComplex) -> tuple[bool, list[TailLedger]]:
         order = Y.p
         p = smallest_prime_factor(order)
         if order == p:
-            Z, fixed = Y, Y.g_fixed_subcomplex()
+            fixed = Y.g_fixed_subcomplex()  # no cyclic action is left on it
         else:
             # subgroup of order p generated by g^(order/p); g's own order
             # may be far below `order`, so step only order/p mod that
             h = tuple(range(Y.n_vertices))
             for _ in range(order // p % _perm_order(Y.g_perm)):
                 h = tuple(Y.g_perm[x] for x in h)
-            Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p, Y.coords)
             fixed = Y.fixed_subcomplex(h, residual=Y.g_perm)
-        lhs = alternating_homology(Z, fields=(f"F{p}",)).field_ranks[f"F{p}"]
+        lhs = alternating_homology(Y, fields=(f"F{p}",)).field_ranks[f"F{p}"]
         rhs = alternating_homology(fixed, fields=(f"F{p}",)).field_ranks[f"F{p}"]
         ledgers.append(TailLedger(f"Abeta tails over F{p}", lhs, rhs))
-        if order == p:
-            break
-        Y = fixed  # carries the residual action of order p^{e-1}
+        Y = fixed  # carries the residual action of order p^{e-1}, if any
     return all(l.holds for l in ledgers), ledgers
 
 
@@ -144,9 +144,7 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
     if not X.is_good():
         raise ActionError("action is not simplicially good; subdivide first")
     alt = alternating_chain_complex(X)
-    fixed = X.g_fixed_subcomplex()
-    if not fixed.is_good():
-        raise ActionError("action is not simplicially good; subdivide first")
+    fixed = X.g_fixed_subcomplex()  # good, as a fixed locus of a good complex
     alt_fixed = alternating_chain_complex(fixed)
     top = max(alt.reps, default=-1)
     degrees = list(range(top + 1))
@@ -173,18 +171,12 @@ def smith_special_ranks(X: GComplex, i: int) -> SpecialRanksReport:
     additivity = [n == r + rb + nf
                   for n, r, rb, nf in zip(dim_alt, dim_rho, dim_rho_bar, dim_fixed)]
     field = f"F{p}"
-    ah = _alternating_homology(X, (field,)).field_ranks[field]
-    ah_fixed_full = _alternating_homology(fixed, (field,)).field_ranks[field]
-    ah = ah + [0] * (len(degrees) - len(ah))
-    ah_fixed = ah_fixed_full + [0] * (len(degrees) - len(ah_fixed_full))
-    ah_fixed = ah_fixed[: len(degrees)]
-    les_bounds = []
-    for q in degrees:
-        a_next = a[q + 1] if q + 1 < len(a) else 0
-        abar_next = a_bar[q + 1] if q + 1 < len(a_bar) else 0
-        b1 = ah_fixed[q] + a_bar[q] <= a_next + ah[q]
-        b2 = ah_fixed[q] + a[q] <= abar_next + ah[q]
-        les_bounds.append((q, b1, b2))
+    ah = alternating_homology(X, (field,)).field_ranks[field]  # one entry per degree
+    ah_fixed = alternating_homology(fixed, (field,)).field_ranks[field]
+    ah_fixed += [0] * (len(degrees) - len(ah_fixed))
+    les_bounds = [(q, ah_fixed[q] + a_bar[q] <= a_next + ah[q],
+                   ah_fixed[q] + a[q] <= abar_next + ah[q])
+                  for q, a_next, abar_next in zip(degrees, a[1:] + [0], a_bar[1:] + [0])]
     return SpecialRanksReport(p, i, degrees, dim_alt, dim_rho, dim_rho_bar,
                               dim_fixed, additivity, ah, ah_fixed, a, a_bar,
                               les_bounds)

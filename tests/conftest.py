@@ -1,4 +1,12 @@
-"""Collects acceptance-criterion outcomes and prints one line per criterion."""
+"""Collects acceptance-criterion outcomes and prints one line per criterion.
+
+Also puts src/ on the PYTHONPATH of the subprocesses the CLI tests start
+(`python -m germlab.cli`), as pyproject.toml's `pythonpath` does for this
+process, so a bare `pytest` from a checkout runs them too.
+"""
+
+import os
+from pathlib import Path
 
 CRITERIA = {
     "01": "double/triple point Milnor columns of the simple classification table",
@@ -14,6 +22,11 @@ CRITERIA = {
 }
 
 _results: dict[str, list] = {}
+
+
+def pytest_configure(config):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_runtest_logreport(report):

@@ -28,10 +28,11 @@ def _inner_cycle(k: int, m: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def random_block_complex(rng: random.Random, k: int = 2, m: int = 2,
-                         n_facets: int = 3, max_dim: int = 2,
-                         p: int | None = None) -> GComplex:
-    """A simplicially good complex with a block Sigma_k action (and inner Z/p)."""
+def block_complexes(rng: random.Random, k: int = 2, m: int = 2, n_facets: int = 3,
+                    max_dim: int = 2, p: int | None = None) -> tuple[GComplex, GComplex]:
+    """Random facets with a block Sigma_k action (and inner Z/p), as drawn
+    (the action need not be simplicial) and closed up under the group (the
+    action is simplicial, but need not be good)."""
     n = k * m
     gens = tuple(_block_perm(k, m, i, i + 1) for i in range(k - 1))
     g_perm = None
@@ -45,8 +46,8 @@ def random_block_complex(rng: random.Random, k: int = 2, m: int = 2,
         f = tuple(sorted(rng.sample(range(n), min(size, n))))
         facets.add(f)
     # close up under the group so the action is simplicial
-    X = GComplex(n, tuple(sorted(facets)), k, gens, g_perm, p)
-    elements = [v for v, _ in X.all_elements()]
+    drawn = GComplex(n, tuple(sorted(facets)), k, gens, g_perm, p)
+    elements = [v for v, _ in drawn.all_elements()]
     closed = set()
     for f in facets:
         for v in elements:
@@ -56,5 +57,11 @@ def random_block_complex(rng: random.Random, k: int = 2, m: int = 2,
     for f in sorted(closed, key=len, reverse=True):
         if not any(set(f) <= set(g) for g in keep):
             keep.append(f)
-    X = GComplex(n, tuple(sorted(keep)), k, gens, g_perm, p)
-    return validate_or_subdivide(X)
+    return drawn, GComplex(n, tuple(sorted(keep)), k, gens, g_perm, p)
+
+
+def random_block_complex(rng: random.Random, k: int = 2, m: int = 2,
+                         n_facets: int = 3, max_dim: int = 2,
+                         p: int | None = None) -> GComplex:
+    """A simplicially good complex with a block Sigma_k action (and inner Z/p)."""
+    return validate_or_subdivide(block_complexes(rng, k, m, n_facets, max_dim, p)[1])

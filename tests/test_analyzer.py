@@ -186,10 +186,10 @@ def test_plane_curve_cusp_node_perturbation():
 
 
 def test_mu_alt_and_image_betti_helpers():
-    from germlab.analyzer import mu_alt
-
-    assert mu_alt(Q2, 2) == 1 and mu_alt(Q2, 3) == 1 and mu_alt(Q2, 4) == 0
-    assert analyze(Q2).image_betti == {3: 2}
+    rep = analyze(Q2)
+    assert [(r.k, r.empty, r.mu_alt) for r in rep.rows] == [(2, False, 1), (3, False, 1),
+                                                            (4, True, None)]
+    assert rep.image_betti == {3: 2}
 
 
 def test_mu_alt_examples_from_tables():
@@ -741,9 +741,9 @@ def test_witness_empty_space_counts_as_smooth():
 
 
 def test_mu_alt_matches_analyze_on_shipped_germs():
+    # a sweep capped at each k agrees with the full report row by row
     from pathlib import Path
 
-    from germlab.analyzer import mu_alt
     from germlab.germfile import load_germ_file
 
     paths = sorted((Path(__file__).resolve().parent.parent / "germs").glob("*.germ"))
@@ -751,14 +751,12 @@ def test_mu_alt_matches_analyze_on_shipped_germs():
     for path in paths:
         germ = load_germ_file(str(path)).base_germ()
         rep = analyze(germ)
-        for row in rep.rows:
-            assert mu_alt(germ, row.k) == (0 if row.empty else row.mu_alt), (path.name, row.k)
+        for i, row in enumerate(rep.rows):
+            assert analyze(germ, max_k=row.k).rows == rep.rows[: i + 1], (path.name, row.k)
         assert rep.rows[-1].empty
 
 
 def test_max_k_below_two_is_refused():
-    from germlab.analyzer import mu_alt
-
     for bad in (1, 0, -3):
         with pytest.raises(GermError, match="max_k"):
             marar_mond_check(Q2, bad)
@@ -766,8 +764,6 @@ def test_max_k_below_two_is_refused():
             analyze(Q2, max_k=bad)
         with pytest.raises(GermError, match="max_k"):
             witness_check(Q2, Q2W, {"s": Fraction(1)}, max_k=bad)
-        with pytest.raises(GermError, match="max_k"):
-            mu_alt(Q2, bad)
     assert [r.k for r in analyze(Q2, max_k=2).rows] == [2]
 
 

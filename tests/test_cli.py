@@ -325,6 +325,35 @@ def test_cli_usage_errors_exit_64(capsys, tmp_path):
                        "--coeff", coeff) == 64
 
 
+@pytest.mark.parametrize("argv", [("analyze",), ("witness",), ("simplicial", "homology")],
+                         ids=["analyze", "witness", "simplicial"])
+def test_cli_unreadable_input_path_exits_64(capsys, tmp_path, argv):
+    # a directory and a missing file are usage errors, not internal ones
+    for path in (tmp_path, tmp_path / "missing"):
+        assert run_cli(argv[0], str(path), *argv[1:]) == 64, path
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("germlab: error:"), path
+        assert "Traceback" not in err and "internal" not in err, path
+
+
+def test_cli_refuses_actions_that_are_not_simplicial_representations(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for text, message in (
+            ('{"vertices": 3, "facets": [[0, 1], [2]], "sigma_generators": [[0, 2, 1]]}',
+             "action does not map simplexes to simplexes"),
+            ('{"vertices": 4, "facets": [[0], [1], [2], [3]], '
+             '"sigma_generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}',
+             "do not define a representation of the symmetric group"),
+            ('{"vertices": 2, "facets": [[0, 1], []], "sigma_generators": []}',
+             "a facet is empty"),
+            ('{"vertices": 2, "facets": [[0, 1], []], "sigma_generators": [[1, 0]]}',
+             "a facet is empty")):
+        path.write_text(text)
+        assert run_cli("simplicial", str(path), "homology") == 64, text
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, (text, err)
+
+
 def test_cli_param_in_float_syntax_exits_64(capsys):
     # a --param value is read like a germ file's params, as -?N or -?N/D, so
     # 1e-20000 is refused before it becomes a Fraction too long to print

@@ -15,9 +15,10 @@ import pytest
 
 from germlab.homology import (alternating_homology, chi_alt_fixed_point_formula,
                               chi_top, homology, induced_homology_action_ranks)
-from randoms import random_block_complex
-from germlab.simplicial import GComplex
-from germlab.smith import smith_special_ranks, verify_equivariant_smith, verify_floyd
+from randoms import block_complexes, random_block_complex
+from germlab.simplicial import GComplex, smallest_prime_factor, validate_or_subdivide
+from germlab.smith import (TailLedger, smith_special_ranks, verify_equivariant_smith,
+                           verify_floyd)
 
 
 def _main_cases():
@@ -50,6 +51,17 @@ def _build(case):
     i, k, m, nf, max_dim, p, seed = case
     return random_block_complex(random.Random(seed), k=k, m=m, n_facets=nf,
                                 max_dim=max_dim, p=p)
+
+
+@pytest.fixture(scope="module")
+def unsubdivided():
+    """Both corpora before subdivision: as drawn, then closed up under the group."""
+    out = []
+    for case in _main_cases() + _coprime_cases():
+        i, k, m, nf, max_dim, p, seed = case
+        out.append((case, *block_complexes(random.Random(seed), k=k, m=m, n_facets=nf,
+                                           max_dim=max_dim, p=p)))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +136,105 @@ def test_ses_gap_pinned():
     assert rep.additivity[0] is False
     ok, _ = verify_equivariant_smith(Y)
     assert ok
+
+
+def _generated_group(X: GComplex) -> set[tuple[int, ...]]:
+    """Every vertex permutation the generators and g generate, by closing them
+    under composition (no representation of Sigma_k is assumed)."""
+    gens = list(X.sigma_gens) + ([X.g_perm] if X.g_perm is not None else [])
+    group = frontier = {tuple(range(X.n_vertices))}
+    while frontier:
+        frontier = {tuple(g[x] for x in v) for v in frontier for g in gens} - group
+        group = group | frontier
+    return group
+
+
+def _simplicial_by_all_elements(X: GComplex) -> bool:
+    simplexes = {s for lst in X.simplices().values() for s in lst}
+    return all(tuple(sorted(v[x] for x in f)) in simplexes
+               for v in _generated_group(X) for f in X.facets)
+
+
+def test_simpliciality_from_generators_matches_all_elements(unsubdivided):
+    verdicts = []
+    for case, drawn, closed in unsubdivided:
+        for X in (drawn, closed):
+            assert _generated_group(X) == {v for v, _ in X.all_elements()}, case
+            assert X.is_simplicial() == _simplicial_by_all_elements(X), case
+            verdicts.append(X.is_simplicial())
+        assert closed.is_simplicial(), case
+    assert verdicts.count(False) >= 50  # the drawn facets often break the action
+    not_simplicial = GComplex(3, ((0, 1), (2,)), 2, ((0, 2, 1),))
+    not_a_representation = GComplex(4, ((0,), (1,), (2,), (3,)), 3,
+                                    ((1, 0, 2, 3), (0, 1, 3, 2)))
+    assert not not_simplicial.is_simplicial() and not _simplicial_by_all_elements(not_simplicial)
+    assert not_a_representation.is_simplicial()
+    assert _simplicial_by_all_elements(not_a_representation)
+
+
+def _good_by_definition(X: GComplex) -> bool:
+    """A simplex that an element maps onto itself is fixed vertex by vertex."""
+    simplexes = [s for lst in X.simplices().values() for s in lst]
+    return all(tuple(sorted(v[x] for x in s)) != s or all(v[x] == x for x in s)
+               for v in _generated_group(X) for s in simplexes)
+
+
+def test_one_subdivision_makes_the_action_good(unsubdivided):
+    subdivided = 0
+    for case, _, X in unsubdivided:
+        Y = validate_or_subdivide(X)
+        if X.is_good():
+            assert Y is X, case
+        else:
+            assert Y == X.barycentric_subdivision(), case
+            subdivided += 1
+        assert _good_by_definition(Y), case
+        assert Y.is_good(), case
+    assert subdivided >= 100
+
+
+def _smith_ledgers_through_order_p_copies(X: GComplex) -> list[TailLedger]:
+    """The equivariant Smith ledgers as first built: each prime-power step
+    reads AH of a copy of Y whose cyclic action is the order-p subgroup."""
+    ledgers = []
+    Y = X
+    while Y.g_perm is not None:
+        order = Y.p
+        p = smallest_prime_factor(order)
+        if order == p:
+            Z, fixed = Y, Y.g_fixed_subcomplex()
+        else:
+            h = tuple(range(Y.n_vertices))
+            for _ in range(order // p):
+                h = tuple(Y.g_perm[x] for x in h)
+            Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p, Y.coords)
+            fixed = Y.fixed_subcomplex(h, residual=Y.g_perm)
+        field = f"F{p}"
+        lhs = alternating_homology(Z, fields=(field,)).field_ranks[field]
+        rhs = alternating_homology(fixed, fields=(field,)).field_ranks[field]
+        ledgers.append(TailLedger(f"Abeta tails over {field}", lhs, rhs))
+        if order == p:
+            break
+        Y = fixed
+    return ledgers
+
+
+def test_equivariant_smith_prime_power_orders_match_order_p_copies():
+    rng = random.Random(4096)
+    complexes = []
+    for p in (4, 8):
+        for _ in range(20):
+            k, max_dim = rng.choice((1, 2, 3)), rng.choice((1, 2))
+            complexes.append(random_block_complex(rng, k=k, m=p, n_facets=rng.randint(1, 4),
+                                                  max_dim=max_dim, p=p))
+    # the 8-cycle on two tetrahedra it swaps: g^4 and g^2 fix barycenters g
+    # moves, so the chain takes three steps
+    eight_cycle = tuple((v + 1) % 8 for v in range(8))
+    complexes.append(validate_or_subdivide(
+        GComplex(8, ((0, 2, 4, 6), (1, 3, 5, 7)), g_perm=eight_cycle, p=8)))
+    steps = []
+    for X in complexes:
+        ok, ledgers = verify_equivariant_smith(X)
+        assert ok and ledgers == _smith_ledgers_through_order_p_copies(X), X.p
+        steps.append(len(ledgers))
+    assert steps.count(2) >= 10 and steps[-1] == 3
