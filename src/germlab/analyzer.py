@@ -290,7 +290,7 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         k = grp_row.k
         # one elimination of each space, from its own generators, decides its
         # emptiness, smoothness and real class
-        spaces = build_Dk(pert, k, local=False)
+        spaces = build_Dk(pert, k)
         comparisons: list[ClassComparison] = []
         if grp_row.empty:
             ok = affine_elimination(next(spaces)[1]) is None

@@ -121,8 +121,7 @@ def expected_dims(n: int, p: int, k: int, partition: tuple[int, ...]):
 # -- D^k construction ------------------------------------------------------
 
 
-def build_Dk(germ: GermCorank1, k: int,
-             local: bool = True) -> Iterator[tuple[tuple[int, ...], Ideal]]:
+def build_Dk(germ: GermCorank1, k: int) -> Iterator[tuple[tuple[int, ...], Ideal]]:
     """(partition, ideal of D^k(f)^sigma) for the canonical sigma of every cycle type of k.
 
     In `partitions(k)` order, the identity (D^k itself) first.  The divided
@@ -148,7 +147,7 @@ def build_Dk(germ: GermCorank1, k: int,
         for part in partitions(k):
             starts = set(accumulate(part))  # z_(a+1) opens a new block
             glue = [z[a] - z[a + 1] for a in range(k - 1) if a + 1 not in starts]
-            yield part, Ideal(ring, tuple(gens + glue), local=local)
+            yield part, Ideal(ring, tuple(gens + glue))
 
     return spaces()
 

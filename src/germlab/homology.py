@@ -51,8 +51,8 @@ def _sorted_with_sign(values: list[int]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(values)), perm_sign(values)
 
 
-def boundary_matrices(X: GComplex) -> tuple[Mapping[int, tuple[tuple[int, ...], ...]], dict[int, list[list[int]]]]:
-    """Simplex tables and integer boundary matrices d_q: C_q -> C_{q-1}."""
+def boundary_matrices(X: GComplex) -> dict[int, list[list[int]]]:
+    """Integer boundary matrices d_q: C_q -> C_{q-1} in the bases `X.simplices()`."""
     simp = X.simplices()
     index = X.simplex_index()
     mats: dict[int, list[list[int]]] = {}
@@ -67,13 +67,13 @@ def boundary_matrices(X: GComplex) -> tuple[Mapping[int, tuple[tuple[int, ...], 
                 face = s[:t] + s[t + 1:]
                 M[index[q - 1][face]][j] = -1 if t % 2 else 1
         mats[q] = M
-    return simp, mats
+    return mats
 
 
 def _boundary_divisors(X: GComplex) -> Mapping[int, tuple[int, ...]]:
     """Elementary divisors of each d_q of X; kept with X by `GComplex.derived`."""
-    _, mats = boundary_matrices(X)
-    return MappingProxyType({q: tuple(smith_normal_form(M)) for q, M in mats.items()})
+    return MappingProxyType({q: tuple(smith_normal_form(M))
+                             for q, M in boundary_matrices(X).items()})
 
 
 def _field_prime(field: str) -> int | None:
@@ -260,7 +260,7 @@ def induced_homology_action_ranks(X: GComplex) -> list[int]:
     action need not be good.  The matrices are built transposed (a row per
     basis simplex), which leaves every rank unchanged.
     """
-    simp, mats = boundary_matrices(X)
+    simp, mats = X.simplices(), boundary_matrices(X)
     index = X.simplex_index()
     elements = X.group().values()
     rank_P: dict[int, int] = {}

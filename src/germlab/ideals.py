@@ -91,8 +91,6 @@ def colength(I: Ideal):
             return 0
         for D in _TRUNC_LADDER:
             leads = [_kernel.lead_exp(g, True) for g in standard_basis(I, trunc=D)]
-            if any(sum(e) == 0 for e in leads):
-                return 0
             # without a pure power on every axis some x_i^(D-1) is standard
             if len(_kernel.pure_axes(leads)) == nvars:
                 stair = _kernel.staircase(leads, nvars, D - 1)

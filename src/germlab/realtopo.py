@@ -31,15 +31,8 @@ class RealSpace:
 
     @property
     def chi(self) -> int | None:
-        if self.kind == EMPTY:
-            return 0
-        if self.kind == SPHERE:
-            return 1 + (-1) ** self.dim
-        if self.kind == CELL:
-            return 1
-        if self.kind == POINTS:
-            return self.count
-        return None
+        b = self.betti()
+        return None if b is None else sum((-1) ** q * r for q, r in enumerate(b))
 
     def betti(self) -> list[int] | None:
         if self.kind == EMPTY:

@@ -1,11 +1,13 @@
 """Finite simplicial complexes with a permutation-group action.
 
-A `GComplex` carries the symmetric rank k and the images of the adjacent
-transpositions (1 2), ..., (k-1 k) as vertex permutations; the sign of an
-element is its sign in Sigma_k, not the parity of the vertex permutation
-(the trivial action of Sigma_2 on a point has a sign -1 generator acting as
-the identity permutation).  An optional commuting cyclic action of prime
-power order p (at most MAX_P) rides along for Smith theory.
+A `GComplex` is combinatorial: a vertex count, facets, the symmetric rank
+k and the images of the adjacent transpositions (1 2), ..., (k-1 k) as
+vertex permutations; the sign of an element is its sign in Sigma_k, not the
+parity of the vertex permutation (the trivial action of Sigma_2 on a point
+has a sign -1 generator acting as the identity permutation).  An optional
+commuting cyclic action of prime power order p (at most MAX_P) rides along
+for Smith theory.  Nothing reads vertex coordinates, so a JSON vertex list
+of them is checked and counted, and then dropped.
 
 Actions must be *simplicially good*: a simplex mapped to itself by any group
 element is fixed vertex by vertex.  One barycentric subdivision always
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 from typing import TypeVar
 
@@ -68,15 +70,7 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _perm_order(p: tuple[int, ...]) -> int:
-    n = 1
-    q = p
-    ident = tuple(range(len(p)))
-    while q != ident:
-        q = _compose(q, p)
-        n += 1
-        if n > len(p) ** 2 + 1:
-            raise ActionError("permutation order overflow")
-    return n
+    return lcm(*map(len, _cycles(p)))
 
 
 def _cycles(p: tuple[int, ...]) -> list[set[int]]:
@@ -113,7 +107,6 @@ class GComplex:
     sigma_gens: tuple[tuple[int, ...], ...] = ()
     g_perm: tuple[int, ...] | None = None
     p: int | None = None
-    coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
         if self.n_vertices < 0:
@@ -193,9 +186,6 @@ class GComplex:
     def __getstate__(self) -> dict:
         # pickle and deepcopy carry the fields only; the copy starts cold
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def dim(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
 
     # -- group table ---------------------------------------------------------
 
@@ -303,13 +293,7 @@ class GComplex:
 
         gens = tuple(induce(v) for v in self.sigma_gens)
         gp = induce(self.g_perm) if self.g_perm is not None else None
-        coords = None
-        if self.coords is not None:
-            coords = tuple(
-                tuple(sum(col) / len(s) for col in zip(*(self.coords[x] for x in s)))
-                for s in order
-            )
-        return GComplex(len(order), facets, self.k, gens, gp, self.p, coords)
+        return GComplex(len(order), facets, self.k, gens, gp, self.p)
 
     def fixed_subcomplex(self, fixing: tuple[int, ...],
                          residual: tuple[int, ...] | None = None) -> "GComplex":
@@ -339,8 +323,7 @@ class GComplex:
             order = _perm_order(g2)
             if order == 1:
                 g2 = order = None
-        coords = tuple(self.coords[v] for v in keep) if self.coords is not None else None
-        return GComplex(len(keep), tuple(sorted(facets)), self.k, gens, g2, order, coords)
+        return GComplex(len(keep), tuple(sorted(facets)), self.k, gens, g2, order)
 
     def g_fixed_subcomplex(self) -> "GComplex":
         """Subcomplex fixed by the cyclic action (all of it when there is
@@ -406,15 +389,14 @@ def validate_or_subdivide(X: GComplex) -> GComplex:
 # -- JSON interchange ---------------------------------------------------------
 
 
-def _frac(x) -> Fraction:
+def _check_coordinate(x) -> None:
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise ActionError(f"coordinate {x!r} is not a rational number") from None
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")
+    elif not isinstance(x, int):
+        raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")
 
 
 def _indices(x, what: str) -> tuple[int, ...]:
@@ -436,7 +418,6 @@ def from_json_dict(data: dict) -> GComplex:
     if not isinstance(data, dict):
         raise ActionError(f"a complex must be a JSON object, got {type(data).__name__}")
     verts = data.get("vertices")
-    coords = None
     if type(verts) is int:  # not a bool
         n = verts
     elif isinstance(verts, list):
@@ -444,7 +425,9 @@ def from_json_dict(data: dict) -> GComplex:
         if verts and isinstance(verts[0], list):
             if not all(isinstance(v, list) for v in verts):
                 raise ActionError("'vertices' mixes coordinate lists with other entries")
-            coords = tuple(tuple(_frac(x) for x in v) for v in verts)
+            for v in verts:
+                for x in v:
+                    _check_coordinate(x)
     else:
         raise ActionError("'vertices' must be a count or a list")
     facets = tuple(tuple(sorted(f)) for f in _index_lists(data, "facets"))
@@ -453,7 +436,7 @@ def from_json_dict(data: dict) -> GComplex:
     p = data.get("p")
     if p is not None and type(p) is not int:
         raise ActionError(f"'p' must be an integer, got {p!r}")
-    return GComplex(n, facets, len(gens) + 1, gens, g_perm, p, coords)
+    return GComplex(n, facets, len(gens) + 1, gens, g_perm, p)
 
 
 def load_json(path: str) -> GComplex:
@@ -463,17 +446,3 @@ def load_json(path: str) -> GComplex:
         except ValueError as exc:  # undecodable bytes, bad JSON, an int past int()'s digit limit
             raise ActionError(f"{path}: not a JSON file: {exc}") from None
     return from_json_dict(data)
-
-
-def to_json_dict(X: GComplex) -> dict:
-    out: dict = {
-        "vertices": (
-            [[str(c) for c in v] for v in X.coords] if X.coords is not None else X.n_vertices
-        ),
-        "facets": [list(f) for f in X.facets],
-        "sigma_generators": [list(g) for g in X.sigma_gens],
-    }
-    if X.g_perm is not None:
-        out["g_action"] = list(X.g_perm)
-        out["p"] = X.p
-    return out

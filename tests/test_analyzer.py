@@ -210,9 +210,9 @@ def test_analyze_builds_each_space_once(monkeypatch):
     built = Counter()
     real_build = germs.build_Dk
 
-    def counting_build(germ, k, local=True):
+    def counting_build(germ, k):
         built[(germ.name, k)] += 1
-        return real_build(germ, k, local)
+        return real_build(germ, k)
 
     monkeypatch.setattr(germs, "build_Dk", counting_build)
     row3 = nonsimple_entry("III")
@@ -450,7 +450,7 @@ def test_emptiness_after_elimination_matches_the_uneliminated_ideal():
         gf = load_germ_file(str(germs / f"{name}.germ"))
         pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
         for row in analyze(gf.base_germ()).rows:
-            for part, I in build_Dk(pert, row.k, local=False):
+            for part, I in build_Dk(pert, row.k):
                 empty = contains_one(I)
                 assert (affine_elimination(I) is None) == empty, (name, s, row.k, part)
                 seen.add(empty)
@@ -477,7 +477,7 @@ def test_smoothness_after_elimination_matches_the_uneliminated_singular_locus():
         gf = load_germ_file(str(germs / f"{name}.germ"))
         pert = gf.symbolic_germ(perturbed=True).at_params({"s": Fraction(s)})
         for row in analyze(gf.base_germ()).rows:
-            for part, I in build_Dk(pert, row.k, local=False):
+            for part, I in build_Dk(pert, row.k):
                 elim = affine_elimination(I)
                 if elim is None:
                     continue
@@ -496,8 +496,8 @@ def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch):
     yielded = []
     real_build = germs.build_Dk
 
-    def build(germ, k, local=True):
-        for part, ideal in real_build(germ, k, local):
+    def build(germ, k):
+        for part, ideal in real_build(germ, k):
             yielded.append((k, part))
             yield part, ideal
 
@@ -528,8 +528,8 @@ def test_the_sweep_eliminates_every_nonempty_space_once_and_no_empty_one(monkeyp
     spaces, eliminated = [], []
     real_build, real_elim = germs.build_Dk, poly.eliminate_linear
 
-    def build(germ, k, local=True):
-        for part, ideal in real_build(germ, k, local):
+    def build(germ, k):
+        for part, ideal in real_build(germ, k):
             spaces.append((k, part, ideal))
             yield part, ideal
 

@@ -509,6 +509,32 @@ def test_cli_complex_above_the_cell_cap_exits_64_quickly(tmp_path):
         assert validate_or_subdivide(X) == X
 
 
+def test_cli_g_action_of_large_order_names_its_order(capsys, tmp_path):
+    # g has cycles of the primes 2..23, order 223,092,870, on 400 vertices:
+    # its order is read off the cycles, not found by composing g with itself
+    g, start = list(range(400)), 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        g[start:start + length] = [start + (i + 1) % length for i in range(length)]
+        start += length
+    path = tmp_path / "big-order.json"
+    path.write_text(json.dumps({"vertices": 400, "facets": [[v] for v in range(400)],
+                                "sigma_generators": [], "g_action": g, "p": 2}))
+    assert run_cli("simplicial", str(path), "floyd") == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "g action order must divide p" in err, err
+
+
+@pytest.mark.parametrize("vertices", [[[0.5], [0]], [["x"], [0]], [[0], 1]],
+                         ids=["float", "not-rational", "mixed"])
+def test_cli_inexact_vertex_coordinates_exit_64(capsys, tmp_path, vertices):
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"vertices": vertices, "facets": [[0, 1]],
+                                "sigma_generators": []}))
+    assert run_cli("simplicial", str(path), "homology") == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "germlab: error:" in err and "Traceback" not in err, err
+
+
 def test_cli_large_accepted_p_finishes(tmp_path):
     # g of order 1 with a large p: only g's own powers are enumerated, and
     # the special complexes take powers of 1 - g by repeated squaring
@@ -545,6 +571,33 @@ def test_cli_closed_stdout_exits_141():
     proc.stderr.close()
     assert proc.wait(timeout=300) == 141
     assert err == b""
+
+
+# Every `simplicial` action on every shipped complex, recorded while the
+# complex still kept vertex coordinates: per complex, the first 16 hex
+# digits of sha256 over the exit code and stdout of its 24 commands.
+SIMPLICIAL_ACTIONS = (("homology",), ("homology", "--coeff", "q"),
+                      ("homology", "--coeff", "f2"), ("homology", "--coeff", "f3"),
+                      ("alt",), ("chi",), ("floyd",), ("smith",),
+                      ("smith", "--i", "0"), ("smith", "--i", "1"),
+                      ("smith", "--i", "2"), ("smith", "--i", "3"))
+
+SIMPLICIAL_PINS = {
+    "rp2": "d2527b1b3bf15ed8",
+    "sphere-reflection": "30cb1d7b3440712b",
+    "sphere-swap": "9718a2cb5ad12eb6",
+    "triangles": "d4698d5a0648d303",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLICIAL_PINS))
+def test_cli_simplicial_outputs_pinned(capsys, name):
+    record = []
+    for action in SIMPLICIAL_ACTIONS:
+        for fmt in ((), ("--json",)):
+            code = run_cli("simplicial", str(COMPLEXES / f"{name}.json"), *action, *fmt)
+            record.append(f"{code}\n{capsys.readouterr().out}")
+    assert _digest("".join(record)) == SIMPLICIAL_PINS[name], record
 
 
 def test_cli_simplicial(capsys):

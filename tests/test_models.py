@@ -66,7 +66,7 @@ def test_circle_dihedral_alternating_euler():
 def test_trivial_cyclic_action_gives_equalities():
     X = validate_or_subdivide(octahedron_with_swap())
     Y = GComplex(X.n_vertices, X.facets, X.k, X.sigma_gens,
-                 tuple(range(X.n_vertices)), 2, X.coords)
+                 tuple(range(X.n_vertices)), 2)
     ok, ledger = verify_floyd(Y)
     assert ok and all(a == b for _, a, b, _ in ledger.rows())
     ok, ledgers = verify_equivariant_smith(Y)

@@ -79,7 +79,7 @@ def test_smith_special_trivial_g_degenerate():
 
     base = triangles_complex()
     X = GComplex(base.n_vertices, base.facets, base.k, base.sigma_gens,
-                 tuple(range(base.n_vertices)), 2, base.coords)
+                 tuple(range(base.n_vertices)), 2)
     rep = smith_special_ranks(X, 1)
     assert all(d == 0 for d in rep.dim_rho)
     assert all(d == 0 for d in rep.dim_rho_bar)

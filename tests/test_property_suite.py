@@ -207,7 +207,7 @@ def _smith_ledgers_through_order_p_copies(X: GComplex) -> list[TailLedger]:
             h = tuple(range(Y.n_vertices))
             for _ in range(order // p):
                 h = tuple(Y.g_perm[x] for x in h)
-            Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p, Y.coords)
+            Z = GComplex(Y.n_vertices, Y.facets, Y.k, Y.sigma_gens, h, p)
             fixed = Y.fixed_subcomplex(h, residual=Y.g_perm)
         field = f"F{p}"
         lhs = alternating_homology(Z, fields=(field,)).field_ranks[field]
