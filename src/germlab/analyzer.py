@@ -28,7 +28,7 @@ from math import factorial
 from operator import attrgetter
 
 from .germs import (EMPTY as EMPTY_SPACE, GermCorank1, MararMondReport, SpaceStatus,
-                    build_Dk, class_size, marar_mond_check)
+                    build_Dk, class_size, marar_mond_check, positive_weights)
 from .ideals import affine_elimination, affine_is_smooth
 from .realtopo import EMPTY, INCONCLUSIVE, RealSpace, classify_real_space
 
@@ -235,7 +235,7 @@ def _chi_complex(ce: ClassEntry) -> int:
     return 1 + (-1 if ce.d_sigma % 2 else 1) * ce.mu
 
 
-BASE_REPORTS = 32  # base analyses kept by witness_check
+BASE_REPORTS = 32  # base analyses kept by witness_check, and as many reports per sign of s
 
 
 @lru_cache(maxsize=BASE_REPORTS)
@@ -246,6 +246,36 @@ def _base_report(germ: GermCorank1, max_k: int | None) -> GrpReport:
     analyze() refuses raises on every call: exceptions are not cached.
     """
     return analyze(germ, max_k=max_k)
+
+
+@lru_cache(maxsize=BASE_REPORTS)
+def _sign_report(germ: GermCorank1, perturbation: GermCorank1, sign: int,
+                 max_k: int | None) -> WitnessReport | None:
+    """The witness report of a one-parameter perturbation at s = sign (1 or
+    -1), which is its report at every s of that sign; None when the
+    unfolding has no positive weights.
+
+    Let positive weights w on the variables and w_s on the parameter make
+    every component weighted homogeneous, of degree d_i.  For t > 0,
+    g_i(t^w x, t^(w_s) s) = t^(d_i) g_i(x, s), and the divided differences
+    and gluing equations of D^k are weighted homogeneous too (each z-copy
+    weighs what z weighs).  So with t = |s|^(1/w_s), every generator of
+    D^k(f_s)^sigma is t^(d_i) times the matching generator of
+    D^k(f_sign)^sigma composed with the diagonal map x -> t^(-w) x.  That
+    rescaling is real and positive and keeps every support: with w_s > 0
+    no two terms of a component meet when s is substituted.  So it keeps
+    every elimination pivot and every leading ideal, and every later
+    presentation is again a positive multiple of a rescaled one.  Quadric
+    signatures, the sign of a quadric's level and Sturm counts of distinct
+    real roots are invariant under it, so every field of the report at s is
+    the one at sign(s).  The name is left empty; witness_check copies the
+    report out and names the copy.
+    """
+    if positive_weights(perturbation) is None:
+        return None
+    (q,) = perturbation.ring.params
+    return _witness_report(perturbation.at_params({q: Fraction(sign)}),
+                           _base_report(germ, max_k), max_k, "")
 
 
 def witness_check(germ: GermCorank1, perturbation: GermCorank1,
@@ -263,7 +293,12 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     The base germ's analysis is kept in a bounded LRU keyed by
     (germ, max_k), so a sweep over the parameters of one germ analyzes
     it once; the CANDIDATE precondition is checked on every call, and the
-    returned report holds only scalars and tuples copied out of it.
+    returned report holds only scalars and tuples copied out of it.  A
+    one-parameter perturbation whose unfolding is weighted homogeneous with
+    positive weights has one report per sign of s (see `_sign_report`): it
+    is computed once, at s = 1 or s = -1, kept in a second bounded LRU keyed
+    by (germ, perturbation, sign of s, max_k), and every call gets its own
+    copy.  Any other perturbation is decided at the given s.
     """
     base = perturbation.at_params({q: Fraction(0) for q in perturbation.ring.params})
     if tuple(base.components) != tuple(g.cast(base.ring) for g in germ.components):
@@ -283,7 +318,32 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         raise WitnessPreconditionError(
             "witness verification requires a CANDIDATE germ; analyze() said "
             + report.verdict)
+    name = name or pert.name or germ.name
+    if len(assignment) == 1:
+        (s,) = assignment.values()
+        if s:
+            body = _sign_report(germ, perturbation, 1 if s > 0 else -1, max_k)
+            if body is not None:
+                return _copy(body, name)
+    return _witness_report(pert, report, max_k, name)
 
+
+def _copy(report: WitnessReport, name: str) -> WitnessReport:
+    """A copy of a kept report, named `name`, sharing nothing mutable with it.
+
+    Every field other than the lists and RealSpaces copied here is an int,
+    bool, str, tuple or None.
+    """
+    rows = [WitnessRow(**{**vars(row), "classes": [
+        ClassComparison(**{**vars(cc), "real": RealSpace(**vars(cc.real))})
+        for cc in row.classes]}) for row in report.rows]
+    return WitnessReport(name, report.verdict, rows, list(report.notes))
+
+
+def _witness_report(pert: GermCorank1, report: GrpReport, max_k: int | None,
+                    name: str) -> WitnessReport:
+    """witness_check's report on the parameter-free perturbation `pert` of a
+    germ whose analysis is `report`."""
     rows: list[WitnessRow] = []
     notes: list[str] = []
     for grp_row in report.rows:
@@ -359,5 +419,5 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
         ) or any(row.abeta_match is None for row in rows)
         if undecided:
             verdict = INCONCLUSIVE
-    return WitnessReport(name or pert.name or germ.name, verdict, rows, notes)
+    return WitnessReport(name, verdict, rows, notes)
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .ideals import Ideal
 from .milnor import EMPTY, VIOLATION, SpaceStatus, _isolated_after_reduction
@@ -71,6 +72,82 @@ class GermCorank1:
         comps = tuple(g.subs_params(assignment) for g in self.components)
         ring = comps[0].ring
         return GermCorank1(self.n, self.p, ring, comps, self.name)
+
+
+# -- weighted homogeneity --------------------------------------------------
+
+
+def positive_weights(germ: GermCorank1) -> tuple[int, ...] | None:
+    """Positive weights, one per symbol of germ.ring (variables, then
+    parameters), that make every component weighted homogeneous; None when
+    there are none.
+
+    Two terms of one component have equal weighted degree, so the weights
+    form the nullspace over Q of the differences of their exponents.  A
+    point of that nullspace with every weight at least 1 is found by
+    Fourier-Motzkin elimination, or shown not to exist.  The answer is
+    scaled to coprime integers.
+    """
+    nsyms = germ.ring.nsyms
+    rows = []
+    for g in germ.components:
+        exps = list(g.terms)
+        rows.extend([Fraction(a - b) for a, b in zip(e, exps[0])] for e in exps[1:])
+    pivots: list[int] = []  # reduced row echelon form, pivot columns in order
+    for c in range(nsyms):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        piv = [x / piv[c] for x in piv]
+        rows = [[x - r[c] * y for x, y in zip(r, piv)] for r in rows]
+        rows.insert(len(pivots), piv)
+        pivots.append(c)
+    free = [c for c in range(nsyms) if c not in pivots]
+    # the weight of symbol j is sum_f basis[j][f] * lam_f over the free columns f
+    basis = [[Fraction(j == f) for f in free] for j in range(nsyms)]
+    for r, c in zip(rows, pivots):
+        basis[c] = [-r[f] for f in free]
+    lam = _point_above_one(basis, len(free))
+    if lam is None:
+        return None
+    w = [sum(b * x for b, x in zip(row, lam)) for row in basis]
+    scale = lcm(*(x.denominator for x in w))
+    ints = [int(x * scale) for x in w]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _point_above_one(rows: list[list[Fraction]], m: int) -> list[Fraction] | None:
+    """A point lam of Q^m with row . lam >= 1 for every row, or None.
+
+    Fourier-Motzkin: eliminate lam_(m-1), ..., lam_0 in turn, keeping each
+    stage's system, then choose lam_0, lam_1, ... back up the stages, each
+    at the largest lower bound its stage leaves (or its smallest upper bound).
+    """
+    system = {(tuple(r), Fraction(1)) for r in rows}
+    stages = []
+    for j in reversed(range(m)):
+        stages.append(system)
+        low = [c for c in system if c[0][j] > 0]
+        high = [c for c in system if c[0][j] < 0]
+        system = {c for c in system if not c[0][j]}
+        for a, ra in low:
+            for b, rb in high:
+                s, t = -b[j], a[j]
+                coeffs = tuple(s * x + t * y for x, y in zip(a, b))
+                lead = next((abs(x) for x in coeffs if x), 1)  # one form per constraint
+                system.add((tuple(x / lead for x in coeffs), (s * ra + t * rb) / lead))
+    if any(rhs > 0 for _, rhs in system):
+        return None
+    lam: list[Fraction] = []
+    for j, stage in enumerate(reversed(stages)):
+        bounds = [((rhs - sum(x * y for x, y in zip(a, lam))) / a[j], a[j] > 0)
+                  for a, rhs in stage if a[j]]
+        lows = [b for b, is_low in bounds if is_low]
+        highs = [b for b, is_low in bounds if not is_low]
+        lam.append(max(lows) if lows else min(highs, default=Fraction(0)))
+    return lam
 
 
 # -- partitions of k -------------------------------------------------------

@@ -7,7 +7,8 @@ parity of the vertex permutation (the trivial action of Sigma_2 on a point
 has a sign -1 generator acting as the identity permutation).  An optional
 commuting cyclic action of prime power order p (at most MAX_P) rides along
 for Smith theory.  Nothing reads vertex coordinates, so a JSON vertex list
-of them is checked and counted, and then dropped.
+of them (one exact coordinate list per vertex, all of one length) is
+checked and counted, and then dropped.
 
 Actions must be *simplicially good*: a simplex mapped to itself by any group
 element is fixed vertex by vertex.  One barycentric subdivision always
@@ -395,7 +396,7 @@ def _check_coordinate(x) -> None:
             Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise ActionError(f"coordinate {x!r} is not a rational number") from None
-    elif not isinstance(x, int):
+    elif type(x) is not int:  # not a bool either
         raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")
 
 
@@ -422,12 +423,11 @@ def from_json_dict(data: dict) -> GComplex:
         n = verts
     elif isinstance(verts, list):
         n = len(verts)
-        if verts and isinstance(verts[0], list):
-            if not all(isinstance(v, list) for v in verts):
-                raise ActionError("'vertices' mixes coordinate lists with other entries")
-            for v in verts:
-                for x in v:
-                    _check_coordinate(x)
+        if not all(isinstance(v, list) and len(v) == len(verts[0]) for v in verts):
+            raise ActionError("'vertices' must list coordinate lists of one common length")
+        for v in verts:
+            for x in v:
+                _check_coordinate(x)
     else:
         raise ActionError("'vertices' must be a count or a list")
     facets = tuple(tuple(sorted(f)) for f in _index_lists(data, "facets"))

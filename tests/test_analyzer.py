@@ -23,6 +23,16 @@ Q2 = make(["x*z + y*z^2", "z^3 + y^2*z"], name="Q2")
 Q2W = make(["x*z + y*z^2", "z^3 + y^2*z - s*z"], params=("s",), name="Q2s")
 
 
+@pytest.fixture
+def computed_at_s(monkeypatch):
+    """witness_check decides every request at its own s, as it does for an
+    unfolding without positive weights, and keeps no report per sign of s."""
+    monkeypatch.setattr(analyzer, "positive_weights", lambda germ: None)
+    analyzer._sign_report.cache_clear()
+    yield
+    analyzer._sign_report.cache_clear()
+
+
 def test_analyze_q2_full_report():
     rep = analyze(Q2)
     assert rep.verdict == CANDIDATE
@@ -240,9 +250,10 @@ def _count_divided_differences(monkeypatch):
     return calls
 
 
-def test_divided_differences_taken_once_per_component_and_k(monkeypatch):
+def test_divided_differences_taken_once_per_component_and_k(monkeypatch, computed_at_s):
     # every cycle type of one k shares the divided differences of D^k: an
-    # analysis and a witness take them once per (component, k)
+    # analysis and a witness decided at its own s take them once per
+    # (component, k)
     from germlab.catalog import nonsimple_entry
 
     row3 = nonsimple_entry("III").germ
@@ -353,11 +364,11 @@ def _patch_everywhere(monkeypatch, real, fake):
                     monkeypatch.setattr(mod, attr, fake)
 
 
-def test_witness_asks_each_global_question_once(monkeypatch):
-    # per row: every class is eliminated once, from its own generators, a
-    # class that must be smooth eliminates its singular locus at most once,
-    # and a standard basis is taken only of an eliminated presentation with
-    # two or more generators, on its ring
+def test_witness_asks_each_global_question_once(monkeypatch, computed_at_s):
+    # per row of a witness decided at its own s: every class is eliminated
+    # once, from its own generators, a class that must be smooth eliminates
+    # its singular locus at most once, and a standard basis is taken only of
+    # an eliminated presentation with two or more generators, on its ring
     import re
 
     import germlab.germs as germs
@@ -487,9 +498,9 @@ def test_smoothness_after_elimination_matches_the_uneliminated_singular_locus():
     assert seen == {True, False}
 
 
-def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch):
-    # the sweep and witness_check stop after an empty D^k, so the other
-    # cycle types of that k are never built
+def test_no_gluing_equation_is_built_at_the_first_empty_k(monkeypatch, computed_at_s):
+    # the sweep and a witness decided at its own s stop after an empty D^k,
+    # so the other cycle types of that k are never built
     import germlab.germs as germs
     from germlab.catalog import nonsimple_entry
 
@@ -787,11 +798,14 @@ def analyze_calls(monkeypatch):
 
     monkeypatch.setattr(analyzer, "analyze", counting_analyze)
     analyzer._base_report.cache_clear()
+    analyzer._sign_report.cache_clear()
     yield calls
     analyzer._base_report.cache_clear()
+    analyzer._sign_report.cache_clear()
 
 
-def test_witness_sweep_analyzes_base_once_per_key(analyze_calls):
+def test_witness_sweep_analyzes_base_once_per_key(analyze_calls, computed_at_s):
+    # every s of the sweep is decided at that s, from one base analysis
     for s in SWEEP:
         w = witness_check(Q2, Q2W, {"s": s})
         assert w.verdict == (CONFIRMED if s > 0 else REFUTED), s
@@ -801,11 +815,12 @@ def test_witness_sweep_analyzes_base_once_per_key(analyze_calls):
     assert analyze_calls == {("Q2", None): 1, ("Q2", 3): 1}
 
 
-def test_witness_sweep_matches_uncached_answers(analyze_calls):
+def test_witness_sweep_matches_uncached_answers(analyze_calls, computed_at_s):
     cached = [witness_check(Q2, Q2W, {"s": s}) for s in SWEEP]
     fresh = []
     for s in SWEEP:
         analyzer._base_report.cache_clear()
+        analyzer._sign_report.cache_clear()
         fresh.append(witness_check(Q2, Q2W, {"s": s}))
     assert cached == fresh  # names, verdicts, rows and notes
     assert analyze_calls[("Q2", None)] == 1 + len(SWEEP)
@@ -828,30 +843,45 @@ def test_base_report_memo_is_bounded(analyze_calls):
     from dataclasses import replace
 
     cap = analyzer.BASE_REPORTS
-    for i in range(cap + 3):  # the name is part of the key
+    for i in range(cap + 3):  # the name is part of both keys
         witness_check(replace(Q2, name=f"Q2.{i}"), Q2W, {"s": Fraction(1)})
         assert analyzer._base_report.cache_info().currsize == min(i + 1, cap)
+        assert analyzer._sign_report.cache_info().currsize == min(i + 1, cap)
     assert analyzer._base_report.cache_info().maxsize == cap
+    assert analyzer._sign_report.cache_info().maxsize == cap
+    misses = analyzer._sign_report.cache_info().misses
     witness_check(replace(Q2, name="Q2.0"), Q2W, {"s": Fraction(1)})  # evicted, analyzed again
     assert analyze_calls[("Q2.0", None)] == 2
+    assert analyzer._sign_report.cache_info().misses == misses + 1  # and decided again
     assert analyzer._base_report.cache_info().currsize == cap
+    assert analyzer._sign_report.cache_info().currsize == cap
 
 
 def test_mutating_a_witness_report_does_not_leak(analyze_calls):
+    # the first report is copied out of the report kept for s > 0 as it is
+    # decided, the second from that report on a hit: neither reaches it
     first = witness_check(Q2, Q2W, {"s": Fraction(1)})
-    expected = witness_check(Q2, Q2W, {"s": Fraction(1)})
-    for row in first.rows:
-        row.abeta_complex = -7
-        row.classes[0].chi_complex = -7
-        row.classes.clear()
-    first.rows.clear()
-    first.notes.append("tampered")
+    second = witness_check(Q2, Q2W, {"s": Fraction(5, 2)})
+    expected = repr(witness_check(Q2, Q2W, {"s": Fraction(1)}))  # nothing shared with it
+    kept = repr(analyzer._sign_report(Q2, Q2W, 1, None))
+    for rep in (first, second):
+        for row in rep.rows:
+            row.abeta_complex = -7
+            row.classes[0].chi_complex = -7
+            row.classes[0].real.kind = "tampered"
+            row.classes[0].real.count = -7
+            row.classes.clear()
+        rep.rows.clear()
+        rep.notes.append("tampered")
+        rep.name = "tampered"
     again = witness_check(Q2, Q2W, {"s": Fraction(1)})
-    assert again == expected and again.verdict == CONFIRMED
+    assert repr(again) == expected and again.verdict == CONFIRMED
+    assert repr(analyzer._sign_report(Q2, Q2W, 1, None)) == kept
     assert analyze_calls[("Q2", None)] == 1
+    assert analyzer._sign_report.cache_info().misses == 1
 
 
-def test_kernel_sees_only_int_coefficients(monkeypatch):
+def test_kernel_sees_only_int_coefficients(monkeypatch, computed_at_s):
     # numerator dicts cross the kernel boundary as they are: Python ints only
     from germlab import _kernel
 
@@ -915,3 +945,244 @@ def test_analyze_reports_pinned_over_seeded_table_germs():
     germs = table_germs()
     text = "\n".join(repr(analyze(g)) for _ in range(2) for g in germs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == ANALYZE_REPR_PIN
+
+
+# -- one witness report per sign of s -------------------------------------------
+
+A1 = make(["z^2", "z^3 + x^2*z + y^2*z"], name="A1")
+P1 = make(["y*z + z^4", "x*z + z^3"], name="P1")
+A1IND = make(["z^2", "z^3 + x^2*z - y^2*z"], name="A1ind")
+CUSP = make(["z^2", "z^3"], varnames=("z",), n=1, p=2, name="cusp")
+
+# (base, one-parameter perturbation) with positive weights (x, y, z; s)
+HOMOGENEOUS = {
+    "A1ind": (A1IND, make(["z^2", "z^3 + x^2*z - y^2*z - s*z"], params=("s",))),
+    "P1bad": (P1, make(["y*z + z^4 - s*z", "x*z + z^3"], params=("s",))),
+    "cusp-node": (CUSP, make(["z^2", "z^3 - s*z"], params=("s",), varnames=("z",), n=1, p=2)),
+}
+# no positive weights: the verdict of the first one changes within one sign of s
+NOT_HOMOGENEOUS = {
+    "Q2+sz2": (Q2, make(["x*z + y*z^2 + s*z^2", "z^3 + y^2*z - s*z"], params=("s",))),
+    "P1+sz7": (P1, make(["y*z + z^4 - s*z^2 + s*z^7", "x*z + z^3"], params=("s",))),
+    "cusp": (CUSP, make(["z^2 + s*z - s*z^2", "z^3"], params=("s",), varnames=("z",),
+                        n=1, p=2)),
+}
+# weighted homogeneous in (x, y, z; s, t), but its verdict follows the sign of s + t
+TWO_PARAMETERS = make(["x*z + y*z^2", "z^3 + y^2*z - s*z - t*z"], params=("s", "t"))
+
+
+def shipped_witnesses():
+    from pathlib import Path
+
+    from germlab.germfile import load_germ_file
+
+    out = {}
+    for name in ("q2", "a1", "p1"):
+        gf = load_germ_file(str(Path(__file__).resolve().parent.parent / "germs" / f"{name}.germ"))
+        out[name] = (gf.base_germ(), gf.symbolic_germ(perturbed=True))
+    return out
+
+
+def sign_s_values():
+    """At least 20 values of s of each sign, the extremes among them."""
+    values = [Fraction(1, 10**12), Fraction(10**12), Fraction(3**40, 2**60)]
+    values += witness_s_values(seed=29, n=34)
+    values += [-s for s in values[:3]]
+    assert sum(s > 0 for s in values) >= 20 and sum(s < 0 for s in values) >= 20
+    return values
+
+
+def _is_weighting(germ, w):
+    return all(len({sum(a * b for a, b in zip(e, w)) for e in g.terms}) <= 1
+               for g in germ.components)
+
+
+def test_positive_weights_of_known_perturbations():
+    from germlab.germs import positive_weights
+
+    shipped = shipped_witnesses()
+    assert {name: positive_weights(pert) for name, (_, pert) in shipped.items()} == {
+        "q2": (2, 1, 1, 2), "a1": (1, 1, 1, 2), "p1": (2, 3, 1, 2)}
+    assert positive_weights(HOMOGENEOUS["A1ind"][1]) == (1, 1, 1, 2)
+    assert positive_weights(HOMOGENEOUS["P1bad"][1]) == (2, 3, 1, 3)
+    assert positive_weights(HOMOGENEOUS["cusp-node"][1]) == (1, 2)
+    # e.g. p1 + s*z^7: y*z = z^4 = s*z^2 = s*z^7 asks 5 w_z = 0
+    for _, pert in NOT_HOMOGENEOUS.values():
+        assert positive_weights(pert) is None, pert
+    # x*z = s*x*z^2 asks w_s = -w_z: only a non-positive weight makes it homogeneous
+    assert positive_weights(make(["x*z + s*x*z^2", "z^3 - s*z"], params=("s",))) is None
+    assert positive_weights(make(["x*z - s*x*z^2", "z^3"], params=("s",))) is None
+    # one weight per symbol, parameters last
+    assert positive_weights(TWO_PARAMETERS) == (2, 1, 1, 2, 2)
+    two = make(["x*z + y*z^2", "z^3 + y^2*z - s*z + t*z^2"], params=("s", "t"))
+    assert positive_weights(two) == (2, 1, 1, 2, 1)
+    # symbols that no equation ties down still get a positive weight
+    free = make(["z^2", "z^3 - s*z"], params=("s",))
+    w = positive_weights(free)
+    assert min(w) > 0 and _is_weighting(free, w)
+
+
+def test_positive_weights_of_seeded_homogeneous_germs():
+    # oracle: components built from monomials of one weighted degree under
+    # drawn weights.  The finder's answer may differ from the drawn weights
+    # but must be a positive weighting; with one more term it is None or
+    # again a positive weighting.
+    from itertools import product
+
+    from germlab.germs import positive_weights
+
+    rng = random.Random(31)
+    found = 0
+    for _ in range(60):
+        weights = [rng.randint(1, 3) for _ in range(4)]  # x, y, z, s
+        ring = PolyRing(("x", "y", "z"), ("s",))
+        comps = []
+        for _ in range(2):
+            d = rng.randint(3, 7)
+            exps = [e for e in product(range(5), repeat=4)
+                    if sum(a * b for a, b in zip(e, weights)) == d and e[2]]
+            picks = rng.sample(exps, min(len(exps), rng.randint(1, 4)))
+            comps.append(sum((ring.monomial(dict(zip(ring.syms, e)), rng.choice((-2, -1, 1, 3)))
+                              for e in picks), ring.zero()))
+        germ = GermCorank1(3, 4, ring, tuple(comps))
+        w = positive_weights(germ)
+        assert w is not None and min(w) > 0 and _is_weighting(germ, w), (weights, comps)
+        found += len(set(w)) > 1
+        extra = comps[0] + ring.monomial({"x": rng.randint(0, 2), "z": rng.randint(1, 4)})
+        other = GermCorank1(3, 4, ring, (extra, comps[1]))
+        w = positive_weights(other)
+        assert w is None or (min(w) > 0 and _is_weighting(other, w)), (weights, extra)
+    assert found
+
+
+def test_one_report_per_sign_equals_the_report_computed_at_s(monkeypatch):
+    import germlab.poly as poly
+
+    cases = {**shipped_witnesses(), **HOMOGENEOUS}
+    values = sign_s_values()
+    analyzer._sign_report.cache_clear()
+    reused = {(name, s): witness_check(base, pert, {"s": s}, name=name)
+              for name, (base, pert) in cases.items() for s in values}
+    assert analyzer._sign_report.cache_info().misses == 2 * len(cases)
+
+    eliminations = []
+    real = poly.eliminate_linear
+
+    def counting(gens):
+        eliminations.append(1)
+        return real(gens)
+
+    _patch_everywhere(monkeypatch, real, counting)
+    monkeypatch.setattr(analyzer, "positive_weights", lambda germ: None)
+    verdicts = set()
+    for (name, s), rep in reused.items():
+        base, pert = cases[name]
+        analyzer._base_report.cache_clear()
+        analyzer._sign_report.cache_clear()
+        eliminations.clear()
+        computed = witness_check(base, pert, {"s": s}, name=name)
+        assert eliminations, (name, s)  # decided at s, not read from a kept report
+        assert computed == rep, (name, s)
+        verdicts.add((name, s > 0, rep.verdict))
+    analyzer._sign_report.cache_clear()
+    assert len(verdicts) == 2 * len(cases)  # one verdict per germ and sign
+    assert {v for _, _, v in verdicts} == {CONFIRMED, REFUTED, INCONCLUSIVE}
+
+
+def test_perturbations_without_weights_are_decided_at_each_s(monkeypatch):
+    import germlab.poly as poly
+
+    eliminations = []
+    real = poly.eliminate_linear
+
+    def counting(gens):
+        eliminations.append(1)
+        return real(gens)
+
+    _patch_everywhere(monkeypatch, real, counting)
+    analyzer._sign_report.cache_clear()
+    values = [Fraction(1, 100), Fraction(1), Fraction(1, 100), Fraction(-7, 3), Fraction(-7, 3)]
+    for name, (base, pert) in NOT_HOMOGENEOUS.items():
+        for s in values:
+            eliminations.clear()
+            witness_check(base, pert, {"s": s})
+            assert eliminations, (name, s)
+    # the verdict of Q2 + s*z^2 differs between two values of s > 0
+    base, pert = NOT_HOMOGENEOUS["Q2+sz2"]
+    assert witness_check(base, pert, {"s": Fraction(1, 100)}).verdict == CONFIRMED
+    assert witness_check(base, pert, {"s": Fraction(1)}).verdict == REFUTED
+    # two parameters: never looked up, and the sign of s alone does not decide
+    info = analyzer._sign_report.cache_info()
+    verdicts = set()
+    for t in (Fraction(1, 3), Fraction(-2), Fraction(1, 3)):
+        eliminations.clear()
+        verdicts.add(witness_check(Q2, TWO_PARAMETERS, {"s": Fraction(1), "t": t}).verdict)
+        assert eliminations, t
+    assert verdicts == {CONFIRMED, REFUTED}
+    assert analyzer._sign_report.cache_info() == info
+    analyzer._sign_report.cache_clear()
+
+
+def test_a_kept_report_runs_no_elimination_and_no_analyze(monkeypatch, analyze_calls):
+    import germlab.germs as germs
+    import germlab.poly as poly
+
+    counts = {"eliminate": 0, "weights": 0}
+    real_elim, real_weights = poly.eliminate_linear, germs.positive_weights
+
+    def eliminate(gens):
+        counts["eliminate"] += 1
+        return real_elim(gens)
+
+    def weights(germ):
+        counts["weights"] += 1
+        return real_weights(germ)
+
+    _patch_everywhere(monkeypatch, real_elim, eliminate)
+    _patch_everywhere(monkeypatch, real_weights, weights)
+    cases = shipped_witnesses()
+    for base, pert in cases.values():
+        for s in (Fraction(1), Fraction(-1)):
+            witness_check(base, pert, {"s": s})
+    assert counts["weights"] == 2 * len(cases)  # solved on a miss only
+    assert sum(analyze_calls.values()) == len(cases)
+    counts.update(eliminate=0, weights=0)
+    for base, pert in cases.values():
+        for s in sign_s_values():
+            assert witness_check(base, pert, {"s": s}).name == base.name
+            assert witness_check(base, pert, {"s": s}, name="named").name == "named"
+    assert counts == {"eliminate": 0, "weights": 0}
+    assert sum(analyze_calls.values()) == len(cases)
+
+
+def test_loading_germ_files_solves_no_weights():
+    # import and germ-file load stay as cheap as before: nothing is solved
+    # and no report is kept until a witness asks
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    germs = Path(__file__).resolve().parent.parent / "germs"
+    script = f"""
+import sys
+solved = []
+
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("positive_weights", "_point_above_one"):
+        solved.append(frame.f_code.co_name)
+
+sys.setprofile(watch)
+import germlab.analyzer as analyzer
+from germlab.germfile import load_germ_file
+for name in ("q2", "a1", "p1"):
+    gf = load_germ_file({str(germs)!r} + "/" + name + ".germ")
+    gf.base_germ(), gf.symbolic_germ(perturbed=True)
+sys.setprofile(None)
+assert not solved, solved
+info = analyzer._sign_report.cache_info()
+assert info.currsize == info.hits == info.misses == 0, info
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr

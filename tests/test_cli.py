@@ -165,7 +165,8 @@ def test_cli_rules_only(capsys):
 # hex digits of sha256(text + json) with the parameter values taken out of
 # the header line and the JSON, as recorded before the output named them.
 # That body depends on the sign of s only; it pins every class's smoothness
-# verdict, real class, signature and chi.
+# verdict, real class, signature and chi.  The rows at s = +-10^-12 and
+# +-10^12 were recorded before witness_check reused one report per sign of s.
 WITNESS_PINS = [
     ("q2", "1", 0, "8554515ce347a5b1"),
     ("q2", "-1", 1, "666af593237b7165"),
@@ -173,18 +174,30 @@ WITNESS_PINS = [
     ("q2", "-1/2", 1, "666af593237b7165"),
     ("q2", "7/3", 0, "8554515ce347a5b1"),
     ("q2", "99/16", 0, "8554515ce347a5b1"),
+    ("q2", "1/1000000000000", 0, "8554515ce347a5b1"),
+    ("q2", "-1/1000000000000", 1, "666af593237b7165"),
+    ("q2", "1000000000000", 0, "8554515ce347a5b1"),
+    ("q2", "-1000000000000", 1, "666af593237b7165"),
     ("a1", "1", 0, "a54e90b2a32eaaf6"),
     ("a1", "-1", 1, "cfb02cc81aba9961"),
     ("a1", "1/2", 0, "a54e90b2a32eaaf6"),
     ("a1", "-1/2", 1, "cfb02cc81aba9961"),
     ("a1", "7/3", 0, "a54e90b2a32eaaf6"),
     ("a1", "99/16", 0, "a54e90b2a32eaaf6"),
+    ("a1", "1/1000000000000", 0, "a54e90b2a32eaaf6"),
+    ("a1", "-1/1000000000000", 1, "cfb02cc81aba9961"),
+    ("a1", "1000000000000", 0, "a54e90b2a32eaaf6"),
+    ("a1", "-1000000000000", 1, "cfb02cc81aba9961"),
     ("p1", "1", 0, "0b16069258140c8e"),
     ("p1", "-1", 1, "41a424aa78426605"),
     ("p1", "1/2", 0, "0b16069258140c8e"),
     ("p1", "-1/2", 1, "41a424aa78426605"),
     ("p1", "7/3", 0, "0b16069258140c8e"),
     ("p1", "99/16", 0, "0b16069258140c8e"),
+    ("p1", "1/1000000000000", 0, "0b16069258140c8e"),
+    ("p1", "-1/1000000000000", 1, "41a424aa78426605"),
+    ("p1", "1000000000000", 0, "0b16069258140c8e"),
+    ("p1", "-1000000000000", 1, "41a424aa78426605"),
 ]
 
 
@@ -196,18 +209,30 @@ WITNESS_OUTPUT_PINS = {
     ("q2", "-1/2"): "19eae101cd74ec41",
     ("q2", "7/3"): "49dbc83a084a51e2",
     ("q2", "99/16"): "033e2afa41930ca6",
+    ("q2", "1/1000000000000"): "33d181823f7f60ac",
+    ("q2", "-1/1000000000000"): "f18004c4e8993c7b",
+    ("q2", "1000000000000"): "a239756115fba0b2",
+    ("q2", "-1000000000000"): "4d5ab080c3e8c158",
     ("a1", "1"): "51738e8950fec319",
     ("a1", "-1"): "cb50d3f59fbaeaf1",
     ("a1", "1/2"): "0308fbc8f211a2dd",
     ("a1", "-1/2"): "13450d3929486aa2",
     ("a1", "7/3"): "1cf89071c8851b3b",
     ("a1", "99/16"): "46d40d7ef1b353a9",
+    ("a1", "1/1000000000000"): "d5492e56960eac29",
+    ("a1", "-1/1000000000000"): "f046773be45f5179",
+    ("a1", "1000000000000"): "c213e89c8c4b9731",
+    ("a1", "-1000000000000"): "4250b4ff0431fa1f",
     ("p1", "1"): "d00fabb36494cdeb",
     ("p1", "-1"): "e9922d4a20b566a6",
     ("p1", "1/2"): "0652caa1fea69239",
     ("p1", "-1/2"): "1204c31f5434d80c",
     ("p1", "7/3"): "f2cc6c3aff289edb",
     ("p1", "99/16"): "304d198365e1a786",
+    ("p1", "1/1000000000000"): "bae17d95a0bfcac8",
+    ("p1", "-1/1000000000000"): "617e635913ca0146",
+    ("p1", "1000000000000"): "0682953899d37218",
+    ("p1", "-1000000000000"): "44598f917c33b790",
 }
 
 
@@ -524,8 +549,10 @@ def test_cli_g_action_of_large_order_names_its_order(capsys, tmp_path):
     assert out == "" and "g action order must divide p" in err, err
 
 
-@pytest.mark.parametrize("vertices", [[[0.5], [0]], [["x"], [0]], [[0], 1]],
-                         ids=["float", "not-rational", "mixed"])
+@pytest.mark.parametrize("vertices", [[[0.5], [0]], [["x"], [0]], [[0], 1], [0.5, "x"],
+                                      [1, [0]], [None, None], [[0], [0, 1, 2]], [[True], [0]]],
+                         ids=["float", "not-rational", "mixed", "bare-entries",
+                              "bare-then-list", "nulls", "ragged", "bool"])
 def test_cli_inexact_vertex_coordinates_exit_64(capsys, tmp_path, vertices):
     path = tmp_path / "coords.json"
     path.write_text(json.dumps({"vertices": vertices, "facets": [[0, 1]],
