@@ -249,11 +249,42 @@ def _base_report(germ: GermCorank1, max_k: int | None) -> GrpReport:
 
 
 @lru_cache(maxsize=BASE_REPORTS)
+def _settled(germ: GermCorank1, perturbation: GermCorank1) -> tuple[GermCorank1, bool]:
+    """witness_check's preconditions that do not depend on the assignment.
+
+    Returns the perturbation at parameter 0, checked to be the germ, and
+    whether every s != 0 both passes the substitution checks and has the
+    report of its sign (see `_sign_report`).  That holds for a one-parameter
+    perturbation with positive weights (w_s > 0 on s) when some term
+    carries a positive power of s and every term has an x-part.  All terms
+    of a component have one weighted degree, so two terms with one x-part
+    have one power of s: they are the same term.  Substituting s != 0 thus
+    merges no terms and leaves every coefficient nonzero.  So the
+    perturbation at s has a constant term exactly when some term has no
+    x-part, and differs from the one at 0 exactly when some term carries a
+    positive power of s, whatever s != 0 is.  witness_check substitutes a
+    perturbation that fails either test at its s, where the checks on the
+    substituted perturbation refuse it.  Exceptions are not cached.
+    """
+    params = perturbation.ring.params
+    base = perturbation.at_params({q: Fraction(0) for q in params})
+    if tuple(base.components) != tuple(g.cast(base.ring) for g in germ.components):
+        raise WitnessPreconditionError(
+            "perturbation does not reduce to the germ at parameter 0")
+    nv = perturbation.ring.nvars
+    terms = [e for g in perturbation.components for e in g.terms]
+    per_sign = (len(params) == 1 and any(e[nv] for e in terms)
+                and all(any(e[:nv]) for e in terms)
+                and positive_weights(perturbation) is not None)
+    return base, per_sign
+
+
+@lru_cache(maxsize=BASE_REPORTS)
 def _sign_report(germ: GermCorank1, perturbation: GermCorank1, sign: int,
-                 max_k: int | None) -> WitnessReport | None:
+                 max_k: int | None) -> WitnessReport:
     """The witness report of a one-parameter perturbation at s = sign (1 or
-    -1), which is its report at every s of that sign; None when the
-    unfolding has no positive weights.
+    -1), which is its report at every s of that sign when the unfolding has
+    positive weights.
 
     Let positive weights w on the variables and w_s on the parameter make
     every component weighted homogeneous, of degree d_i.  For t > 0,
@@ -263,16 +294,14 @@ def _sign_report(germ: GermCorank1, perturbation: GermCorank1, sign: int,
     D^k(f_s)^sigma is t^(d_i) times the matching generator of
     D^k(f_sign)^sigma composed with the diagonal map x -> t^(-w) x.  That
     rescaling is real and positive and keeps every support: with w_s > 0
-    no two terms of a component meet when s is substituted.  So it keeps
-    every elimination pivot and every leading ideal, and every later
-    presentation is again a positive multiple of a rescaled one.  Quadric
-    signatures, the sign of a quadric's level and Sturm counts of distinct
-    real roots are invariant under it, so every field of the report at s is
-    the one at sign(s).  The name is left empty; witness_check copies the
-    report out and names the copy.
+    no two terms of a component meet when s is substituted (see
+    `_settled`).  So it keeps every elimination pivot and every leading
+    ideal, and every later presentation is again a positive multiple of a
+    rescaled one.  Quadric signatures, the sign of a quadric's level and
+    Sturm counts of distinct real roots are invariant under it, so every
+    field of the report at s is the one at sign(s).  The name is left
+    empty; witness_check copies the report out and names the copy.
     """
-    if positive_weights(perturbation) is None:
-        return None
     (q,) = perturbation.ring.params
     return _witness_report(perturbation.at_params({q: Fraction(sign)}),
                            _base_report(germ, max_k), max_k, "")
@@ -290,41 +319,44 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     that `max_k` stops before the first empty D^k cannot confirm: its
     verdict is at best INCONCLUSIVE, with a note naming the cap.
 
-    The base germ's analysis is kept in a bounded LRU keyed by
-    (germ, max_k), so a sweep over the parameters of one germ analyzes
-    it once; the CANDIDATE precondition is checked on every call, and the
-    returned report holds only scalars and tuples copied out of it.  A
-    one-parameter perturbation whose unfolding is weighted homogeneous with
-    positive weights has one report per sign of s (see `_sign_report`): it
-    is computed once, at s = 1 or s = -1, kept in a second bounded LRU keyed
-    by (germ, perturbation, sign of s, max_k), and every call gets its own
-    copy.  Any other perturbation is decided at the given s.
+    What depends only on (germ, perturbation) is settled once and kept in
+    a bounded LRU (see `_settled`).  Each call checks, in this order, that
+    every parameter and no other is assigned, that the perturbation at s is
+    exact, vanishes at the origin and is not the germ, and that the germ is
+    a CANDIDATE.  The base germ's analysis is kept in a second bounded LRU
+    keyed by (germ, max_k), so a sweep over the parameters of one germ
+    analyzes it once; the returned report holds only scalars and tuples
+    copied out of it.  A one-parameter perturbation whose unfolding is
+    weighted homogeneous with positive weights has one report per sign of
+    s (see `_sign_report`): it is computed once, at s = 1 or s = -1, kept in
+    a third bounded LRU keyed by (germ, perturbation, sign of s, max_k), and
+    a call with a nonzero int or Fraction s gets its own copy, with no
+    substitution.  Any other request is decided at the given s.
     """
-    base = perturbation.at_params({q: Fraction(0) for q in perturbation.ring.params})
-    if tuple(base.components) != tuple(g.cast(base.ring) for g in germ.components):
-        raise WitnessPreconditionError(
-            "perturbation does not reduce to the germ at parameter 0")
+    base, per_sign = _settled(germ, perturbation)
     missing = [q for q in perturbation.ring.params if q not in assignment]
     if missing:
         raise WitnessPreconditionError(f"unassigned parameters: {missing}")
     unknown = sorted(set(assignment) - set(perturbation.ring.params))
     if unknown:
         raise WitnessPreconditionError(f"unknown parameters: {unknown}")
-    pert = perturbation.at_params(assignment)
-    if pert.components == base.components:
-        raise WitnessPreconditionError("the assigned perturbation is the germ itself")
+    sign = 0
+    if per_sign:
+        (s,) = assignment.values()
+        if type(s) in (int, Fraction) and s:
+            sign = 1 if s > 0 else -1
+    if not sign:
+        pert = perturbation.at_params(assignment)
+        if pert.components == base.components:
+            raise WitnessPreconditionError("the assigned perturbation is the germ itself")
     report = _base_report(germ, max_k)
     if report.verdict != CANDIDATE:
         raise WitnessPreconditionError(
             "witness verification requires a CANDIDATE germ; analyze() said "
             + report.verdict)
-    name = name or pert.name or germ.name
-    if len(assignment) == 1:
-        (s,) = assignment.values()
-        if s:
-            body = _sign_report(germ, perturbation, 1 if s > 0 else -1, max_k)
-            if body is not None:
-                return _copy(body, name)
+    name = name or perturbation.name or germ.name
+    if sign:
+        return _copy(_sign_report(germ, perturbation, sign, max_k), name)
     return _witness_report(pert, report, max_k, name)
 
 

@@ -15,9 +15,9 @@ from its own generators and measures its mu.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import factorial, gcd, lcm
 
@@ -56,6 +56,20 @@ class GermCorank1:
                 raise GermError("component does not vanish at the origin (parameters at 0)")
         # a nonzero dg/dz(0) is allowed: the germ is then immersive (corank 0)
         # and every multiple point space comes out empty.
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a key of witness_check's caches, hashed on every call: kept in the
+        # instance __dict__, outside the fields, so == and `replace` ignore it
+        return hash((self.n, self.p, self.ring, self.components, self.name))
+
+    def __getstate__(self) -> dict:
+        # pickle and deepcopy carry the fields only: a string's hash differs
+        # between processes, so the copy hashes afresh
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def xvars(self) -> tuple[str, ...]:

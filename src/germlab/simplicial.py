@@ -35,12 +35,13 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import comb, lcm
 from types import MappingProxyType
 from typing import TypeVar
+
+from .germfile import parse_rational
 
 MAX_K = 7  # k! group elements are enumerated
 # The largest prime (power) accepted as a field characteristic or as the order
@@ -393,8 +394,8 @@ def validate_or_subdivide(X: GComplex) -> GComplex:
 def _check_coordinate(x) -> None:
     if isinstance(x, str):
         try:
-            Fraction(x)
-        except (ValueError, ZeroDivisionError):
+            parse_rational(x)
+        except ValueError:
             raise ActionError(f"coordinate {x!r} is not a rational number") from None
     elif type(x) is not int:  # not a bool either
         raise ActionError(f"coordinates must be exact (int or 'a/b' string), got {x!r}")

@@ -9,7 +9,7 @@ from germlab.analyzer import (CANDIDATE, CONFIRMED, FAILS, INCONCLUSIVE,
                               analyze, witness_check)
 from germlab.germs import VIOLATION, GermCorank1, GermError, build_Dk, marar_mond_check
 from germlab.parse import parse_polynomial
-from germlab.poly import PolyRing
+from germlab.poly import PolyError, PolyRing
 from polyref import subs
 
 
@@ -26,10 +26,14 @@ Q2W = make(["x*z + y*z^2", "z^3 + y^2*z - s*z"], params=("s",), name="Q2s")
 @pytest.fixture
 def computed_at_s(monkeypatch):
     """witness_check decides every request at its own s, as it does for an
-    unfolding without positive weights, and keeps no report per sign of s."""
+    unfolding without positive weights, and keeps no report per sign of s.
+    The settled preconditions are cleared too, since they hold the weight
+    answer."""
     monkeypatch.setattr(analyzer, "positive_weights", lambda germ: None)
+    analyzer._settled.cache_clear()
     analyzer._sign_report.cache_clear()
     yield
+    analyzer._settled.cache_clear()
     analyzer._sign_report.cache_clear()
 
 
@@ -171,6 +175,71 @@ def test_witness_must_perturb_the_germ():
         witness_check(Q2, Q2W, {"s": Fraction(0)})
     with pytest.raises(WitnessPreconditionError, match="germ itself"):
         witness_check(Q2, Q2, {})  # no parameter to perturb with
+
+
+A2 = make(["z^2", "z*(z^2 + x^2 + y^3)"], name="A2")  # analyze() says FAILS
+A2W = make(["z^2", "z*(z^2 + x^2 + y^3) - s*z"], params=("s",), name="A2s")
+Q2_UNUSED_S = make(["x*z + y*z^2", "z^3 + y^2*z"], params=("s",))
+Q2_CONSTANT = make(["x*z + y*z^2", "z^3 + y^2*z + s^3"], params=("s",))
+OFF_ORIGIN = "component does not vanish at the origin (parameters at 0)"
+GERM_ITSELF = "the assigned perturbation is the germ itself"
+# which refusal wins when a request breaks several preconditions, recorded
+# before the s-independent checks were kept per (germ, perturbation)
+PRECONDITION_PINS = {
+    "no reduction at 0": (
+        Q2, make(["x*z + y*z^2", "z^3 + y^3*z - s*z"], params=("s",)), {"s": Fraction(1)},
+        WitnessPreconditionError, "perturbation does not reduce to the germ at parameter 0"),
+    "no reduction, missing parameter": (
+        Q2, make(["x*z + y*z^2", "z^3 + y^3*z - s*z"], params=("s",)), {},
+        WitnessPreconditionError, "perturbation does not reduce to the germ at parameter 0"),
+    "other variables": (
+        Q2, make(["u*w + v*w^2", "w^3 + v^2*w - s*w"], params=("s",), varnames=("u", "v", "w")),
+        {"s": Fraction(1)}, PolyError, "symbol 'x' absent from target ring"),
+    "missing parameter": (
+        Q2, Q2W, {}, WitnessPreconditionError, "unassigned parameters: ['s']"),
+    "missing one of two": (
+        Q2, make(["x*z + y*z^2", "z^3 + y^2*z - s*z - t*z"], params=("s", "t")),
+        {"t": Fraction(1)}, WitnessPreconditionError,
+        "unassigned parameters: ['s']"),
+    "unknown parameter": (
+        Q2, Q2W, {"s": Fraction(1), "S": Fraction(1)}, WitnessPreconditionError,
+        "unknown parameters: ['S']"),
+    "unknown parameter, float s": (
+        Q2, Q2W, {"s": 0.5, "S": Fraction(1)}, WitnessPreconditionError,
+        "unknown parameters: ['S']"),
+    "s = 0.5": (Q2, Q2W, {"s": 0.5}, PolyError, "scalars must be int or Fraction, got float 0.5"),
+    "s = True": (Q2, Q2W, {"s": True}, PolyError, "scalars must be int or Fraction, got bool True"),
+    "s = '1'": (Q2, Q2W, {"s": "1"}, PolyError, "scalars must be int or Fraction, got str '1'"),
+    "float s, unused s": (
+        Q2, Q2_UNUSED_S, {"s": 0.5}, PolyError, "scalars must be int or Fraction, got float 0.5"),
+    "Q2 + s^3": (Q2, Q2_CONSTANT, {"s": Fraction(2)}, GermError, OFF_ORIGIN),
+    "Q2 + s^3 at s = -1/3": (Q2, Q2_CONSTANT, {"s": Fraction(-1, 3)}, GermError, OFF_ORIGIN),
+    "A2 + s^3": (
+        A2, make(["z^2", "z*(z^2 + x^2 + y^3) + s^3"], params=("s",)), {"s": Fraction(2)},
+        GermError, OFF_ORIGIN),
+    "Q2 + s^3 at s = 0": (
+        Q2, Q2_CONSTANT, {"s": Fraction(0)}, WitnessPreconditionError, GERM_ITSELF),
+    "unused s at 3": (Q2, Q2_UNUSED_S, {"s": Fraction(3)}, WitnessPreconditionError, GERM_ITSELF),
+    "unused s at -1/2": (
+        Q2, Q2_UNUSED_S, {"s": Fraction(-1, 2)}, WitnessPreconditionError, GERM_ITSELF),
+    "unused s, FAILS germ": (
+        A2, make(["z^2", "z*(z^2 + x^2 + y^3)"], params=("s",)), {"s": Fraction(3)},
+        WitnessPreconditionError, GERM_ITSELF),
+    "s = 0": (Q2, Q2W, {"s": Fraction(0)}, WitnessPreconditionError, GERM_ITSELF),
+    "s = int 0": (Q2, Q2W, {"s": 0}, WitnessPreconditionError, GERM_ITSELF),
+    "FAILS germ": (
+        A2, A2W, {"s": Fraction(1)}, WitnessPreconditionError,
+        "witness verification requires a CANDIDATE germ; analyze() said FAILS"),
+}
+
+
+@pytest.mark.parametrize("case", PRECONDITION_PINS)
+def test_witness_precondition_precedence(case):
+    germ, pert, assignment, error, message = PRECONDITION_PINS[case]
+    for _ in range(2):  # a refusal is never kept
+        with pytest.raises(error) as info:
+            witness_check(germ, pert, assignment)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_zero_dim_counts_cross_cap_analog():
@@ -797,9 +866,11 @@ def analyze_calls(monkeypatch):
         return real_analyze(germ, max_k=max_k, name=name)
 
     monkeypatch.setattr(analyzer, "analyze", counting_analyze)
+    analyzer._settled.cache_clear()
     analyzer._base_report.cache_clear()
     analyzer._sign_report.cache_clear()
     yield calls
+    analyzer._settled.cache_clear()
     analyzer._base_report.cache_clear()
     analyzer._sign_report.cache_clear()
 
@@ -843,18 +914,17 @@ def test_base_report_memo_is_bounded(analyze_calls):
     from dataclasses import replace
 
     cap = analyzer.BASE_REPORTS
-    for i in range(cap + 3):  # the name is part of both keys
+    caches = (analyzer._settled, analyzer._base_report, analyzer._sign_report)
+    for i in range(cap + 3):  # the name is part of every key
         witness_check(replace(Q2, name=f"Q2.{i}"), Q2W, {"s": Fraction(1)})
-        assert analyzer._base_report.cache_info().currsize == min(i + 1, cap)
-        assert analyzer._sign_report.cache_info().currsize == min(i + 1, cap)
-    assert analyzer._base_report.cache_info().maxsize == cap
-    assert analyzer._sign_report.cache_info().maxsize == cap
-    misses = analyzer._sign_report.cache_info().misses
+        assert [c.cache_info().currsize for c in caches] == [min(i + 1, cap)] * 3
+    assert [c.cache_info().maxsize for c in caches] == [cap] * 3
+    misses = [c.cache_info().misses for c in caches]
     witness_check(replace(Q2, name="Q2.0"), Q2W, {"s": Fraction(1)})  # evicted, analyzed again
     assert analyze_calls[("Q2.0", None)] == 2
-    assert analyzer._sign_report.cache_info().misses == misses + 1  # and decided again
-    assert analyzer._base_report.cache_info().currsize == cap
-    assert analyzer._sign_report.cache_info().currsize == cap
+    # and settled and decided again
+    assert [c.cache_info().misses for c in caches] == [m + 1 for m in misses]
+    assert [c.cache_info().currsize for c in caches] == [cap] * 3
 
 
 def test_mutating_a_witness_report_does_not_leak(analyze_calls):
@@ -1077,6 +1147,7 @@ def test_one_report_per_sign_equals_the_report_computed_at_s(monkeypatch):
     verdicts = set()
     for (name, s), rep in reused.items():
         base, pert = cases[name]
+        analyzer._settled.cache_clear()
         analyzer._base_report.cache_clear()
         analyzer._sign_report.cache_clear()
         eliminations.clear()
@@ -1084,6 +1155,7 @@ def test_one_report_per_sign_equals_the_report_computed_at_s(monkeypatch):
         assert eliminations, (name, s)  # decided at s, not read from a kept report
         assert computed == rep, (name, s)
         verdicts.add((name, s > 0, rep.verdict))
+    analyzer._settled.cache_clear()
     analyzer._sign_report.cache_clear()
     assert len(verdicts) == 2 * len(cases)  # one verdict per germ and sign
     assert {v for _, _, v in verdicts} == {CONFIRMED, REFUTED, INCONCLUSIVE}
@@ -1123,36 +1195,64 @@ def test_perturbations_without_weights_are_decided_at_each_s(monkeypatch):
     analyzer._sign_report.cache_clear()
 
 
-def test_a_kept_report_runs_no_elimination_and_no_analyze(monkeypatch, analyze_calls):
+def _count_calls(monkeypatch):
+    """Counts calls of every substitution, cast, weight solve and elimination."""
+    from collections import Counter
+
     import germlab.germs as germs
     import germlab.poly as poly
 
-    counts = {"eliminate": 0, "weights": 0}
-    real_elim, real_weights = poly.eliminate_linear, germs.positive_weights
+    counts = Counter()
 
-    def eliminate(gens):
-        counts["eliminate"] += 1
-        return real_elim(gens)
+    def counting(key, real):
+        def fake(*args):
+            counts[key] += 1
+            return real(*args)
+        return fake
 
-    def weights(germ):
-        counts["weights"] += 1
-        return real_weights(germ)
+    for real in (poly.eliminate_linear, germs.positive_weights):
+        _patch_everywhere(monkeypatch, real, counting(real.__name__, real))
+    for cls, method in ((poly.Polynomial, "subs_params"), (poly.Polynomial, "cast"),
+                        (germs.GermCorank1, "at_params")):
+        monkeypatch.setattr(cls, method, counting(method, getattr(cls, method)))
+    return counts
 
-    _patch_everywhere(monkeypatch, real_elim, eliminate)
-    _patch_everywhere(monkeypatch, real_weights, weights)
+
+def test_a_kept_report_runs_no_elimination_and_no_analyze(monkeypatch, analyze_calls):
+    counts = _count_calls(monkeypatch)
     cases = shipped_witnesses()
     for base, pert in cases.values():
         for s in (Fraction(1), Fraction(-1)):
             witness_check(base, pert, {"s": s})
-    assert counts["weights"] == 2 * len(cases)  # solved on a miss only
+    assert counts["positive_weights"] == len(cases)  # solved once per (germ, perturbation)
     assert sum(analyze_calls.values()) == len(cases)
-    counts.update(eliminate=0, weights=0)
+    counts.clear()
     for base, pert in cases.values():
         for s in sign_s_values():
             assert witness_check(base, pert, {"s": s}).name == base.name
             assert witness_check(base, pert, {"s": s}, name="named").name == "named"
-    assert counts == {"eliminate": 0, "weights": 0}
+    assert counts == {}  # no substitution, cast, weight solve or elimination
     assert sum(analyze_calls.values()) == len(cases)
+
+
+def test_the_reduction_at_zero_is_checked_once_per_key(monkeypatch):
+    # copied and decided requests alike check the reduction to the germ once
+    # per (germ, perturbation); a decided request still substitutes its s
+    counts = _count_calls(monkeypatch)
+    keys = {"Q2": (Q2, Q2W), **NOT_HOMOGENEOUS, "two": (Q2, TWO_PARAMETERS)}
+    analyzer._settled.cache_clear()
+    analyzer._sign_report.cache_clear()
+    decided = 0
+    for _ in range(2):
+        for name, (base, pert) in keys.items():
+            for s in (Fraction(1), Fraction(-7, 3)):
+                witness_check(base, pert, {"s": s, "t": Fraction(1)} if name == "two" else {"s": s})
+                decided += name != "Q2"
+    assert analyzer._settled.cache_info().misses == len(keys)
+    assert counts["cast"] == sum(len(base.components) for base, _ in keys.values())
+    # the decided requests, and Q2W's two reports kept per sign
+    assert counts["at_params"] == len(keys) + decided + 2
+    analyzer._settled.cache_clear()
 
 
 def test_loading_germ_files_solves_no_weights():
@@ -1179,8 +1279,9 @@ for name in ("q2", "a1", "p1"):
     gf.base_germ(), gf.symbolic_germ(perturbed=True)
 sys.setprofile(None)
 assert not solved, solved
-info = analyzer._sign_report.cache_info()
-assert info.currsize == info.hits == info.misses == 0, info
+for cache in (analyzer._settled, analyzer._sign_report):
+    info = cache.cache_info()
+    assert info.currsize == info.hits == info.misses == 0, info
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

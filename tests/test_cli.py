@@ -550,9 +550,12 @@ def test_cli_g_action_of_large_order_names_its_order(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("vertices", [[[0.5], [0]], [["x"], [0]], [[0], 1], [0.5, "x"],
-                                      [1, [0]], [None, None], [[0], [0, 1, 2]], [[True], [0]]],
+                                      [1, [0]], [None, None], [[0], [0, 1, 2]], [[True], [0]],
+                                      [["1.5"], [0]], [["1e-3"], [0]], [[" 1/2 "], [0]],
+                                      [["1_000"], [0]]],
                          ids=["float", "not-rational", "mixed", "bare-entries",
-                              "bare-then-list", "nulls", "ragged", "bool"])
+                              "bare-then-list", "nulls", "ragged", "bool", "decimal-string",
+                              "exponent-string", "padded-string", "underscore-string"])
 def test_cli_inexact_vertex_coordinates_exit_64(capsys, tmp_path, vertices):
     path = tmp_path / "coords.json"
     path.write_text(json.dumps({"vertices": vertices, "facets": [[0, 1]],

@@ -31,6 +31,19 @@ def a_k(k):
     return make_germ(3, 4, ["z^2", f"z*(z^2 + x^2 + y^{k + 1})"], name=f"A{k}")
 
 
+def test_a_germ_keeps_its_hash_and_a_copy_hashes_afresh():
+    import copy
+    import dataclasses
+    import pickle
+
+    g = q2()
+    h = hash(g)
+    assert h == hash((g.n, g.p, g.ring, g.components, g.name)) == hash(q2())
+    # a string hashes differently in another process: no copy carries the kept hash
+    for c in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), dataclasses.replace(g)):
+        assert c == g and "_hash" not in vars(c) and hash(c) == h
+
+
 def test_expected_dims_examples():
     assert expected_dims(3, 4, 2, (1, 1)) == (2, 2, 2)
     assert expected_dims(3, 4, 3, (3,)) == (1, -1, 1)
