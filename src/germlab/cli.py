@@ -21,7 +21,9 @@ multiple point space); a cap below 2 is a usage error (64).  A capped
 analyze prints mu_I and the image Betti numbers as unknown.  A --param
 value is read like a germ file's params, as -?N or -?N/D: float syntax
 (0.5, 1e-3) and integers of more digits than Python converts are usage
-errors (64).  Every answer depends on the input alone.
+errors (64).  --max-k, --i and the index of a --row label are integers
+-?N; every number read is in ASCII digits.  Every answer depends on the
+input alone.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -72,6 +75,13 @@ def _fractions(pairs: list[str]) -> dict[str, Fraction]:
     return out
 
 
+def integer(text: str) -> int:
+    """An integer argument in ASCII digits, -?N: --max-k, --i and a --row index."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _row_entry(label: str):
     """Catalog entry of a --row label: I..VIII, P4^1, P3^k, Sj,k or a family and index."""
     if label in {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}:
@@ -80,13 +90,13 @@ def _row_entry(label: str):
         return simple_entry("P41")
     try:
         if label.startswith("P3^"):
-            fam, indices = "P3", {"k": int(label[3:])}
+            fam, indices = "P3", {"k": integer(label[3:])}
         elif label.startswith("S"):
-            j, k = (int(s) for s in label[1:].split(","))
+            j, k = (integer(s) for s in label[1:].split(","))
             fam, indices = "S", {"j": j, "k": k}
         else:
             fam = "".join(ch for ch in label if not ch.isdigit())
-            nums = [int(s) for s in label.replace(fam, "").split(",") if s]
+            nums = [integer(s) for s in label.replace(fam, "").split(",") if s]
             indices = {"k": nums[0] if nums else None}
     except ValueError:
         raise UsageError(f"--row: cannot read label {label!r}") from None
@@ -317,7 +327,7 @@ def cmd_witness(args) -> int:
     germ = gf.base_germ()
     if args.perturbation:
         pf = load_germ_file(args.perturbation)
-        pert = pf.symbolic_germ(perturbed=pf.perturbation is not None)
+        pert = pf.germ if pf.perturbation is None else pf.perturbation
         defaults = pf.params
     else:
         pert = gf.symbolic_germ(perturbed=True)
@@ -423,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--rules-only", action="store_true")
-    pa.add_argument("--max-k", type=int, default=None)
+    pa.add_argument("--max-k", type=integer, default=None)
     pa.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     pa.set_defaults(fn=cmd_analyze)
 
@@ -432,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--row", action="append", default=[],
                     metavar="LABEL", help="restrict to rows, e.g. A3, Q2, S1,2, VII")
     pt.add_argument("--json", action="store_true")
-    pt.add_argument("--max-k", type=int, default=None)
+    pt.add_argument("--max-k", type=integer, default=None)
     pt.set_defaults(fn=cmd_table)
 
     pw = sub.add_parser("witness", help="verify a real perturbation witness")
     pw.add_argument("germ")
     pw.add_argument("perturbation", nargs="?", default=None)
     pw.add_argument("--json", action="store_true")
-    pw.add_argument("--max-k", type=int, default=None)
+    pw.add_argument("--max-k", type=integer, default=None)
     pw.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     pw.set_defaults(fn=cmd_witness)
 
@@ -447,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("file")
     ps.add_argument("action", choices=("homology", "alt", "chi", "floyd", "smith"))
     ps.add_argument("--coeff", default=None, help="z, q or f<p> (homology)")
-    ps.add_argument("--i", type=int, default=None, help="special complex index (smith)")
+    ps.add_argument("--i", type=integer, default=None, help="special complex index (smith)")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=cmd_simplicial)
     return ap

@@ -13,7 +13,8 @@ polynomial grammar.  `components` lists only the p-n+1 nonlinear entries of
 (x_1, .., x_{n-1}, g_1, .., g_{p-n+1}); `params` carries default rational
 values; `perturbation` is optional and may use the parameters.  `vars` and
 `params` are followed by whitespace.  Each clause and each parameter name
-appears at most once.
+appears at most once.  Germ files are read, never written, like complexes:
+a `GermFile` keeps the parsed germs, each expression parsed once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .germs import GermCorank1
-from .parse import parse_polynomial, to_string
+from .parse import parse_polynomial
 from .poly import PolyRing
 
 
@@ -33,24 +34,19 @@ class GermFileError(ValueError):
 
 @dataclass
 class GermFile:
-    name: str
-    n: int
-    p: int
-    varnames: tuple[str, ...]
-    params: dict[str, Fraction]
-    components: tuple[str, ...]
-    perturbation: tuple[str, ...] | None = None
+    """The germ and optional perturbation, over the declared vars and params."""
 
-    def ring(self) -> PolyRing:
-        return PolyRing(self.varnames, tuple(self.params))
+    name: str
+    params: dict[str, Fraction]
+    germ: GermCorank1
+    perturbation: GermCorank1 | None = None
 
     def symbolic_germ(self, perturbed: bool = False) -> GermCorank1:
-        exprs = self.perturbation if perturbed else self.components
-        if exprs is None:
+        if not perturbed:
+            return self.germ
+        if self.perturbation is None:
             raise GermFileError(f"germ {self.name!r} declares no perturbation")
-        ring = self.ring()
-        comps = tuple(parse_polynomial(e, ring) for e in exprs)
-        return GermCorank1(self.n, self.p, ring, comps, self.name)
+        return self.perturbation
 
     def base_germ(self, overrides: dict[str, Fraction] | None = None) -> GermCorank1:
         values = dict(self.params)
@@ -59,12 +55,12 @@ class GermFile:
             if unknown:
                 raise GermFileError(f"unknown parameters {sorted(unknown)}")
             values.update(overrides)
-        return self.symbolic_germ().at_params(values)
+        return self.germ.at_params(values)
 
 
 _HEADER = re.compile(r"^\s*germ\s+([A-Za-z_][\w.^-]*)\s*\{(.*)\}\s*$", re.S)
-_NP = re.compile(r"^n\s*=\s*(\d+)\s+p\s*=\s*(\d+)$")
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_NP = re.compile(r"^n\s*=\s*([0-9]+)\s+p\s*=\s*([0-9]+)$")
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _RAT = re.compile(rf"^([A-Za-z_]\w*)\s*=\s*({_RATIONAL})$")
 _KEYWORD = re.compile(r"(?:vars|params)(?=\s)|components:|perturbation:")
 
@@ -102,7 +98,6 @@ def parse_germ_file(text: str) -> GermFile:
     if not {"n= p=", "vars", "components:"} <= found.keys():
         raise GermFileError("germ file needs 'n=.. p=..', 'vars' and 'components'")
     n, p = map(int, _NP.match(found["n= p="]).groups())
-    varnames = tuple(found["vars"].split())
     params: dict[str, Fraction] = {}
     for item in found.get("params", "").split():
         g = _RAT.match(item)
@@ -114,14 +109,14 @@ def parse_germ_file(text: str) -> GermFile:
             params[g.group(1)] = parse_rational(g.group(2))
         except ValueError as exc:
             raise GermFileError(f"parameter {g.group(1)!r}: {exc}") from None
-    components, perturbation = (
-        tuple(e.strip() for e in found[k].split(",") if e.strip()) if k in found else None
+    ring = PolyRing(tuple(found["vars"].split()), tuple(params))
+    # building each germ is its validation: grammar, dimensions, vanishing
+    germ, perturbation = (
+        GermCorank1(n, p, ring, tuple(parse_polynomial(e.strip(), ring)
+                                      for e in found[k].split(",") if e.strip()), name)
+        if k in found else None
         for k in ("components:", "perturbation:"))
-    gf = GermFile(name, n, p, varnames, params, components, perturbation)
-    gf.symbolic_germ()  # validate now: dimensions, vanishing, grammar
-    if perturbation is not None:
-        gf.symbolic_germ(perturbed=True)
-    return gf
+    return GermFile(name, params, germ, perturbation)
 
 
 def load_germ_file(path: str) -> GermFile:
@@ -132,16 +127,3 @@ def load_germ_file(path: str) -> GermFile:
             raise GermFileError(f"{path}: not a text file: {exc}") from None
     return parse_germ_file(text)
 
-
-def format_germ_file(gf: GermFile) -> str:
-    ring = gf.ring()
-    out = [f"germ {gf.name} {{", f"  n={gf.n} p={gf.p};", "  vars " + " ".join(gf.varnames) + ";"]
-    if gf.params:
-        out.append("  params " + " ".join(f"{k}={v}" for k, v in gf.params.items()) + ";")
-    comps = ", ".join(to_string(parse_polynomial(e, ring)) for e in gf.components)
-    out.append(f"  components: {comps};")
-    if gf.perturbation is not None:
-        pert = ", ".join(to_string(parse_polynomial(e, ring)) for e in gf.perturbation)
-        out.append(f"  perturbation: {pert};")
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -4,11 +4,11 @@ the classifier that certifies a multiple point space as one.
 `mu_chain` is the one Milnor computation.  A hypersurface's mu is the
 colength of its Jacobian ideal; otherwise the Le-Greuel chain
 mu(g_1..g_m) + mu(g_1..g_{m-1}) = colength(<g_1..g_{m-1}> + maximal Jacobian
-minors) recurses down to a hypersurface or to dimension zero, where mu is
-the colength of the ideal minus one (reduced point count of a generic fiber).
-`_isolated_after_reduction`, the finiteness sweep's classifier, eliminates
-a nonempty space once and runs the chain on every positive-dimensional one
-of the expected dimension, so each ICIS it certifies carries its mu and a
+minors) recurses, one dimension up per step, to a hypersurface, so it
+starts at dimension one or more.  `_isolated_after_reduction`, the finiteness sweep's
+classifier, eliminates a nonempty space once, measures one of dimension 0
+itself (colength minus one) and runs the chain on every positive-dimensional
+one of the expected dimension, so each ICIS it certifies carries its mu and a
 finite chain certifies isolatedness.  mu does not depend on the generators
 that cut the germ out, so when every deletion order fails on an isolated
 singularity the classifier retries on four fixed invertible recombinations
@@ -75,25 +75,21 @@ class IcisReport:
 
 
 def mu_chain(gens: list[Polynomial], ring: PolyRing, dim: int) -> int:
-    """Milnor number of the ICIS germ cut out by `gens`, of dimension `dim`.
+    """Milnor number of the ICIS germ cut out by `gens`, of dimension `dim` >= 1.
 
-    The caller vouches that the germ is nonempty and of that dimension.  A
-    deletion order that fails is skipped; if all fail, the last error is
-    raised.
+    The caller vouches that the germ is nonempty and of that dimension.  No
+    generators or a dimension below 1 raise NonIcisError: the classifier
+    measures those spaces itself.  A deletion order that fails is skipped;
+    if all fail, the last error is raised.
     """
     m = len(gens)
-    if m == 0:
-        return 0
+    if not gens or dim < 1:
+        raise NonIcisError(f"the chain needs generators and dimension >= 1, got {m} and {dim}")
     if m == 1 and dim == ring.nvars - 1:
         c = colength(Ideal.of(jacobian(gens, ring.vars)[0], local=True))
         if c == INF:
             raise NonIsolatedError("infinite Jacobian colength")
         return c
-    if dim == 0:
-        c = colength(Ideal.of(gens, local=True))
-        if c == INF:
-            raise NonIsolatedError("expected dimension 0 but colength infinite")
-        return c - 1
     if dim != ring.nvars - m:
         raise NonIcisError(f"{m} equations in {ring.nvars} variables cannot have dim {dim}")
     full_minors = minors(jacobian(gens, ring.vars), m)

@@ -5,9 +5,10 @@ term   := factor ('*' factor)*
 factor := '-'* atom ('^' nat)?
 atom   := rational | identifier | '(' expr ')'
 
-Rationals are integer literals optionally followed by '/' and an integer.
-Exponents are nonnegative integer literals.  Identifiers must be declared
-symbols of the target ring.
+Rationals are integer literals (ASCII digits) optionally followed by '/'
+and an integer.  Exponents are nonnegative integer literals.  Identifiers
+must be declared symbols of the target ring.  Parentheses nest at most
+MAX_DEPTH deep, whatever the caller's stack.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ class ParseError(ValueError):
         self.text = text
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
+MAX_DEPTH = 100
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
 
 
 def _tokenize(text: str):
@@ -54,6 +57,7 @@ class _Parser:
         self.ring = ring
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self):
         return self.toks[self.i]
@@ -128,7 +132,11 @@ class _Parser:
                 raise ParseError(f"unknown identifier {val!r}", pos, self.text)
             return self.ring.sym(val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos, self.text)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             k, v, _ = self.peek()
             if k != "op" or v != ")":
                 self.fail("expected ')'")

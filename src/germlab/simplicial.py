@@ -444,6 +444,7 @@ def load_json(path: str) -> GComplex:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # undecodable bytes, bad JSON, an int past int()'s digit limit
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes, bad JSON, an int past int()'s digit limit, deep nesting
             raise ActionError(f"{path}: not a JSON file: {exc}") from None
     return from_json_dict(data)

@@ -11,8 +11,9 @@ import pytest
 from germlab.catalog import (CatalogError, default_nonsimple_entries,
                              default_simple_entries, nonsimple_entry, simple_entry)
 from germlab.cli import main
-from germlab.germfile import (GermFileError, format_germ_file, load_germ_file,
-                              parse_germ_file)
+from germlab.germfile import GermFileError, load_germ_file, parse_germ_file
+from germlab.parse import parse_polynomial
+from germlab.poly import PolyRing
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = ROOT / "germs"
@@ -21,17 +22,6 @@ COMPLEXES = ROOT / "complexes"
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def test_germfile_roundtrip():
-    for path in sorted(GERMS.glob("*.germ")):
-        gf = load_germ_file(str(path))
-        again = parse_germ_file(format_germ_file(gf))
-        assert again.name == gf.name
-        assert again.symbolic_germ().components == gf.symbolic_germ().components
-        if gf.perturbation is not None:
-            assert (again.symbolic_germ(perturbed=True).components
-                    == gf.symbolic_germ(perturbed=True).components)
 
 
 def test_germfile_errors():
@@ -95,7 +85,7 @@ def test_germfile_keyword_needs_whitespace(capsys, tmp_path, clause):
     spaced = " ".join(_GERM_CLAUSES.values())
     spaced = spaced.replace("vars ", "vars\t").replace("params ", "params\n")
     gf = parse_germ_file(f"germ X {{ {spaced} }}")
-    assert gf.varnames == ("x", "y", "z") and gf.params == {"s": 1}
+    assert gf.germ.ring.vars == ("x", "y", "z") and gf.params == {"s": 1}
 
 
 def test_catalog_roundtrip_through_germfile():
@@ -279,6 +269,46 @@ def test_cli_parse_error_exit(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_deeply_nested_expression_exits_64(capsys, tmp_path):
+    # nesting is refused at a fixed depth, not when the interpreter's stack runs out
+    from germlab.parse import MAX_DEPTH, ParseError, parse_polynomial
+
+    R = PolyRing(("x",))
+    assert parse_polynomial("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, R) == R.sym("x")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_polynomial("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), R)
+    deep = tmp_path / "deep.germ"
+    nested = "(" * 3000 + "z^2" + ")" * 3000
+    deep.write_text(f"germ Deep {{ n=3 p=4; vars x y z; components: {nested}, z^3; }}")
+    assert run_cli("analyze", str(deep)) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "germlab: error: parentheses nested deeper than" in err
+
+
+def test_cli_deeply_nested_json_exits_64(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    assert run_cli("simplicial", str(deep), "homology") == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "germlab: error:" in err and "not a JSON file" in err
+
+
+def test_germ_file_expressions_are_parsed_once(monkeypatch):
+    # two components and two perturbation components: four parses, at load
+    import germlab.germfile as germfile
+
+    calls = []
+
+    def counting(text, ring):
+        calls.append(text)
+        return parse_polynomial(text, ring)
+
+    monkeypatch.setattr(germfile, "parse_polynomial", counting)
+    gf = load_germ_file(str(GERMS / "q2.germ"))
+    gf.base_germ(), gf.symbolic_germ(perturbed=True)
+    assert len(calls) == 4, calls
+
+
 def test_cli_not_finite_exit(capsys, tmp_path):
     f = tmp_path / "sus.germ"
     f.write_text("germ Sus { n=3 p=4; vars x y z; components: z^2, z^3; }")
@@ -323,6 +353,7 @@ def test_cli_usage_errors_exit_64(capsys, tmp_path):
     assert "unknown parameters: ['S']" in capsys.readouterr().err
     assert run_cli("table", "simple", "--row", "P3^x") == 64
     assert run_cli("table", "simple", "--row", "S1") == 64
+    assert run_cli("table", "simple", "--row", "A\u0661") == 64  # Arabic-Indic 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("simplicial", str(bad), "homology") == 64
@@ -345,6 +376,13 @@ def test_cli_usage_errors_exit_64(capsys, tmp_path):
     zero_den.write_text((GERMS / "q2.germ").read_text().replace("s=1", "s=1/0"))
     assert "s=1/0" in zero_den.read_text()
     assert run_cli("analyze", str(zero_den)) == 64
+    # every number of a germ file is in ASCII digits: n and p, params, expressions
+    digits = tmp_path / "digits.germ"
+    for old, new in (("n=3 p=4", "n=\u0663 p=\u0664"), ("s=1", "s=\u0661"),
+                     ("z^2", "z^\u0662")):
+        digits.write_text((GERMS / "q2.germ").read_text().replace(old, new))
+        assert new in digits.read_text()
+        assert run_cli("analyze", str(digits)) == 64, new
     for coeff in ("f4", "f1", "fx"):
         assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology",
                        "--coeff", coeff) == 64
@@ -383,7 +421,7 @@ def test_cli_param_in_float_syntax_exits_64(capsys):
     # a --param value is read like a germ file's params, as -?N or -?N/D, so
     # 1e-20000 is refused before it becomes a Fraction too long to print
     q2 = str(GERMS / "q2.germ")
-    for value in ("1e-20000", "0.5", "1e-3"):
+    for value in ("1e-20000", "0.5", "1e-3", "\u0661/\u0662", "\uff11\uff12"):
         assert run_cli("witness", q2, "--param", f"s={value}") == 64, value
         out, err = capsys.readouterr()
         assert out == "" and "not a rational number" in err, value
@@ -457,9 +495,13 @@ def test_cli_capped_analyze_names_the_cap(capsys):
 
 def test_cli_argparse_errors_exit_64(capsys):
     # argparse's own status 2 would read as INCONCLUSIVE
-    rp2 = str(COMPLEXES / "rp2.json")
+    rp2, swap = str(COMPLEXES / "rp2.json"), str(COMPLEXES / "sphere-swap.json")
+    q2 = str(GERMS / "q2.germ")
+    # an integer argument is ASCII digits: Arabic-Indic 3 and 1 are refused
     for argv in (("simplicial", rp2, "homology", "--coeff"), ("bogus",), ("analyze",),
-                 ("table", "some"), ("analyze", str(GERMS / "q2.germ"), "--max-k", "x")):
+                 ("table", "some"), ("analyze", q2, "--max-k", "x"),
+                 ("analyze", q2, "--max-k", "\u0663"), ("table", "simple", "--max-k", "\u0663"),
+                 ("simplicial", swap, "smith", "--i", "\u0661")):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 64, argv

@@ -185,6 +185,17 @@ def test_milnor_errors():
         milnor_icis(Ideal.of([x + y ** 2]), 0)  # a smooth curve, not a point
 
 
+def test_mu_chain_needs_dimension_one():
+    # the classifier measures a space of dimension at most 0 itself; the
+    # chain on (x^2, y^2) at dimension 0 would fail its deletion search
+    R = PolyRing(("x", "y"))
+    x, y = syms(R)
+    for gens, dim in (([x ** 2, y ** 2], 0), ([x ** 2, y ** 3], -1), ([], 2)):
+        with pytest.raises(NonIcisError, match="dimension >= 1"):
+            mu_chain(gens, R, dim)
+    assert milnor_icis(Ideal.of([x ** 2, y ** 2]), 0).milnor == 3  # colength 4, minus 1
+
+
 def smooth(gens):
     """affine_is_smooth on a nonempty space, from its one elimination."""
     I = Ideal.of(gens, local=False)

@@ -90,16 +90,3 @@ def test_analyze_immersion_trivial_report():
     assert rep.rows[0].empty
     assert rep.image_betti == {}
     assert rep.mu_I == 0
-
-
-def test_catalog_grammar_roundtrip():
-    from germlab.catalog import default_simple_entries
-    from germlab.germfile import GermFile, format_germ_file, parse_germ_file
-    from germlab.parse import to_string
-
-    for e in default_simple_entries():
-        gf = GermFile(e.label.replace(",", "_").replace("^", "_"), 3, 4,
-                      ("x", "y", "z"), {},
-                      tuple(to_string(c) for c in e.germ.components))
-        again = parse_germ_file(format_germ_file(gf))
-        assert again.base_germ().components == e.germ.components

@@ -231,12 +231,15 @@ def test_ring_axioms_on_random_polynomials():
 
 
 def test_parse_roundtrip_smoke():
+    from germlab.catalog import default_nonsimple_entries, default_simple_entries
     from germlab.parse import parse_polynomial, to_string
 
     p = parse_polynomial("z^3 + y^2*z - s*z", R3)
     assert len(p.terms) == 3
-    again = parse_polynomial(to_string(p), R3)
-    assert again == p
+    catalog = [c for e in default_simple_entries() + default_nonsimple_entries()
+               for c in e.germ.components]
+    for q in [p] + catalog:
+        assert parse_polynomial(to_string(q), q.ring) == q
     assert parse_polynomial("0", R3).is_zero()
     q = parse_polynomial("(z - y)*(z + y)", PolyRing(("y", "z")))
     r = PolyRing(("y", "z"))

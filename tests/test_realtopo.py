@@ -39,6 +39,13 @@ def test_sturm_counts():
     assert sturm_distinct_real_roots([F(0), F(-1), F(0), F(1)]) == 3
     assert sturm_distinct_real_roots([F(1), F(-2), F(1)]) == 1
     assert sturm_distinct_real_roots([F(-1), F(3)]) == 1
+    # (z-1)^2 (z+1) = z^3 - z^2 - z + 1: the repeated root counts once
+    assert sturm_distinct_real_roots([F(1), F(-1), F(-1), F(1)]) == 2
+    # trailing zero coefficients are no degree: z^2 - 1 written with degree 4
+    assert sturm_distinct_real_roots([F(-1), F(0), F(1), F(0), F(0)]) == 2
+    # a nonzero constant has no root, with or without trailing zeros
+    assert sturm_distinct_real_roots([F(5)]) == 0
+    assert sturm_distinct_real_roots([F(-2), F(0)]) == 0
 
 
 def test_classify_sphere():
@@ -56,6 +63,17 @@ def test_classify_empty_wrong_side():
     y, z1, z2 = (R.sym(n) for n in R.vars)
     gens = [z1 ** 2 + z1 * z2 + z2 ** 2 + y ** 2 + 1]
     assert classify(gens, 2).kind == EMPTY
+    # x^2 + y^2 + 1 = 0: a positive definite form below its level
+    R = PolyRing(("x", "y"))
+    x, y = (R.sym(n) for n in R.vars)
+    empty = classify([x ** 2 + y ** 2 + 1], 1)
+    assert (empty.kind, empty.signature, empty.chi) == (EMPTY, (2, 0, 0), 0)
+    # one variable on the right side: x^2 = 4 is two points, x^2 = -4 none
+    R1 = PolyRing(("x",))
+    x = R1.sym("x")
+    two = classify([x ** 2 - 4], 1)
+    assert (two.kind, two.count, two.chi) == (POINTS, 2, 2)
+    assert classify([x ** 2 + 4], 1).kind == EMPTY
 
 
 def test_classify_points_and_cell():
