@@ -20,7 +20,7 @@ CONFIRMED by verifying an explicit real perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -132,8 +132,7 @@ def _analyze_row(statuses: list[SpaceStatus]) -> GrpRow:
     return GrpRow(k, d_k, False, classes[0].mu, int(mu_alt), classes)
 
 
-def analyze(germ: GermCorank1, max_k: int | None = None,
-            name: str | None = None) -> GrpReport:
+def analyze(germ: GermCorank1, max_k: int | None = None) -> GrpReport:
     """Full invariant report with rule ledger; raises NotAFiniteError early.
 
     mu_I and the image Betti numbers sum over every k: None when `max_k`
@@ -179,14 +178,14 @@ def analyze(germ: GermCorank1, max_k: int | None = None,
                 if ce.status == "mu" and ce.d_sigma == 0 and ce.count is not None]
 
     verdict = CANDIDATE if not violations else FAILS
-    return GrpReport(name or germ.name, germ.n, germ.p, rows, violations, verdict,
+    return GrpReport(germ.name, germ.n, germ.p, rows, violations, verdict,
                      image, mu_I, zero_dim)
 
 
 # -- witness verification ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassComparison:
     partition: tuple[int, ...]
     d_sigma: int
@@ -203,12 +202,12 @@ class ClassComparison:
         return self.chi_real == self.chi_complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessRow:
     k: int
     d_k: int
     germ_empty: bool
-    classes: list[ClassComparison]
+    classes: tuple[ClassComparison, ...]
     abeta_complex: int | None
     abeta_real: int | None
     parity_ok: bool | None
@@ -221,12 +220,12 @@ class WitnessRow:
         return self.abeta_real == self.abeta_complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessReport:
     name: str
     verdict: str  # CONFIRMED | REFUTED | INCONCLUSIVE
-    rows: list[WitnessRow]
-    notes: list[str] = field(default_factory=list)
+    rows: tuple[WitnessRow, ...]
+    notes: tuple[str, ...] = ()
 
 
 def _chi_complex(ce: ClassEntry) -> int:
@@ -300,7 +299,8 @@ def _sign_report(germ: GermCorank1, perturbation: GermCorank1, sign: int,
     rescaled one.  Quadric signatures, the sign of a quadric's level and
     Sturm counts of distinct real roots are invariant under it, so every
     field of the report at s is the one at sign(s).  The name is left
-    empty; witness_check copies the report out and names the copy.
+    empty; witness_check names it for each caller with dataclasses.replace,
+    which shares every other field: the report is immutable.
     """
     (q,) = perturbation.ring.params
     return _witness_report(perturbation.at_params({q: Fraction(sign)}),
@@ -330,8 +330,8 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
     weighted homogeneous with positive weights has one report per sign of
     s (see `_sign_report`): it is computed once, at s = 1 or s = -1, kept in
     a third bounded LRU keyed by (germ, perturbation, sign of s, max_k), and
-    a call with a nonzero int or Fraction s gets its own copy, with no
-    substitution.  Any other request is decided at the given s.
+    a call with a nonzero int or Fraction s gets that report under its own
+    name, with no substitution.  Any other request is decided at the given s.
     """
     base, per_sign = _settled(germ, perturbation)
     missing = [q for q in perturbation.ring.params if q not in assignment]
@@ -356,20 +356,8 @@ def witness_check(germ: GermCorank1, perturbation: GermCorank1,
             + report.verdict)
     name = name or perturbation.name or germ.name
     if sign:
-        return _copy(_sign_report(germ, perturbation, sign, max_k), name)
+        return replace(_sign_report(germ, perturbation, sign, max_k), name=name)
     return _witness_report(pert, report, max_k, name)
-
-
-def _copy(report: WitnessReport, name: str) -> WitnessReport:
-    """A copy of a kept report, named `name`, sharing nothing mutable with it.
-
-    Every field other than the lists and RealSpaces copied here is an int,
-    bool, str, tuple or None.
-    """
-    rows = [WitnessRow(**{**vars(row), "classes": [
-        ClassComparison(**{**vars(cc), "real": RealSpace(**vars(cc.real))})
-        for cc in row.classes]}) for row in report.rows]
-    return WitnessReport(name, report.verdict, rows, list(report.notes))
 
 
 def _witness_report(pert: GermCorank1, report: GrpReport, max_k: int | None,
@@ -383,15 +371,14 @@ def _witness_report(pert: GermCorank1, report: GrpReport, max_k: int | None,
         # one elimination of each space, from its own generators, decides its
         # emptiness, smoothness and real class
         spaces = build_Dk(pert, k)
-        comparisons: list[ClassComparison] = []
         if grp_row.empty:
             ok = affine_elimination(next(spaces)[1]) is None
-            comparisons.append(ClassComparison((1,) * k, grp_row.d_k, ok,
-                                               "must be empty", RealSpace(EMPTY),
-                                               0, 0 if ok else None))
-            rows.append(WitnessRow(k, grp_row.d_k, True, comparisons, 0,
+            empty = ClassComparison((1,) * k, grp_row.d_k, ok, "must be empty",
+                                    RealSpace(EMPTY), 0, 0 if ok else None)
+            rows.append(WitnessRow(k, grp_row.d_k, True, (empty,), 0,
                                    0 if ok else None, None, None))
             continue
+        comparisons: list[ClassComparison] = []
         chi_alt_real = Fraction(0)
         real_known = True
         parity_ok: bool | None = True
@@ -429,7 +416,7 @@ def _witness_report(pert: GermCorank1, report: GrpReport, max_k: int | None,
                 notes.append(f"k={k}: real alternating Euler sum not integral: {val}")
             else:
                 abeta_real = int(val)
-        rows.append(WitnessRow(k, grp_row.d_k, False, comparisons,
+        rows.append(WitnessRow(k, grp_row.d_k, False, tuple(comparisons),
                                grp_row.mu_alt, abeta_real, parity_ok, orbit_ok))
 
     verdict = CONFIRMED
@@ -451,5 +438,5 @@ def _witness_report(pert: GermCorank1, report: GrpReport, max_k: int | None,
         ) or any(row.abeta_match is None for row in rows)
         if undecided:
             verdict = INCONCLUSIVE
-    return WitnessReport(name, verdict, rows, notes)
+    return WitnessReport(name, verdict, tuple(rows), tuple(notes))
 

@@ -259,7 +259,7 @@ def render_witness_report(rep, params: dict[str, Fraction]) -> str:
 def cmd_analyze(args) -> int:
     gf = load_germ_file(args.file)
     germ = gf.base_germ(_fractions(args.param))
-    rep = analyze(germ, max_k=args.max_k, name=gf.name)
+    rep = analyze(germ, max_k=args.max_k)
     if args.rules_only:
         for v in rep.violations:
             where = f"k={v.k}" + (f", {v.partition}" if v.partition else "")
@@ -280,7 +280,7 @@ def cmd_table(args) -> int:
         entries += default_nonsimple_entries()
     if args.row:
         entries = [_row_entry(label) for label in dict.fromkeys(r.upper() for r in args.row)]
-    reports = [analyze(e.germ, max_k=args.max_k, name=e.label) for e in entries]
+    reports = [analyze(e.germ, max_k=args.max_k) for e in entries]
     mismatches = 0
     out_rows = []
     candidates = []

@@ -12,7 +12,8 @@ Clauses end with ';', '#' starts a comment, expressions follow the shared
 polynomial grammar.  `components` lists only the p-n+1 nonlinear entries of
 (x_1, .., x_{n-1}, g_1, .., g_{p-n+1}); `params` carries default rational
 values; `perturbation` is optional and may use the parameters.  `vars` and
-`params` are followed by whitespace.  Each clause and each parameter name
+`params` are followed by whitespace, and every variable and parameter name
+is an identifier of that grammar.  Each clause and each parameter name
 appears at most once.  Germ files are read, never written, like complexes:
 a `GermFile` keeps the parsed germs, each expression parsed once.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .germs import GermCorank1
-from .parse import parse_polynomial
+from .parse import IDENTIFIER, parse_polynomial
 from .poly import PolyRing
 
 
@@ -61,7 +62,7 @@ class GermFile:
 _HEADER = re.compile(r"^\s*germ\s+([A-Za-z_][\w.^-]*)\s*\{(.*)\}\s*$", re.S)
 _NP = re.compile(r"^n\s*=\s*([0-9]+)\s+p\s*=\s*([0-9]+)$")
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
-_RAT = re.compile(rf"^([A-Za-z_]\w*)\s*=\s*({_RATIONAL})$")
+_RAT = re.compile(rf"^({IDENTIFIER})\s*=\s*({_RATIONAL})$")
 _KEYWORD = re.compile(r"(?:vars|params)(?=\s)|components:|perturbation:")
 
 
@@ -109,7 +110,11 @@ def parse_germ_file(text: str) -> GermFile:
             params[g.group(1)] = parse_rational(g.group(2))
         except ValueError as exc:
             raise GermFileError(f"parameter {g.group(1)!r}: {exc}") from None
-    ring = PolyRing(tuple(found["vars"].split()), tuple(params))
+    varnames = tuple(found["vars"].split())
+    for v in varnames:
+        if not re.fullmatch(IDENTIFIER, v):
+            raise GermFileError(f"bad variable name {v!r}")
+    ring = PolyRing(varnames, tuple(params))
     # building each germ is its validation: grammar, dimensions, vanishing
     germ, perturbation = (
         GermCorank1(n, p, ring, tuple(parse_polynomial(e.strip(), ring)

@@ -28,7 +28,9 @@ class ParseError(ValueError):
 
 MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
+IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"  # the only names an expression can spell
+
+_TOKEN = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{IDENTIFIER})|(?P<op>[-+*^()/]))")
 
 
 def _tokenize(text: str):

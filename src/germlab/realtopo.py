@@ -22,7 +22,7 @@ POINTS = "POINTS"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealSpace:
     kind: str
     dim: int | None = None     # spheres and cells
@@ -140,13 +140,10 @@ def sturm_distinct_real_roots(coeffs: list[Fraction]) -> int:
     def deriv(c):
         return [c[i] * i for i in range(1, len(c))]
 
+    # every chain entry is trimmed: its lead coefficient is nonzero
     def rem(a, b):
         a = a[:]
-        while len(a) >= len(b) and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) < len(b):
-                break
+        while len(a) >= len(b):
             f = a[-1] / b[-1]
             shift = len(a) - len(b)
             for i, bc in enumerate(b):
@@ -156,23 +153,18 @@ def sturm_distinct_real_roots(coeffs: list[Fraction]) -> int:
         return a
 
     chain = [coeffs, deriv(coeffs)]
-    while chain[-1] and len(chain[-1]) > 1:
+    while len(chain[-1]) > 1:
         r = rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-x for x in r])
-    if chain[-1] == []:
-        chain.pop()
 
     def variations(at_inf: int) -> int:
         signs = []
         for c in chain:
-            if not c:
-                continue
             lead = c[-1]
             s = lead if at_inf > 0 else lead * (-1) ** (len(c) - 1)
-            if s:
-                signs.append(1 if s > 0 else -1)
+            signs.append(1 if s > 0 else -1)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(-1) - variations(+1)

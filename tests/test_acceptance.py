@@ -54,7 +54,7 @@ def table_reports():
     out = {}
     for family, arg, want2, want3 in TABLE_ROWS:
         e = entry_for(family, arg)
-        out[e.label] = (e, analyze(e.germ, name=e.label))
+        out[e.label] = (e, analyze(e.germ))
     return out
 
 
@@ -83,12 +83,12 @@ def test_criterion_04_classification(table_reports):
     candidates = set()
     for e in default_simple_entries():
         rep = (table_reports[e.label][1] if e.label in table_reports
-               else analyze(e.germ, name=e.label))
+               else analyze(e.germ))
         if rep.verdict == CANDIDATE:
             candidates.add(e.label)
     assert candidates == {"A1", "P1", "Q2"}
     for e in default_nonsimple_entries():
-        assert analyze(e.germ, name=e.label).verdict == FAILS, e.label
+        assert analyze(e.germ).verdict == FAILS, e.label
 
 
 def test_criterion_05_q2_witness():

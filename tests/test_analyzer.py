@@ -633,14 +633,16 @@ def test_the_sweep_eliminates_every_nonempty_space_once_and_no_empty_one(monkeyp
         assert len(eliminated) == len(spaces) - 1, germ.name
     assert spaces == [(2, (1, 1), spaces[0][2])]  # the immersive germ: D^2 is empty
 
-# sha256 prefix of the repr of every WitnessReport of the germ at the 40
-# values of witness_s_values(), recorded before D^k's elimination was
-# continued per cycle type and emptiness and smoothness were read off
-# eliminated presentations
-WITNESS_REPR_PINS = {
-    "q2": "8b90ad5fec21399d",
-    "a1": "1d79732498fdb506",
-    "p1": "6970a4a437aba19e",
+# sha256 prefix of the JSON of dataclasses.asdict() of every WitnessReport of
+# the germ at the 40 values of witness_s_values(), one report a line: every
+# stored field, and lists and tuples alike are JSON arrays.  Recorded while
+# the reports were still mutable lists, whose repr pins had been recorded
+# before D^k's elimination was continued per cycle type and emptiness and
+# smoothness were read off eliminated presentations
+WITNESS_REPORT_PINS = {
+    "q2": "fc2361a82402d9bb",
+    "a1": "f3bbd26d9c80cf2e",
+    "p1": "cfa7fce7e5083b4d",
 }
 
 
@@ -650,9 +652,11 @@ def witness_s_values(seed=17, n=40):
     return [Fraction((-1) ** i * rng.randint(1, 200), rng.randint(1, 32)) for i in range(n)]
 
 
-@pytest.mark.parametrize("name", sorted(WITNESS_REPR_PINS))
+@pytest.mark.parametrize("name", sorted(WITNESS_REPORT_PINS))
 def test_witness_reports_pinned_over_seeded_parameters(name):
     import hashlib
+    import json
+    from dataclasses import asdict
     from pathlib import Path
 
     from germlab.germfile import load_germ_file
@@ -661,8 +665,8 @@ def test_witness_reports_pinned_over_seeded_parameters(name):
     base, pert = gf.base_germ(), gf.symbolic_germ(perturbed=True)
     reports = [witness_check(base, pert, {"s": s}) for s in witness_s_values()]
     assert {r.verdict for r in reports} == {CONFIRMED, REFUTED}
-    text = "\n".join(map(repr, reports))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == WITNESS_REPR_PINS[name]
+    text = "\n".join(json.dumps(asdict(r)) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == WITNESS_REPORT_PINS[name]
 
 
 def test_hypersurface_mu_matches_macaulay_rank_oracle():
@@ -861,9 +865,9 @@ def analyze_calls(monkeypatch):
     calls = Counter()
     real_analyze = analyzer.analyze
 
-    def counting_analyze(germ, max_k=None, name=None):
+    def counting_analyze(germ, max_k=None):
         calls[(germ.name, max_k)] += 1
-        return real_analyze(germ, max_k=max_k, name=name)
+        return real_analyze(germ, max_k=max_k)
 
     monkeypatch.setattr(analyzer, "analyze", counting_analyze)
     analyzer._settled.cache_clear()
@@ -928,27 +932,69 @@ def test_base_report_memo_is_bounded(analyze_calls):
 
 
 def test_mutating_a_witness_report_does_not_leak(analyze_calls):
-    # the first report is copied out of the report kept for s > 0 as it is
-    # decided, the second from that report on a hit: neither reaches it
+    # the first report is the one kept for s > 0, named as it is decided, the
+    # second the same report on a hit: every tampering with either raises
+    from dataclasses import FrozenInstanceError
+
     first = witness_check(Q2, Q2W, {"s": Fraction(1)})
     second = witness_check(Q2, Q2W, {"s": Fraction(5, 2)})
-    expected = repr(witness_check(Q2, Q2W, {"s": Fraction(1)}))  # nothing shared with it
+    expected = repr(first)
     kept = repr(analyzer._sign_report(Q2, Q2W, 1, None))
     for rep in (first, second):
         for row in rep.rows:
-            row.abeta_complex = -7
-            row.classes[0].chi_complex = -7
-            row.classes[0].real.kind = "tampered"
-            row.classes[0].real.count = -7
-            row.classes.clear()
-        rep.rows.clear()
-        rep.notes.append("tampered")
-        rep.name = "tampered"
+            cc = row.classes[0]
+            for obj, attr in ((rep, "name"), (row, "abeta_complex"), (cc, "chi_complex"),
+                              (cc.real, "kind"), (cc.real, "count")):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, attr, -7)
+            with pytest.raises(AttributeError):
+                row.classes.clear()
+        with pytest.raises(AttributeError):
+            rep.rows.clear()
+        with pytest.raises(AttributeError):
+            rep.notes.append("tampered")
     again = witness_check(Q2, Q2W, {"s": Fraction(1)})
     assert repr(again) == expected and again.verdict == CONFIRMED
     assert repr(analyzer._sign_report(Q2, Q2W, 1, None)) == kept
     assert analyze_calls[("Q2", None)] == 1
     assert analyzer._sign_report.cache_info().misses == 1
+
+
+def test_a_kept_sign_report_is_shared_under_each_callers_name(analyze_calls):
+    one = witness_check(Q2, Q2W, {"s": Fraction(1)}, name="at one")
+    other = witness_check(Q2, Q2W, {"s": Fraction(5, 2)}, name="at five halves")
+    kept = analyzer._sign_report(Q2, Q2W, 1, None)
+    assert (one.name, other.name, kept.name) == ("at one", "at five halves", "")
+    assert one.rows is kept.rows and other.rows is kept.rows
+    assert analyze_calls == {("Q2", None): 1}
+
+
+def _reachable(value):
+    """value and everything reachable from it through dataclass fields and tuples."""
+    from dataclasses import fields, is_dataclass
+
+    yield value
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _reachable(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _reachable(item)
+
+
+@pytest.mark.parametrize("name", ["q2", "a1", "p1"])
+def test_a_witness_report_reaches_no_mutable_value(name, analyze_calls):
+    # a report may be shared by every caller of its sign of s, so a field
+    # added as a list, dict or set, or as a dataclass that is not frozen,
+    # would let one caller change another's answer
+    from dataclasses import is_dataclass
+
+    base, pert = shipped_witnesses()[name]
+    for s in (Fraction(1), Fraction(-1), Fraction(7, 3)):
+        for value in _reachable(witness_check(base, pert, {"s": s})):
+            assert not isinstance(value, (list, dict, set)), (name, s, value)
+            if is_dataclass(value):
+                assert type(value).__dataclass_params__.frozen, (name, s, type(value))
 
 
 def test_kernel_sees_only_int_coefficients(monkeypatch, computed_at_s):

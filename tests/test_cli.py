@@ -383,6 +383,17 @@ def test_cli_usage_errors_exit_64(capsys, tmp_path):
         digits.write_text((GERMS / "q2.germ").read_text().replace(old, new))
         assert new in digits.read_text()
         assert run_cli("analyze", str(digits)) == 64, new
+    # every variable and parameter name is one the expression grammar can spell
+    capsys.readouterr()
+    names = tmp_path / "names.germ"
+    for text, message in (
+            ("germ T {\n  n=2 p=3;\n  vars x 1z;\n  components: x^2, x^3;\n}\n",
+             "bad variable name '1z'"),
+            ((GERMS / "q2.germ").read_text().replace("s=1;", "s=1 sé=1;"),
+             "bad parameter declaration 'sé=1'")):
+        names.write_text(text)
+        assert run_cli("analyze", str(names)) == 64, message
+        assert message in capsys.readouterr().err
     for coeff in ("f4", "f1", "fx"):
         assert run_cli("simplicial", str(COMPLEXES / "rp2.json"), "homology",
                        "--coeff", coeff) == 64
@@ -795,7 +806,7 @@ def test_table_all_analyze_reports_pinned(capsys):
     entries = default_simple_entries() + default_nonsimple_entries()
     assert [e.label for e in entries] == list(TABLE_ANALYZE_PINS)
     for e in entries:
-        out = json.dumps(grp_report_dict(analyze(e.germ, name=e.label)), indent=2) + "\n"
+        out = json.dumps(grp_report_dict(analyze(e.germ)), indent=2) + "\n"
         assert _digest(out) == TABLE_ANALYZE_PINS[e.label], (e.label, out)
     assert run_cli("table", "all") == 0
     text = capsys.readouterr().out
